@@ -32,6 +32,7 @@ from .errors import (
     FactorizationFailed,
     InvalidDimension,
     InvalidLabel,
+    InvalidTolerance,
     MesphaseError,
     NotBijective,
     NotOrthonormal,
@@ -100,6 +101,7 @@ __all__ = [
     "FactorizationFailed",
     "InvalidDimension",
     "InvalidLabel",
+    "InvalidTolerance",
     # residue arithmetic
     "Prime",
     "ModInt",

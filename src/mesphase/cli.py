@@ -22,13 +22,14 @@ from .collective import format_word, hop, hop_dense, hop_trajectory, parse_word
 from .errors import (
     InvalidDimension,
     InvalidLabel,
+    InvalidTolerance,
     NotPrime,
     WordParseError,
 )
 from .lines import line_factor_table
 from .mes import mes_basis_to_json
 from .schwinger import BasisLabel, family_to_json, validate_dimension
-from .verify import SUITES, run_suites
+from .verify import SUITES, run_suites, validate_tolerance
 
 DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "MESPHASE_TOL"
@@ -56,13 +57,13 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _resolve_tol(args: argparse.Namespace) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
+        return validate_tolerance(args.tol)
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
         try:
-            return float(env)
+            return validate_tolerance(float(env))
         except ValueError as exc:
-            raise InvalidDimension(f"{TOL_ENV_VAR}={env!r} is not a number") from exc
+            raise InvalidTolerance(f"{TOL_ENV_VAR}={env!r}: {exc}") from exc
     return DEFAULT_TOL
 
 
@@ -334,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InvalidDimension, InvalidLabel, WordParseError, NotPrime) as exc:
+    except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError, NotPrime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

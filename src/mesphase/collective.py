@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import WordParseError
 from .modring import ModInt, Prime
-from .schwinger import mub_state, validate_dimension
+from .schwinger import mub_stack, validate_dimension
 from .states import Ket, UnitaryOp
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "collective_to_particle",
     "collective_permutation",
     "collective_ops",
+    "point_basis",
     "point_state_plus",
     "point_state_minus",
     "parse_word",
@@ -139,26 +140,35 @@ def collective_ops(d: int) -> CollectiveOps:
     )
 
 
-def _fourier_vector(d: int, p: int) -> np.ndarray:
-    return mub_state(d, 0, p).vector.amplitudes
+@lru_cache(maxsize=None)
+def point_basis(d: int, plus: bool) -> np.ndarray:
+    """Read-only (d^2, d^2) stack of :func:`point_state_plus` (or, with
+    ``plus=False``, :func:`point_state_minus`) amplitudes, row q*d + p for
+    point (q, p); scattered from the Fourier rows of the MUB stack."""
+    validate_dimension(d)
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    h = (d + 1) // 2
+    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
+    fixed, fourier = (nr, nc) if plus else (nc, nr)
+    basis = np.zeros((d, d, d * d), dtype=np.complex128)
+    basis[fixed, :, np.arange(d * d)] = mub_stack(d)[1][:, fourier].T
+    basis = basis.reshape(d * d, d * d)
+    basis.setflags(write=False)
+    return basis
 
 
 def point_state_plus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:
     """Fourier state p on the c mode, basis state q on the r mode, mapped back
     to particle coordinates."""
     q, p = _point(point, d)
-    perm = _permutation_matrix(d)
-    coll = np.kron(_fourier_vector(d, p), Ket.basis(d, q).amplitudes)
-    return Ket(perm.T @ coll)
+    return Ket(point_basis(d, True)[q * d + p])
 
 
 def point_state_minus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:
     """Basis state q on the c mode, Fourier state p on the r mode, mapped back
     to particle coordinates."""
     q, p = _point(point, d)
-    perm = _permutation_matrix(d)
-    coll = np.kron(Ket.basis(d, q).amplitudes, _fourier_vector(d, p))
-    return Ket(perm.T @ coll)
+    return Ket(point_basis(d, False)[q * d + p])
 
 
 # -- operator words ----------------------------------------------------------
@@ -280,22 +290,23 @@ def hop_dense(
     word: "str | list[tuple[str, int]]",
 ) -> tuple[HopResult, float]:
     """Oracle for :func:`hop`: apply the dense word matrix to the lattice
-    state and re-identify the image by overlap search over all d^2 points.
+    state and re-identify the image by one overlap matmul against the cached
+    point basis, re-measuring the winning overlap with ``np.vdot``.
 
     Returns the identified (point, phase exponent) and the overlap modulus,
-    which is 1 exactly when the image is again a lattice state.
+    which is 1 exactly when the image is again a lattice state.  A
+    non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
     applied = word_matrix(d, word) @ point_state_minus(d, (q, p)).amplitudes
-    best: tuple[float, int, int, complex] = (-1.0, 0, 0, 0j)
-    for q2 in range(d):
-        for p2 in range(d):
-            overlap = np.vdot(point_state_minus(d, (q2, p2)).amplitudes, applied)
-            if abs(overlap) > best[0]:
-                best = (abs(overlap), q2, p2, overlap)
-    fidelity, q2, p2, overlap = best
+    stack = point_basis(d, False)
+    # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
+    k = int(np.argmax(np.abs(stack @ applied.conj())))
+    overlap = np.vdot(stack[k], applied)
+    if not np.isfinite(overlap):
+        return HopResult(PhasePoint(0, 0), 0), 0.0
     exponent = int(round(np.angle(overlap) / (2 * np.pi / d))) % d
-    return HopResult(PhasePoint(q2, p2), exponent), float(fidelity)
+    return HopResult(PhasePoint(*divmod(k, d)), exponent), float(abs(overlap))
 
 
 def hop_trajectory(

@@ -39,3 +39,7 @@ class InvalidDimension(MesphaseError, ValueError):
 
 class InvalidLabel(MesphaseError, ValueError):
     """Basis label is neither 'cb' nor an integer in 0..d-1."""
+
+
+class InvalidTolerance(MesphaseError, ValueError):
+    """Tolerance is not a finite number strictly between 0 and 1."""

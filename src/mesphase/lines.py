@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collective import PhasePoint, point_state_minus, point_state_plus
+from .collective import PhasePoint, point_basis
 from .errors import FactorizationFailed
 from .modring import ModInt, Prime
 from .schwinger import (
     CB,
     BasisLabel,
-    mub_family,
+    mub_stack,
     validate_dimension,
 )
 from .states import (
@@ -103,34 +103,36 @@ def line_state(d: int, line: Line, realization: str = "standard") -> LineState:
     (Fourier label on the center-of-mass mode) instead; the result is still a
     rank-1 product but with the factor roles of the two particles exchanged.
     """
-    if realization == "standard":
-        point_fn = point_state_minus
-    elif realization == "alt":
-        point_fn = point_state_plus
-    else:
+    if realization not in ("standard", "alt"):
         raise ValueError("realization must be 'standard' or 'alt'")
+    stack = point_basis(d, realization == "alt")
+    # summed row by row from zeros: this rounding shows in max_error
     total = np.zeros(d * d, dtype=np.complex128)
     for pt in line_points(d, line):
-        total += point_fn(d, pt).amplitudes
+        total += stack[pt.q * d + pt.p]
     return LineState(line, Ket(total / np.sqrt(d)))
 
 
 def _identify_label(
-    d: int, factor: Ket, conjugate: bool, tol: float
+    d: int, factor: Ket, conjugate: bool
 ) -> tuple[BasisLabel, int, float]:
     """Best-matching (basis, index) for a single-particle factor.
 
-    With ``conjugate=True`` the search runs over the tilde partners of the
-    family instead.
+    One overlap matmul against the cached MUB stack picks the winner, whose
+    fidelity is then re-measured with ``np.vdot``.  With ``conjugate=True``
+    the search runs over the tilde partners of the family instead.  A
+    non-finite factor matches nothing: (cb, 0) with fidelity 0.
     """
-    best = (CB, 0, -1.0)
-    for basis in mub_family(d):
-        for state in basis:
-            ref = state.vector.tilde() if conjugate else state.vector
-            fid = abs(np.vdot(ref.amplitudes, factor.amplitudes))
-            if fid > best[2]:
-                best = (state.b, state.m, fid)
-    return best
+    stack = mub_stack(d).reshape(-1, d)
+    amps = factor.amplitudes
+    # |<conj(s)|f>| = |s . f| and |<s|f>| = |s . conj(f)|
+    k = int(np.argmax(np.abs(stack @ (amps if conjugate else amps.conj()))))
+    ref = np.conj(stack[k]) if conjugate else stack[k]
+    fid = abs(np.vdot(ref, amps))
+    if not np.isfinite(fid):
+        return CB, 0, 0.0
+    b, m = divmod(k, d)
+    return (CB if b == 0 else BasisLabel(b - 1)), m, fid
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,8 @@ def schmidt_inversion_check(
     second = float(decomp.coefficients[1]) if d > 1 else 0.0
     factor1 = phase_canonical(Ket.normalized(decomp.left[0]))
     factor2 = phase_canonical(Ket.normalized(decomp.right[0]))
-    b1, m1, fid1 = _identify_label(d, factor1, conjugate=True, tol=tol)
-    b2, m2, fid2 = _identify_label(d, factor2, conjugate=False, tol=tol)
+    b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
+    b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
     overlap = np.vdot(
         np.kron(factor1.amplitudes, factor2.amplitudes), state.amplitudes
     )

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBijective, NotOrthonormal
-from .schwinger import (
-    BasisLabel,
-    mub_basis,
-    mub_state,
-    omega_powers,
-    validate_dimension,
-)
+from .schwinger import BasisLabel, basis_rows, omega_powers
 from .states import DEFAULT_TOL, Ket, UnitaryOp
 
 __all__ = [
@@ -48,9 +42,18 @@ class MesBasisElement:
     vector: Ket
 
 
-def _basis_matrix(d: int, b: "BasisLabel | int | None") -> np.ndarray:
-    """Rows are the computational-basis amplitudes of the basis states."""
-    return np.array([s.vector.amplitudes for s in mub_basis(d, b)])
+def _mes_amplitudes(
+    d: int, rows1: np.ndarray, rows2: np.ndarray, qs: np.ndarray, ps: np.ndarray
+) -> np.ndarray:
+    """Amplitudes of u(q, p) for every q in qs and p in ps, shape
+    (len(qs), len(ps), d^2), summed over m in order from zeros."""
+    pows = omega_powers(d)
+    total = np.zeros((len(qs), len(ps), d * d), dtype=np.complex128)
+    for m in range(d):
+        # pair[i] = kron(rows1[m], rows2[(m - qs[i]) % d])
+        pair = (rows1[m][:, None] * rows2[(m - qs) % d][:, None, :]).reshape(-1, 1, d * d)
+        total += pows[(-m * ps) % d][:, None] * pair
+    return total / np.sqrt(d)
 
 
 def mes_state(
@@ -61,17 +64,11 @@ def mes_state(
     p: int,
 ) -> MesBasisElement:
     """The (q, p) element of the MES basis built from bases b and b'."""
-    validate_dimension(d)
+    label1, rows1 = basis_rows(d, b)
+    label2, rows2 = basis_rows(d, b_prime)
     q, p = q % d, p % d
-    rows1 = _basis_matrix(d, b)
-    rows2 = _basis_matrix(d, b_prime)
-    pows = omega_powers(d)
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for m in range(d):
-        vec += pows[(-m * p) % d] * np.kron(rows1[m], rows2[(m - q) % d])
-    state1 = mub_state(d, b, 0)
-    state2 = mub_state(d, b_prime, 0)
-    return MesBasisElement(q, p, state1.b, state2.b, Ket(vec / np.sqrt(d)))
+    vec = _mes_amplitudes(d, rows1, rows2, np.array([q]), np.array([p]))[0, 0]
+    return MesBasisElement(q, p, label1, label2, Ket(vec))
 
 
 def mes_basis(
@@ -80,20 +77,13 @@ def mes_basis(
     b_prime: "BasisLabel | int | None",
 ) -> list[MesBasisElement]:
     """All d^2 elements, ordered lexicographically by (q, p)."""
-    validate_dimension(d)
-    rows1 = _basis_matrix(d, b)
-    rows2 = _basis_matrix(d, b_prime)
-    pows = omega_powers(d)
-    label1 = mub_state(d, b, 0).b
-    label2 = mub_state(d, b_prime, 0).b
-    out = []
-    for q in range(d):
-        for p in range(d):
-            vec = np.zeros(d * d, dtype=np.complex128)
-            for m in range(d):
-                vec += pows[(-m * p) % d] * np.kron(rows1[m], rows2[(m - q) % d])
-            out.append(MesBasisElement(q, p, label1, label2, Ket(vec / np.sqrt(d))))
-    return out
+    label1, rows1 = basis_rows(d, b)
+    label2, rows2 = basis_rows(d, b_prime)
+    amps = _mes_amplitudes(d, rows1, rows2, np.arange(d), np.arange(d))
+    return [
+        MesBasisElement(q, p, label1, label2, Ket(amps[q, p]))
+        for q in range(d) for p in range(d)
+    ]
 
 
 def universal_state(d: int, b: "BasisLabel | int | None") -> Ket:
@@ -102,8 +92,7 @@ def universal_state(d: int, b: "BasisLabel | int | None") -> Ket:
     Independent of the basis b: summing any orthonormal basis against its
     conjugate partner collapses to the diagonal state (1/sqrt d) sum_n |n>|n>.
     """
-    validate_dimension(d)
-    rows = _basis_matrix(d, b)
+    _, rows = basis_rows(d, b)
     vec = np.zeros(d * d, dtype=np.complex128)
     for m in range(d):
         vec += np.kron(rows[m], np.conj(rows[m]))

@@ -34,6 +34,7 @@ __all__ = [
     "omega_powers",
     "clock_z",
     "shift_x",
+    "mub_stack",
     "mub_state",
     "mub_basis",
     "mub_family",
@@ -99,14 +100,13 @@ CB = BasisLabel(None)
 
 
 def _label_index(b: "BasisLabel | int | None", d: int) -> int | None:
-    """Normalize a label argument to None (cb) or a reduced residue."""
-    if isinstance(b, BasisLabel):
-        idx = b.index
-    else:
-        idx = b
+    """Normalize a label argument to None (cb) or an integer in 0..d-1."""
+    idx = b.index if isinstance(b, BasisLabel) else b
     if idx is None:
         return None
-    return int(idx) % d
+    if not 0 <= int(idx) < d:
+        raise InvalidLabel(f"basis label {idx} out of range 0..{d - 1}")
+    return int(idx)
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,35 @@ def shift_x(d: int) -> UnitaryOp:
     return UnitaryOp(mat)
 
 
+@lru_cache(maxsize=None)
+def mub_stack(d: int) -> np.ndarray:
+    """All d+1 bases as one read-only (d+1, d, d) array.
+
+    Entry [0, m] is e_m and entry [b+1, m] is |m; b>, so the first axis
+    follows the [cb, 0, 1, ..., d-1] order of :func:`mub_family`.
+    """
+    validate_dimension(d)
+    b, m, n = np.ogrid[:d, :d, :d]
+    stack = np.empty((d + 1, d, d), dtype=np.complex128)
+    stack[0] = np.eye(d)
+    stack[1:] = omega_powers(d)[(b * n * n - n * m) % d] / np.sqrt(d)
+    stack.setflags(write=False)
+    return stack
+
+
+def basis_rows(d: int, b: "BasisLabel | int | None") -> tuple[BasisLabel, np.ndarray]:
+    """The validated label of basis b and its (d, d) slice of :func:`mub_stack`,
+    one state per row."""
+    stack = mub_stack(d)
+    idx = _label_index(b, d)
+    return BasisLabel(idx), stack[0 if idx is None else idx + 1]
+
+
 def mub_state(d: int, b: "BasisLabel | int | None", m: int) -> MubState:
     """State m of basis b; the computational basis returns e_m."""
-    validate_dimension(d)
-    idx = _label_index(b, d)
+    label, rows = basis_rows(d, b)
     m = m % d
-    if idx is None:
-        return MubState(CB, m, Ket.basis(d, m))
-    pows = omega_powers(d)
-    exponents = [(idx * n * n - n * m) % d for n in range(d)]
-    vec = pows[exponents] / np.sqrt(d)
-    return MubState(BasisLabel(idx), m, Ket(vec))
+    return MubState(label, m, Ket(rows[m]))
 
 
 def mub_basis(d: int, b: "BasisLabel | int | None") -> list[MubState]:
@@ -161,10 +179,11 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     Applies w^b X Z^(2b) to |m; b> and returns the largest amplitude
     deviation from w^m |m; b|>.
     """
-    idx = _label_index(b, d)
-    if idx is None:
+    label, rows = basis_rows(d, b)
+    if label.is_cb:
         raise InvalidLabel("the computational basis has no shift-clock eigenrelation")
-    state = mub_state(d, idx, m).vector.amplitudes
+    idx = label.index
+    state = rows[m % d]
     pows = omega_powers(d)
     z2b = np.diag(pows[[(2 * idx * n) % d for n in range(d)]])
     applied = pows[idx] * (shift_x(d).matrix @ (z2b @ state))

@@ -9,6 +9,7 @@ identical reports.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -18,11 +19,11 @@ from . import collective as co
 from . import lines as li
 from . import mes as me
 from . import schwinger as sw
-from .errors import FactorizationFailed
+from .errors import FactorizationFailed, InvalidTolerance
 from .schwinger import CB, BasisLabel
 from .states import Ket, is_mes, mes_deviation, schmidt_decompose
 
-__all__ = ["VerificationReport", "run_suites", "SUITES"]
+__all__ = ["VerificationReport", "run_suites", "validate_tolerance", "SUITES"]
 
 SUITES = ("all", "mub", "mes", "collective", "lines")
 
@@ -37,6 +38,14 @@ class VerificationReport:
     runtime_ms: float
 
 
+def validate_tolerance(tol: float) -> float:
+    """A tolerance must be finite with 0 < tol < 1: the 0/1 flag rows report
+    1.0 on failure and would pass at any larger tol."""
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise InvalidTolerance(f"tolerance {tol!r} must be finite with 0 < tol < 1")
+    return tol
+
+
 def _row(check: str, d: int, params: str, fn, tol: float) -> VerificationReport:
     start = time.perf_counter()
     err = float(fn())
@@ -49,7 +58,7 @@ def _row(check: str, d: int, params: str, fn, tol: float) -> VerificationReport:
 
 def suite_mub(d: int, tol: float) -> list[VerificationReport]:
     family = sw.mub_family(d)
-    stacks = [np.array([s.vector.amplitudes for s in basis]) for basis in family]
+    stacks = sw.mub_stack(d)
     rows = []
 
     def count_err() -> float:
@@ -346,20 +355,8 @@ def suite_collective(
 
     rows.append(_row("collective.operator_algebra", d, "", algebra_err, tol))
 
-    plus = np.array(
-        [
-            co.point_state_plus(d, (q, p)).amplitudes
-            for q in range(d)
-            for p in range(d)
-        ]
-    )
-    minus = np.array(
-        [
-            co.point_state_minus(d, (q, p)).amplitudes
-            for q in range(d)
-            for p in range(d)
-        ]
-    )
+    plus = co.point_basis(d, True)
+    minus = co.point_basis(d, False)
 
     rows.append(
         _row(
@@ -554,6 +551,7 @@ def run_suites(
 ) -> list[VerificationReport]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    validate_tolerance(tol)
     rows: list[VerificationReport] = []
     for d in dims:
         sw.validate_dimension(d)

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from mesphase.cli import main
 from mesphase.states import Ket, is_mes
@@ -135,6 +136,24 @@ def test_verify_env_var_tolerance(capsys, monkeypatch):
     # explicit flag wins over the environment
     code, _, _ = run(capsys, "verify", "--d", "3", "--suite", "mub", "--tol", "1e-10")
     assert code == 0
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1e300"])
+def test_verify_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "--d", "3", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tolerance" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "-1e-10", "2"])
+def test_bad_env_var_tolerance_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("MESPHASE_TOL", value)
+    for argv in (("verify", "--d", "3"), ("lines", "--d", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "MESPHASE_TOL" in err
 
 
 def test_verify_writes_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mesphase.errors import NotBijective, NotOrthonormal
+from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
     build_relabeling,
     diagonalizer_for,
@@ -197,6 +197,23 @@ def test_diagonalizer_conjugates_to_clock():
     f = diagonalizer_for(worked_sources(), [w[0], w[1], w[2]])
     conj = rel.u.matrix @ f.matrix @ rel.u.matrix.conj().T
     assert np.abs(conj - clock_z(3).matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_out_of_range_integer_labels_rejected(bad):
+    d = 5
+    for call in (
+        lambda: mes_state(d, bad, CB, 0, 0),
+        lambda: mes_state(d, CB, bad, 0, 0),
+        lambda: mes_basis(d, bad, 0),
+        lambda: mes_basis(d, 0, bad),
+        lambda: universal_state(d, bad),
+    ):
+        with pytest.raises(InvalidLabel):
+            call()
+    # lattice labels stay reduced mod d
+    element = mes_state(d, 1, 2, -1, d + 3)
+    assert (element.q, element.p) == (d - 1, 3)
 
 
 def test_mes_basis_json():

@@ -11,6 +11,7 @@ from mesphase.schwinger import (
     family_to_json,
     mub_eigen_check,
     mub_eigen_residual,
+    mub_basis,
     mub_family,
     mub_state,
     omega_powers,
@@ -59,6 +60,21 @@ def test_label_parse_and_count():
         BasisLabel.parse("5", 5)
     with pytest.raises(InvalidLabel):
         BasisLabel.parse("xyz", 5)
+
+
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_out_of_range_integer_labels_rejected(bad):
+    d = 7
+    for call in (
+        lambda: mub_state(d, bad, 0),
+        lambda: mub_state(d, BasisLabel(bad), 0),
+        lambda: mub_basis(d, bad),
+        lambda: mub_eigen_residual(d, bad, 0),
+    ):
+        with pytest.raises(InvalidLabel):
+            call()
+    # the state index stays reduced mod d
+    assert mub_state(d, 3, -1).m == d - 1
 
 
 def test_mub_state_known_vectors():

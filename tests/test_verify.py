@@ -1,5 +1,6 @@
 import pytest
 
+from mesphase.errors import InvalidTolerance
 from mesphase.verify import run_suites
 
 
@@ -47,3 +48,9 @@ def test_larger_dimension_smoke():
     rows = run_suites([11], "lines", tol=1e-10)
     assert len(rows) == 11 * 12
     assert all(row.passed for row in rows)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0, 1.0, 1e300])
+def test_tolerance_outside_open_unit_interval_rejected(tol):
+    with pytest.raises(InvalidTolerance):
+        run_suites([3], "mub", tol=tol)
