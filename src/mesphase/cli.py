@@ -13,9 +13,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
+import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .collective import format_word, hop, hop_dense, hop_trajectory, parse_word
@@ -27,11 +31,11 @@ from .errors import (
     WordParseError,
 )
 from .lines import line_factor_table
-from .mes import mes_basis_to_json
-from .schwinger import BasisLabel, family_to_json, validate_dimension
+from .mes import mes_basis
+from .schwinger import BasisLabel, mub_family, validate_dimension
+from .states import DEFAULT_TOL
 from .verify import SUITES, run_suites, validate_tolerance
 
-DEFAULT_TOL = 1e-10
 TOL_ENV_VAR = "MESPHASE_TOL"
 DEFAULT_DIMS = [3, 5, 7]
 
@@ -55,6 +59,67 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# -- basis serialization ---------------------------------------------------------
+#
+# gen-mub and gen-mes write up to a million floats, but a basis holds only a
+# few thousand distinct ones (sums of d-th roots of unity over sqrt d), so the
+# text of each distinct value is made once and gathered.
+
+
+def _json_float(x: float) -> str:
+    """json's text for one float: its repr when finite, else NaN/Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _format_floats(values: np.ndarray, fmt) -> list:
+    """``fmt(x)`` for every float64 x in ``values``, as nested lists of the
+    same shape, calling ``fmt`` once per distinct bit pattern (not per
+    distinct value: -0.0 == 0.0, but their text differs)."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array([fmt(x) for x in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(np.shape(values))].tolist()
+
+
+def _re_im_rows(amps: np.ndarray) -> np.ndarray:
+    """The (rows, n) complex amplitudes as (rows, 2n) floats: re row, im row."""
+    return np.concatenate([amps.real, amps.imag], axis=1)
+
+
+def _ket_stub(k: int, dim: int) -> dict:
+    """Stands in for ``Ket(amps[k]).to_json()`` in a :func:`_json_with_kets`
+    skeleton."""
+    return {"dim": dim, "re": [f"@{2 * k}"], "im": [f"@{2 * k + 1}"]}
+
+
+def _json_with_kets(skeleton: dict, amps: np.ndarray) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, where doc is ``skeleton`` with
+    every ``_ket_stub(k, n)`` replaced by ``Ket(amps[k]).to_json()``."""
+    n = amps.shape[1]
+    lists = _format_floats(_re_im_rows(amps).reshape(-1, n), _json_float)
+
+    def splice(match: re.Match) -> str:
+        pad = match.group(1)
+        return pad + (",\n" + pad).join(lists[int(match.group(2))])
+
+    # each stub list prints as one line holding only its quoted "@i"
+    text = json.dumps(skeleton, indent=2) + "\n"
+    return re.sub(r'^( *)"@(\d+)"$', splice, text, flags=re.MULTILINE)
+
+
+def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> str:
+    """``_csv_text(header, rows)`` for rows ``[*labels[k], *re, *im]`` of
+    amps[k] with ``_fmt`` floats.  No field needs quoting: labels are ``cb``
+    or integers, and ``_fmt`` text holds no comma, quote or newline."""
+    texts = _format_floats(_re_im_rows(amps), _fmt)
+    lines = [",".join(header)]
+    lines += [
+        ",".join(map(str, label)) + "," + ",".join(row)
+        for label, row in zip(labels, texts)
+    ]
+    return "\n".join(lines + [""])
+
+
 def _resolve_tol(args: argparse.Namespace) -> float:
     if getattr(args, "tol", None) is not None:
         return validate_tolerance(args.tol)
@@ -72,22 +137,25 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 def _cmd_gen_mub(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
-    data = family_to_json(d)
+    family = mub_family(d)
+    amps = np.array([s.vector.amplitudes for basis in family for s in basis])
     if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        bases = [
+            {
+                "b": str(basis[0].b),
+                "states": [
+                    {"m": s.m, "ket": _ket_stub(i * d + j, d)}
+                    for j, s in enumerate(basis)
+                ],
+            }
+            for i, basis in enumerate(family)
+        ]
+        _emit(_json_with_kets({"d": d, "bases": bases}, amps), args.out)
     else:
         header = ["b", "m"]
         header += [f"re{k}" for k in range(d)] + [f"im{k}" for k in range(d)]
-        rows = []
-        for basis in data["bases"]:
-            for state in basis["states"]:
-                ket = state["ket"]
-                rows.append(
-                    [basis["b"], state["m"]]
-                    + [_fmt(x) for x in ket["re"]]
-                    + [_fmt(x) for x in ket["im"]]
-                )
-        _emit(_csv_text(header, rows), args.out)
+        labels = [(basis[0].b, s.m) for basis in family for s in basis]
+        _emit(_csv_with_kets(header, labels, amps), args.out)
     return 0
 
 
@@ -95,19 +163,25 @@ def _cmd_gen_mes(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
     b = BasisLabel.parse(args.b, d)
     b_prime = BasisLabel.parse(args.b_prime, d)
-    data = mes_basis_to_json(d, b, b_prime)
+    elements = mes_basis(d, b, b_prime)
+    b_text, b_prime_text = str(elements[0].b), str(elements[0].b_prime)
+    amps = np.array([e.vector.amplitudes for e in elements])
     if args.format == "json":
-        _emit(json.dumps(data, indent=2) + "\n", args.out)
+        skeleton = {
+            "d": d,
+            "b": b_text,
+            "b_prime": b_prime_text,
+            "states": [
+                {"q": e.q, "p": e.p, "ket": _ket_stub(k, d * d)}
+                for k, e in enumerate(elements)
+            ],
+        }
+        _emit(_json_with_kets(skeleton, amps), args.out)
     else:
         header = ["b", "b_prime", "q", "p"]
         header += [f"re{k}" for k in range(d * d)] + [f"im{k}" for k in range(d * d)]
-        rows = [
-            [data["b"], data["b_prime"], s["q"], s["p"]]
-            + [_fmt(x) for x in s["ket"]["re"]]
-            + [_fmt(x) for x in s["ket"]["im"]]
-            for s in data["states"]
-        ]
-        _emit(_csv_text(header, rows), args.out)
+        labels = [(b_text, b_prime_text, e.q, e.p) for e in elements]
+        _emit(_csv_with_kets(header, labels, amps), args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidLabel
 from .modring import Prime
-from .states import Ket, UnitaryOp
+from .states import DEFAULT_TOL, Ket, UnitaryOp
 
 __all__ = [
     "BasisLabel",
@@ -190,7 +190,9 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     return float(np.abs(applied - pows[m % d] * state).max())
 
 
-def mub_eigen_check(d: int, b: "BasisLabel | int", m: int, tol: float = 1e-10) -> bool:
+def mub_eigen_check(
+    d: int, b: "BasisLabel | int", m: int, tol: float = DEFAULT_TOL
+) -> bool:
     return mub_eigen_residual(d, b, m) < tol
 
 

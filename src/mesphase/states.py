@@ -102,8 +102,8 @@ class Ket:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "re": [float(x) for x in self.amplitudes.real],
-            "im": [float(x) for x in self.amplitudes.imag],
+            "re": self.amplitudes.real.tolist(),
+            "im": self.amplitudes.imag.tolist(),
         }
 
     @classmethod
@@ -127,11 +127,12 @@ class DensityOp:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise DimMismatch(f"density matrix must be square, got {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > self.tol:
+        # not (err <= tol), so that a NaN error fails too
+        if not np.abs(mat - mat.conj().T).max() <= self.tol:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat) - 1.0) > self.tol:
+        if not abs(np.trace(mat) - 1.0) <= self.tol:
             raise ValueError("density matrix trace != 1")
-        if np.linalg.eigvalsh(mat).min() < -self.tol:
+        if not np.linalg.eigvalsh(mat).min() >= -self.tol:
             raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", mat)
 
@@ -143,8 +144,8 @@ class DensityOp:
         flat = self.matrix.reshape(-1)
         return {
             "dim": self.dim,
-            "re": [float(x) for x in flat.real],
-            "im": [float(x) for x in flat.imag],
+            "re": flat.real.tolist(),
+            "im": flat.imag.tolist(),
         }
 
     @classmethod
@@ -166,7 +167,8 @@ class UnitaryOp:
         n = mat.shape[0]
         if mat.shape != (n, n):
             raise DimMismatch(f"unitary must be square, got {mat.shape}")
-        if np.abs(mat.conj().T @ mat - np.eye(n)).max() > self.tol:
+        # not (err <= tol), so that a NaN error fails too
+        if not np.abs(mat.conj().T @ mat - np.eye(n)).max() <= self.tol:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "matrix", mat)
 

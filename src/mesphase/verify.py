@@ -21,7 +21,7 @@ from . import mes as me
 from . import schwinger as sw
 from .errors import FactorizationFailed, InvalidTolerance
 from .schwinger import CB, BasisLabel
-from .states import Ket, is_mes, mes_deviation, schmidt_decompose
+from .states import DEFAULT_TOL, Ket, is_mes, mes_deviation, schmidt_decompose
 
 __all__ = ["VerificationReport", "run_suites", "validate_tolerance", "SUITES"]
 
@@ -44,6 +44,12 @@ def validate_tolerance(tol: float) -> float:
     if not (math.isfinite(tol) and 0.0 < tol < 1.0):
         raise InvalidTolerance(f"tolerance {tol!r} must be finite with 0 < tol < 1")
     return tol
+
+
+def _worst(*errors: float) -> float:
+    """The largest error, with NaN counted as +inf: builtin ``max(worst, nan)``
+    returns ``worst``, so a NaN error would otherwise vanish and the row pass."""
+    return max(math.inf if math.isnan(e) else e for e in errors)
 
 
 def _row(check: str, d: int, params: str, fn, tol: float) -> VerificationReport:
@@ -71,8 +77,8 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
             "mub.orthonormal",
             d,
             "",
-            lambda: max(
-                np.abs(v.conj() @ v.T - np.eye(d)).max() for v in stacks
+            lambda: _worst(
+                *(np.abs(v.conj() @ v.T - np.eye(d)).max() for v in stacks)
             ),
             tol,
         )
@@ -82,10 +88,12 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
             "mub.unbiased",
             d,
             "",
-            lambda: max(
-                np.abs(np.abs(stacks[i].conj() @ stacks[j].T) - 1 / np.sqrt(d)).max()
-                for i in range(d + 1)
-                for j in range(i + 1, d + 1)
+            lambda: _worst(
+                *(
+                    np.abs(np.abs(stacks[i].conj() @ stacks[j].T) - 1 / np.sqrt(d)).max()
+                    for i in range(d + 1)
+                    for j in range(i + 1, d + 1)
+                )
             ),
             tol,
         )
@@ -95,8 +103,8 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
             "mub.eigenrelation",
             d,
             "",
-            lambda: max(
-                sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d)
+            lambda: _worst(
+                *(sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d))
             ),
             tol,
         )
@@ -107,7 +115,7 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
         x = sw.shift_x(d).matrix
         w = sw.omega_powers(d)[1]
         eye = np.eye(d)
-        return max(
+        return _worst(
             np.abs(z @ x - w * (x @ z)).max(),
             np.abs(np.linalg.matrix_power(z, d) - eye).max(),
             np.abs(np.linalg.matrix_power(x, d) - eye).max(),
@@ -126,7 +134,7 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
         for direct, extracted in zip(family, rebuilt):
             for s_direct, s_extracted in zip(direct, extracted):
                 fid = abs(s_direct.vector.inner(s_extracted.vector))
-                worst = max(worst, 1.0 - fid)
+                worst = _worst(worst, 1.0 - fid)
         return worst
 
     rows.append(_row("mub.lines_family_match", d, "", lines_match_err, tol))
@@ -151,8 +159,8 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
             "mes.gram",
             d,
             "b'=b, all b",
-            lambda: max(
-                np.abs(v.conj() @ v.T - np.eye(d * d)).max() for v in stacks.values()
+            lambda: _worst(
+                *(np.abs(v.conj() @ v.T - np.eye(d * d)).max() for v in stacks.values())
             ),
             tol,
         )
@@ -162,10 +170,12 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
             "mes.reduced",
             d,
             "identity/d both particles",
-            lambda: max(
-                mes_deviation(e.vector)
-                for elements in bases.values()
-                for e in elements
+            lambda: _worst(
+                *(
+                    mes_deviation(e.vector)
+                    for elements in bases.values()
+                    for e in elements
+                )
             ),
             tol,
         )
@@ -175,12 +185,14 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
             "mes.schmidt",
             d,
             "all coefficients 1/sqrt(d)",
-            lambda: max(
-                np.abs(
-                    schmidt_decompose(e.vector).coefficients - 1 / np.sqrt(d)
-                ).max()
-                for elements in bases.values()
-                for e in elements
+            lambda: _worst(
+                *(
+                    np.abs(
+                        schmidt_decompose(e.vector).coefficients - 1 / np.sqrt(d)
+                    ).max()
+                    for elements in bases.values()
+                    for e in elements
+                )
             ),
             tol,
         )
@@ -190,7 +202,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         worst = 0.0
         for v in stacks.values():
             total = v.T @ v.conj()
-            worst = max(worst, np.abs(total - np.eye(d * d)).max())
+            worst = _worst(worst, np.abs(total - np.eye(d * d)).max())
         return worst
 
     rows.append(_row("mes.completeness", d, "sum of projectors", completeness_err, tol))
@@ -204,7 +216,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
                 m = e.vector.amplitudes.reshape(d, d)
                 for rho in (m @ m.conj().T, (m.conj().T @ m).T):
                     probs = np.einsum("ai,ij,aj->a", alphas.conj(), rho, alphas)
-                    worst = max(worst, np.abs(probs - 1 / d).max())
+                    worst = _worst(worst, np.abs(probs - 1 / d).max())
         return worst
 
     rows.append(
@@ -228,7 +240,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         worst = 0.0
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                worst = max(worst, 1.0 - abs(states[i].inner(states[j])))
+                worst = _worst(worst, 1.0 - abs(states[i].inner(states[j])))
         return worst
 
     rows.append(_row("mes.universal", d, "all d+1 bases", universal_err, tol))
@@ -261,7 +273,7 @@ def _relabeling_err() -> float:
         np.kron(Ket.basis(3, n).amplitudes, Ket.basis(3, n).amplitudes)
         for n in range(3)
     ) / np.sqrt(3)
-    err = max(err, 1.0 - abs(np.vdot(diagonal, mapped)))
+    err = _worst(err, 1.0 - abs(np.vdot(diagonal, mapped)))
 
     w = np.exp(2j * np.pi / 3)
     expected_f = np.array(
@@ -272,10 +284,10 @@ def _relabeling_err() -> float:
         ]
     )
     f = me.diagonalizer_for(v, [1.0, w, w**2])
-    err = max(err, float(np.abs(f.matrix - expected_f).max()))
+    err = _worst(err, float(np.abs(f.matrix - expected_f).max()))
     # conjugating the diagonalizer into the relabeled frame gives the clock
     conj = rel.u.matrix @ f.matrix @ rel.u.matrix.conj().T
-    err = max(err, float(np.abs(conj - sw.clock_z(3).matrix).max()))
+    err = _worst(err, float(np.abs(conj - sw.clock_z(3).matrix).max()))
     return err
 
 
@@ -313,7 +325,7 @@ def suite_collective(
             and np.all((np.abs(perm) < tol) | (np.abs(perm - 1) < tol))
         )
         err = 0.0 if ok_structure else 1.0
-        return max(err, np.abs(perm @ perm.conj().T - np.eye(d * d)).max())
+        return _worst(err, np.abs(perm @ perm.conj().T - np.eye(d * d)).max())
 
     rows.append(_row("collective.permutation", d, "", permutation_err, tol))
 
@@ -321,7 +333,7 @@ def suite_collective(
         z1, z2 = np.kron(z, eye), np.kron(eye, z)
         x1, x2 = np.kron(x, eye), np.kron(eye, x)
         powm = np.linalg.matrix_power
-        return max(
+        return _worst(
             np.abs(z1 - ops.zr.matrix @ ops.zc.matrix).max(),
             np.abs(z2 - powm(ops.zr.matrix, d - 1) @ ops.zc.matrix).max(),
             np.abs(x1 - powm(ops.xr.matrix, h) @ powm(ops.xc.matrix, h)).max(),
@@ -335,7 +347,7 @@ def suite_collective(
     def algebra_err() -> float:
         worst = 0.0
         for xs, zs in ((ops.xc, ops.zc), (ops.xr, ops.zr)):
-            worst = max(
+            worst = _worst(
                 worst,
                 np.abs(zs.matrix @ xs.matrix - w[1] * xs.matrix @ zs.matrix).max(),
             )
@@ -345,9 +357,9 @@ def suite_collective(
             (ops.xc, ops.xr),
             (ops.zc, ops.zr),
         ):
-            worst = max(worst, np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max())
+            worst = _worst(worst, np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max())
         for s in (ops.xc, ops.zc, ops.xr, ops.zr):
-            worst = max(
+            worst = _worst(
                 worst,
                 np.abs(np.linalg.matrix_power(s.matrix, d) - np.eye(d * d)).max(),
             )
@@ -363,7 +375,7 @@ def suite_collective(
             "collective.point_bases",
             d,
             "both grams",
-            lambda: max(
+            lambda: _worst(
                 np.abs(plus.conj() @ plus.T - np.eye(d * d)).max(),
                 np.abs(minus.conj() @ minus.T - np.eye(d * d)).max(),
             ),
@@ -375,8 +387,8 @@ def suite_collective(
             "collective.point_mes",
             d,
             "",
-            lambda: max(
-                mes_deviation(Ket(v)) for v in np.concatenate([plus, minus])
+            lambda: _worst(
+                *(mes_deviation(Ket(v)) for v in np.concatenate([plus, minus]))
             ),
             tol,
         )
@@ -399,7 +411,7 @@ def suite_collective(
                 overlap = np.vdot(
                     plus[q * d + p], element.vector.amplitudes
                 )
-                worst = max(worst, abs(overlap - w[(-q * p) % d]))
+                worst = _worst(worst, abs(overlap - w[(-q * p) % d]))
         return worst
 
     rows.append(
@@ -428,7 +440,7 @@ def suite_collective(
                     @ minus[0]
                 )
                 # measured phases are exactly 1 for both generator routes
-                worst = max(
+                worst = _worst(
                     worst,
                     abs(np.vdot(plus[q * d + p], gen_plus) - 1.0),
                     abs(np.vdot(minus[q * d + p], gen_minus) - 1.0),
@@ -443,7 +455,7 @@ def suite_collective(
         universal = me.universal_state(d, CB)
         shifted_1 = co.local_action(universal, 1, "X^2")
         shifted_2 = co.local_action(universal, 2, "X^2")
-        return max(
+        return _worst(
             1.0 - abs(np.vdot(plus[1 * d + 0], shifted_1.amplitudes)),
             1.0 - abs(np.vdot(plus[(d - 1) * d + 0], shifted_2.amplitudes)),
             mes_deviation(shifted_1),
@@ -464,7 +476,7 @@ def suite_collective(
             ]
             state = elements[rng.integers(0, d * d)].vector
             moved = co.local_action(state, int(rng.integers(1, 3)), word)
-            worst = max(worst, mes_deviation(moved))
+            worst = _worst(worst, mes_deviation(moved))
         return worst
 
     rows.append(
@@ -481,7 +493,7 @@ def suite_collective(
                     and sym.phase_exponent == (6 * p) % d
                 )
                 dense, fid = co.hop_dense(d, (q, p), "Xc^2 Xr^6")
-                worst = max(
+                worst = _worst(
                     worst,
                     0.0 if expected else 1.0,
                     0.0 if dense == sym else 1.0,
@@ -501,7 +513,7 @@ def suite_collective(
             q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
             sym = co.hop(d, (q, p), word)
             dense, fid = co.hop_dense(d, (q, p), word)
-            worst = max(worst, 0.0 if dense == sym else 1.0, 1.0 - fid)
+            worst = _worst(worst, 0.0 if dense == sym else 1.0, 1.0 - fid)
         return worst
 
     rows.append(_row("collective.hop_random", d, "100 words", hop_random_err, tol))
@@ -519,13 +531,13 @@ def suite_lines(d: int, tol: float) -> list[VerificationReport]:
             rep = li.schmidt_inversion_check(d, line, tol)
             expected_b, expected_m = li.expected_factor2_label(d, line)
             label_ok = rep.factor2_b == expected_b and rep.factor2_m == expected_m
-            err = max(rep.max_error, 0.0 if label_ok else 1.0)
+            err = _worst(rep.max_error, 0.0 if label_ok else 1.0)
             if line.b.is_cb:
                 target = np.kron(
                     Ket.basis(d, line.m).amplitudes, Ket.basis(d, line.m).amplitudes
                 )
                 state = li.line_state(d, line).vector.amplitudes
-                err = max(err, float(np.abs(state - target).max()))
+                err = _worst(err, float(np.abs(state - target).max()))
             return err
 
         rows.append(
@@ -546,7 +558,7 @@ def suite_lines(d: int, tol: float) -> list[VerificationReport]:
 def run_suites(
     dims: list[int],
     suite: str = "all",
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[VerificationReport]:
     if suite not in SUITES:

@@ -11,6 +11,7 @@ from mesphase.states import (
     phase_canonical,
     schmidt_decompose,
     tensor,
+    UnitaryOp,
 )
 
 rng = np.random.default_rng(20260810)
@@ -191,3 +192,22 @@ def test_density_op_validation():
         DensityOp(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityOp(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def _one_entry(matrix, value):
+    matrix = matrix.astype(complex)
+    matrix[0, 1] = value
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "cls,valid", [(DensityOp, np.eye(2) / 2), (UnitaryOp, np.eye(2))]
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_operators_reject_non_finite_matrices(cls, valid, value):
+    cls(valid)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            cls(np.full((2, 2), value))
+        with pytest.raises(ValueError):
+            cls(_one_entry(valid, value))

@@ -1,7 +1,12 @@
+import inspect
+import math
+
+import numpy as np
 import pytest
 
+from mesphase import cli, schwinger as sw, states
 from mesphase.errors import InvalidTolerance
-from mesphase.verify import run_suites
+from mesphase.verify import _worst, run_suites
 
 
 def test_unknown_suite_rejected():
@@ -54,3 +59,26 @@ def test_larger_dimension_smoke():
 def test_tolerance_outside_open_unit_interval_rejected(tol):
     with pytest.raises(InvalidTolerance):
         run_suites([3], "mub", tol=tol)
+
+
+def test_worst_counts_nan_as_infinite():
+    assert _worst(0.25, 1e-12) == 0.25
+    assert _worst(0.0, math.nan, 0.5) == math.inf
+    assert _worst(np.float64(0.1), np.float64(np.nan)) == math.inf
+
+
+def test_nan_in_a_later_basis_fails_the_mub_rows(monkeypatch):
+    poisoned = sw.mub_stack(5).copy()
+    poisoned[5][0, 0] = np.nan
+    monkeypatch.setattr(sw, "mub_stack", lambda d: poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = {row.check: row for row in run_suites([5], "mub")}
+    for check in ("mub.orthonormal", "mub.unbiased"):
+        assert not rows[check].passed
+        assert rows[check].max_error == math.inf
+
+
+def test_one_tolerance_default():
+    assert cli.DEFAULT_TOL is states.DEFAULT_TOL
+    for fn in (run_suites, sw.mub_eigen_check):
+        assert inspect.signature(fn).parameters["tol"].default is states.DEFAULT_TOL
