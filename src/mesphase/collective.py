@@ -6,11 +6,19 @@ The pair index (n1, n2) is exchanged with the collective index (nc, nr) by
     nc = (n1 + n2) / 2,   nr = (n1 - n2) / 2        (mod d, /2 = modular half)
     n1 = nc + nr,         n2 = nc - nr,
 
-a bijection because 2 is invertible mod an odd prime.  Collective operators
-are obtained by conjugating single-factor operators through this permutation,
-so the factorization identities Z1 = Zr Zc, Z2 = Zr^-1 Zc, X1 = Xr^h Xc^h and
-X2 = Xr^-h Xc^h (h the modular half of 1) are checkable theorems rather than
-definitions.
+a bijection because 2 is invertible mod an odd prime.  A collective generator
+is a single-mode clock or shift carried through this bijection, which makes
+it a displacement operator: a permutation of the particle-flat index times a
+phase w^e.  Each one is held as an exact integer map (src, e) with
+
+    (G v)[i] = w^e[i] * v[src[i]],
+
+Xc moving (n1, n2) to (n1 + 1, n2 + 1), Xr to (n1 + 1, n2 - 1), and Zc, Zr
+the phases w^nc, w^nr; the single-particle X and Z are the same kind of map
+over n.  Words are composed in this integer form and made dense only where
+the API returns a matrix, so the factorization identities Z1 = Zr Zc,
+Z2 = Zr^-1 Zc, X1 = Xr^h Xc^h and X2 = Xr^-h Xc^h (h the modular half of 1)
+remain checkable theorems rather than definitions.
 
 A lattice point (q, p) is realized by the product state
 
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import WordParseError
 from .modring import ModInt, Prime
-from .schwinger import mub_stack, validate_dimension
+from .schwinger import mub_stack, omega_powers, validate_dimension
 from .states import Ket, UnitaryOp
 
 __all__ = [
@@ -109,10 +117,45 @@ def collective_permutation(d: int) -> UnitaryOp:
     return UnitaryOp(_permutation_matrix(d))
 
 
+COLLECTIVE_GENERATORS = ("Xc", "Zc", "Xr", "Zr")
+SINGLE_GENERATORS = ("X", "Z")
+
+
+@lru_cache(maxsize=None)
+def _generator_maps(d: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Read-only (src, e) maps of every generator, (G v)[i] = w^e[i] v[src[i]]:
+    Xc, Zc, Xr, Zr over the particle-flat index n1*d + n2, X and Z over n."""
+    validate_dimension(d)
+    flat, n = np.arange(d * d), np.arange(d)
+    n1, n2 = np.divmod(flat, d)
+    h = (d + 1) // 2
+    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
+    maps = {
+        "Xc": ((n1 - 1) % d * d + (n2 - 1) % d, np.zeros_like(flat)),
+        "Zc": (flat, nc),
+        "Xr": ((n1 - 1) % d * d + (n2 + 1) % d, np.zeros_like(flat)),
+        "Zr": (flat, nr),
+        "X": ((n - 1) % d, np.zeros_like(n)),
+        "Z": (n, n),
+    }
+    for arrays in maps.values():
+        for arr in arrays:
+            arr.setflags(write=False)
+    return maps
+
+
+def _dense(d: int, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The matrix with entry w^exponents[i] at (i, src[i]) and zeros elsewhere."""
+    mat = np.zeros((len(src), len(src)), dtype=np.complex128)
+    mat[np.arange(len(src)), src] = omega_powers(d)[exponents % d]
+    return mat
+
+
 @dataclass(frozen=True)
 class CollectiveOps:
-    """Clock and shift for the center-of-mass (c) and relative (r) modes,
-    expressed as d^2 x d^2 matrices in particle coordinates."""
+    """Clock and shift for the center-of-mass (c) and relative (r) modes as
+    dense d^2 x d^2 matrices in particle coordinates, each scattered from its
+    exact generator map."""
 
     xc: UnitaryOp
     zc: UnitaryOp
@@ -125,18 +168,9 @@ class CollectiveOps:
 
 @lru_cache(maxsize=None)
 def collective_ops(d: int) -> CollectiveOps:
-    from .schwinger import clock_z, shift_x
-
-    validate_dimension(d)
-    perm = _permutation_matrix(d)
-    eye = np.eye(d)
-    z, x = clock_z(d).matrix, shift_x(d).matrix
-
-    def conj(op_c: np.ndarray, op_r: np.ndarray) -> UnitaryOp:
-        return UnitaryOp(perm.T @ np.kron(op_c, op_r) @ perm)
-
+    maps = _generator_maps(d)
     return CollectiveOps(
-        xc=conj(x, eye), zc=conj(z, eye), xr=conj(eye, x), zr=conj(eye, z)
+        *(UnitaryOp(_dense(d, *maps[name])) for name in COLLECTIVE_GENERATORS)
     )
 
 
@@ -173,9 +207,6 @@ def point_state_minus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:
 
 # -- operator words ----------------------------------------------------------
 
-COLLECTIVE_GENERATORS = ("Xc", "Zc", "Xr", "Zr")
-SINGLE_GENERATORS = ("X", "Z")
-
 _FACTOR_RE = re.compile(r"^([A-Za-z]+)(?:\^(-?\d+))?$")
 
 
@@ -210,22 +241,20 @@ def word_matrix(
     """Dense matrix of a word, factors multiplied in written order.
 
     The rightmost factor acts first on a ket, as in ordinary operator
-    composition.
+    composition.  The factors' generator maps are composed with exact
+    integer exponents and the result is made dense once.
     """
     factors = parse_word(word, generators) if isinstance(word, str) else word
-    if generators == COLLECTIVE_GENERATORS:
-        ops = collective_ops(d)
-        base = {name: ops.by_name(name).matrix for name in generators}
-        n = d * d
-    else:
-        from .schwinger import clock_z, shift_x
-
-        base = {"X": shift_x(d).matrix, "Z": clock_z(d).matrix}
-        n = d
-    mat = np.eye(n, dtype=np.complex128)
+    maps = _generator_maps(d)
+    base = {name: maps[name] for name in generators}
+    src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
+    exponents = np.zeros_like(src)
     for name, power in factors:
-        mat = mat @ np.linalg.matrix_power(base[name], power % d)
-    return mat
+        g_src, g_exp = base[name]
+        for _ in range(power % d):
+            exponents += g_exp[src]
+            src = g_src[src]
+    return _dense(d, src, exponents)
 
 
 def local_action(state: Ket, particle: int, word: "str | list[tuple[str, int]]") -> Ket:

@@ -29,6 +29,7 @@ __all__ = [
     "SchmidtDecomposition",
     "tensor",
     "partial_trace",
+    "reduced_operators",
     "schmidt_decompose",
     "is_mes",
     "mes_deviation",
@@ -197,16 +198,19 @@ def tensor(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.amplitudes, b.amplitudes))
 
 
+def reduced_operators(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced operators m m^dagger (particle 1) and (m^dagger m)^T (particle 2)
+    of a d x d amplitude matrix m, or of every matrix in an (n, d, d) stack."""
+    m_dag = amplitudes.conj().swapaxes(-1, -2)
+    return amplitudes @ m_dag, (m_dag @ amplitudes).swapaxes(-1, -2)
+
+
 def partial_trace(state: Ket, keep: int) -> DensityOp:
     """Reduced density operator of particle ``keep`` (1 or 2)."""
     d = _split_dim(state.dim)
-    m = state.amplitudes.reshape(d, d)
-    if keep == 1:
-        rho = m @ m.conj().T
-    elif keep == 2:
-        rho = (m.conj().T @ m).T
-    else:
+    if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
+    rho = reduced_operators(state.amplitudes.reshape(d, d))[keep - 1]
     # symmetrize away float asymmetry before validation
     rho = 0.5 * (rho + rho.conj().T)
     return DensityOp(rho)
@@ -242,23 +246,21 @@ def schmidt_decompose(state: Ket) -> SchmidtDecomposition:
 def is_mes(state: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True iff both reduced density operators equal identity/d within tol."""
     d = _split_dim(state.dim)
-    m = state.amplitudes.reshape(d, d)
     target = np.eye(d) / d
-    return bool(
-        np.abs(m @ m.conj().T - target).max() < tol
-        and np.abs((m.conj().T @ m).T - target).max() < tol
+    return all(
+        np.abs(rho - target).max() < tol
+        for rho in reduced_operators(state.amplitudes.reshape(d, d))
     )
 
 
 def mes_deviation(state: Ket) -> float:
     """Largest elementwise deviation of either reduced operator from identity/d."""
     d = _split_dim(state.dim)
-    m = state.amplitudes.reshape(d, d)
     target = np.eye(d) / d
     return float(
         max(
-            np.abs(m @ m.conj().T - target).max(),
-            np.abs((m.conj().T @ m).T - target).max(),
+            np.abs(rho - target).max()
+            for rho in reduced_operators(state.amplitudes.reshape(d, d))
         )
     )
 

@@ -1,0 +1,215 @@
+"""The integer generator maps and the stacked MES-suite checks against the
+dense constructions they replaced, kept here as reference oracles.
+
+``collective_ops`` and the reduced-operator and Schmidt rows are compared
+exactly (``np.array_equal`` or ``==``); word matrices and the projection
+probabilities are products of roots of unity taken in a different order, so
+they are compared within a rounding bound.
+"""
+
+import numpy as np
+import pytest
+
+from mesphase import collective as co
+from mesphase import mes as me
+from mesphase.collective import (
+    COLLECTIVE_GENERATORS,
+    SINGLE_GENERATORS,
+    collective_ops,
+    point_basis,
+    word_matrix,
+)
+from mesphase.schwinger import CB, BasisLabel, clock_z, omega_powers, shift_x
+from mesphase.states import Ket, mes_deviation, reduced_operators, schmidt_decompose
+from mesphase.verify import _projections, _worst, run_suites
+
+DIMS = [3, 5, 7, 11, 13]
+
+
+# -- reference constructions ------------------------------------------------------
+
+
+def collective_ops_oracle(d):
+    """perm.T @ kron(op_c, op_r) @ perm for each collective generator."""
+    perm = co._permutation_matrix(d)
+    z, x, eye = clock_z(d).matrix, shift_x(d).matrix, np.eye(d)
+    factors = {"Xc": (x, eye), "Zc": (z, eye), "Xr": (eye, x), "Zr": (eye, z)}
+    return {name: perm.T @ np.kron(*pair) @ perm for name, pair in factors.items()}
+
+
+def word_matrix_oracle(d, word, generators):
+    """The product of dense matrix powers, in written order."""
+    if generators == COLLECTIVE_GENERATORS:
+        base = collective_ops_oracle(d)
+    else:
+        base = {"X": shift_x(d).matrix, "Z": clock_z(d).matrix}
+    mat = np.eye(len(base[generators[0]]), dtype=np.complex128)
+    for name, power in word:
+        mat = mat @ np.linalg.matrix_power(base[name], power % d)
+    return mat
+
+
+def mes_deviation_oracle(amplitudes, d):
+    """The larger deviation of m m^dagger and (m^dagger m)^T from identity/d."""
+    m = amplitudes.reshape(d, d)
+    target = np.eye(d) / d
+    return max(
+        np.abs(m @ m.conj().T - target).max(),
+        np.abs((m.conj().T @ m).T - target).max(),
+    )
+
+
+def mes_stacks(d):
+    return [
+        np.array([e.vector.amplitudes for e in me.mes_basis(d, label, label)])
+        for label in BasisLabel.all_labels(d)
+    ]
+
+
+def mes_rows_oracle(d, seed=0):
+    """mes.reduced, mes.schmidt and mes.random_projection as the per-element
+    loops computed them: a deviation, a Schmidt decomposition and a three-operand
+    einsum per reduced operator."""
+    rng = np.random.default_rng(seed)
+    elements = [
+        e.vector
+        for label in BasisLabel.all_labels(d)
+        for e in me.mes_basis(d, label, label)
+    ]
+    reduced = _worst(*(mes_deviation_oracle(v.amplitudes, d) for v in elements))
+    schmidt = _worst(
+        *(np.abs(schmidt_decompose(v).coefficients - 1 / np.sqrt(d)).max() for v in elements)
+    )
+    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    projection = 0.0
+    for v in elements:
+        m = v.amplitudes.reshape(d, d)
+        for rho in (m @ m.conj().T, (m.conj().T @ m).T):
+            probs = np.einsum("ai,ij,aj->a", alphas.conj(), rho, alphas)
+            projection = _worst(projection, np.abs(probs - 1 / d).max())
+    return reduced, schmidt, projection
+
+
+def collective_rows_oracle(d):
+    """collective.point_mes, cb_mes_factorization and point_translation as
+    the per-point loops computed them, with d^2 mes_state calls and dense
+    matrix powers of the generators."""
+    plus, minus = point_basis(d, True), point_basis(d, False)
+    ops = collective_ops_oracle(d)
+    powm = np.linalg.matrix_power
+    w = omega_powers(d)
+    point_mes = _worst(
+        *(mes_deviation_oracle(v, d) for v in np.concatenate([plus, minus]))
+    )
+    cb_factorization = 0.0
+    translation = 0.0
+    for q in range(d):
+        for p in range(d):
+            element = me.mes_state(d, CB, CB, (2 * q) % d, p).vector.amplitudes
+            overlap = np.vdot(plus[q * d + p], element)
+            cb_factorization = _worst(cb_factorization, abs(overlap - w[(-q * p) % d]))
+            gen_plus = powm(ops["Zc"], d - p) @ powm(ops["Xr"], q) @ plus[0]
+            gen_minus = powm(ops["Xc"], q) @ powm(ops["Zr"], d - p) @ minus[0]
+            translation = _worst(
+                translation,
+                abs(np.vdot(plus[q * d + p], gen_plus) - 1.0),
+                abs(np.vdot(minus[q * d + p], gen_minus) - 1.0),
+            )
+    return point_mes, cb_factorization, translation
+
+
+# -- generator maps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_collective_ops_equal_conjugated_kron(d):
+    ops = collective_ops(d)
+    for name, expected in collective_ops_oracle(d).items():
+        assert np.array_equal(ops.by_name(name).matrix, expected)
+
+
+def test_word_matrix_matches_matrix_power_chain():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        d = int(rng.choice(DIMS))
+        generators = COLLECTIVE_GENERATORS if rng.integers(0, 2) else SINGLE_GENERATORS
+        word = [
+            (str(rng.choice(generators)), int(rng.integers(-2 * d, 2 * d + 1)))
+            for _ in range(rng.integers(0, 6))
+        ]
+        got = word_matrix(d, word, generators)
+        expected = word_matrix_oracle(d, word, generators)
+        assert np.array_equal(got != 0, expected != 0)
+        assert np.abs(got - expected).max() < 1e-12
+
+
+def test_word_matrix_rejects_generators_of_the_other_set():
+    with pytest.raises(KeyError):
+        word_matrix(5, [("Xc", 1)], SINGLE_GENERATORS)
+    with pytest.raises(KeyError):
+        word_matrix(5, [("X", 1)])
+
+
+def test_generator_maps_are_read_only():
+    maps = co._generator_maps(5)
+    assert sorted(maps) == sorted(COLLECTIVE_GENERATORS + SINGLE_GENERATORS)
+    for src, exponents in maps.values():
+        for arr in (src, exponents):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+# -- stacked MES-suite checks -----------------------------------------------------
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_reduced_operators_of_a_stack_equal_per_element(d):
+    for v in mes_stacks(d)[:: max(1, d // 3)]:
+        rho1, rho2 = reduced_operators(v.reshape(-1, d, d))
+        for k, amplitudes in enumerate(v):
+            m = amplitudes.reshape(d, d)
+            assert np.array_equal(rho1[k], m @ m.conj().T)
+            assert np.array_equal(rho2[k], (m.conj().T @ m).T)
+            assert mes_deviation(Ket(amplitudes)) == mes_deviation_oracle(amplitudes, d)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_batched_svd_equals_per_element_schmidt(d):
+    for v in mes_stacks(d)[:: max(1, d // 3)]:
+        values = np.linalg.svd(v.reshape(-1, d, d))[1]
+        expected = [schmidt_decompose(Ket(a)).coefficients for a in v]
+        assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_projections_match_einsum(d):
+    rng = np.random.default_rng(d)
+    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    rhos = np.concatenate(reduced_operators(mes_stacks(d)[2].reshape(-1, d, d)))
+    got = _projections(rhos, alphas)
+    assert got.shape == (len(rhos), 200)
+    for rho, probs in zip(rhos, got):
+        expected = np.einsum("ai,ij,aj->a", alphas.conj(), rho, alphas)
+        assert np.abs(probs - expected).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_mes_rows_match_per_element_oracle(d):
+    rows = {r.check: r.max_error for r in run_suites([d], "mes")}
+    reduced, schmidt, projection = mes_rows_oracle(d)
+    assert rows["mes.reduced"] == reduced
+    assert rows["mes.schmidt"] == schmidt
+    assert abs(rows["mes.random_projection"] - projection) < 1e-13
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_collective_rows_match_dense_oracle(d):
+    rows = {r.check: r.max_error for r in run_suites([d], "collective")}
+    point_mes, cb_factorization, translation = collective_rows_oracle(d)
+    assert rows["collective.point_mes"] == point_mes
+    assert rows["collective.cb_mes_factorization"] == cb_factorization
+    assert rows["collective.point_translation"] < 1e-14
+    assert translation < 1e-14
+

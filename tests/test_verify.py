@@ -78,6 +78,40 @@ def test_nan_in_a_later_basis_fails_the_mub_rows(monkeypatch):
         assert rows[check].max_error == math.inf
 
 
+def test_nan_in_a_later_basis_fails_the_mes_rows(monkeypatch):
+    poisoned = sw.mub_stack(5).copy()
+    poisoned[4][0, 0] = np.nan
+    monkeypatch.setattr(sw, "mub_stack", lambda d: poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = {row.check: row for row in run_suites([5], "mes")}
+    for check in (
+        "mes.gram",
+        "mes.reduced",
+        "mes.schmidt",
+        "mes.completeness",
+        "mes.random_projection",
+        "mes.universal",
+    ):
+        assert not rows[check].passed
+        assert rows[check].max_error == math.inf
+
+
+def test_sweep_up_to_d13_is_green_with_rounding_level_errors():
+    rows = run_suites([3, 5, 7, 11, 13], "all", tol=1e-10, seed=0)
+    assert rows and all(row.passed for row in rows)
+    assert {row.d for row in rows} == {3, 5, 7, 11, 13}
+    rounding_rows = {
+        "mes.random_projection",
+        "collective.point_translation",
+        "collective.local_action_random",
+        "collective.hop_random",
+        "collective.hop_example",
+    }
+    checked = [row for row in rows if row.check in rounding_rows]
+    assert len(checked) == 5 * len(rounding_rows)
+    assert all(row.max_error < 1e-14 for row in checked)
+
+
 def test_one_tolerance_default():
     assert cli.DEFAULT_TOL is states.DEFAULT_TOL
     for fn in (run_suites, sw.mub_eigen_check):
