@@ -41,7 +41,7 @@ import numpy as np
 from .errors import WordParseError
 from .modring import ModInt, Prime
 from .schwinger import mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp
+from .states import Ket, UnitaryOp, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -259,11 +259,7 @@ def word_matrix(
 
 def local_action(state: Ket, particle: int, word: "str | list[tuple[str, int]]") -> Ket:
     """Apply a single-particle word (generators X, Z) to one side of a pair."""
-    import math
-
-    d = math.isqrt(state.dim)
-    if d * d != state.dim:
-        raise ValueError("local_action expects a two-qudit state")
+    d = _split_dim(state.dim)
     w = word_matrix(d, word, SINGLE_GENERATORS)
     if particle == 1:
         full = np.kron(w, np.eye(d))

@@ -243,26 +243,30 @@ def schmidt_decompose(state: Ket) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s, left=u.T, right=vh)
 
 
+def _worst(*errors: float) -> float:
+    """The largest error, with NaN counted as +inf: builtin ``max(worst, nan)``
+    returns ``worst``, so a NaN error would otherwise vanish and a check pass."""
+    return max(math.inf if math.isnan(e) else e for e in errors)
+
+
+def _reduced_deviation(amplitudes: np.ndarray) -> float:
+    """Largest elementwise deviation of either reduced operator from identity/d
+    over a flat pair state or an (n, d*d) stack of them; NaN counts as +inf."""
+    d = _split_dim(amplitudes.shape[-1])
+    target = np.eye(d) / d
+    rhos = reduced_operators(amplitudes.reshape(*amplitudes.shape[:-1], d, d))
+    return float(_worst(*(np.abs(rho - target).max() for rho in rhos)))
+
+
 def is_mes(state: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True iff both reduced density operators equal identity/d within tol."""
-    d = _split_dim(state.dim)
-    target = np.eye(d) / d
-    return all(
-        np.abs(rho - target).max() < tol
-        for rho in reduced_operators(state.amplitudes.reshape(d, d))
-    )
+    return mes_deviation(state) < tol
 
 
 def mes_deviation(state: Ket) -> float:
-    """Largest elementwise deviation of either reduced operator from identity/d."""
-    d = _split_dim(state.dim)
-    target = np.eye(d) / d
-    return float(
-        max(
-            np.abs(rho - target).max()
-            for rho in reduced_operators(state.amplitudes.reshape(d, d))
-        )
-    )
+    """Largest elementwise deviation of either reduced operator from identity/d;
+    a NaN deviation counts as +inf."""
+    return _reduced_deviation(state.amplitudes)
 
 
 def equal_up_to_global_phase(

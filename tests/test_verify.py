@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from mesphase import cli, schwinger as sw, states
-from mesphase.errors import InvalidTolerance
+from mesphase import cli, lines as li, schwinger as sw, states, verify
+from mesphase.errors import InvalidDimension, InvalidTolerance
 from mesphase.verify import _worst, run_suites
 
 
@@ -116,3 +116,142 @@ def test_one_tolerance_default():
     assert cli.DEFAULT_TOL is states.DEFAULT_TOL
     for fn in (run_suites, sw.mub_eigen_check):
         assert inspect.signature(fn).parameters["tol"].default is states.DEFAULT_TOL
+
+
+def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch):
+    poisoned = li.point_basis(5, False).copy()
+    poisoned[7, 3] = np.nan
+    monkeypatch.setattr(li, "point_basis", lambda d, plus: poisoned)
+    with np.errstate(invalid="ignore"):
+        lines_rows = run_suites([5], "lines")
+        mub_rows = {row.check: row for row in run_suites([5], "mub")}
+    failing = [row for row in lines_rows if not row.passed]
+    # the poisoned point lies on d+1 = 6 of the 30 lines
+    assert len(lines_rows) == 30 and len(failing) == 6
+    assert all(row.max_error == math.inf for row in failing)
+    assert not mub_rows["mub.lines_family_match"].passed
+    assert all(
+        row.max_error == math.inf for row in mub_rows.values() if not row.passed
+    )
+
+
+def test_every_dimension_is_validated_before_any_suite_runs(monkeypatch):
+    calls = []
+    for name in ("suite_mub", "suite_mes", "suite_collective", "suite_lines"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name) or [])
+    with pytest.raises(InvalidDimension):
+        run_suites([13, 9])
+    with pytest.raises(InvalidTolerance):
+        run_suites([13], tol=0.0)
+    with pytest.raises(ValueError):
+        run_suites([13], "nonsense")
+    assert calls == []
+    run_suites([3])
+    assert calls == ["suite_mub", "suite_mes", "suite_collective", "suite_lines"]
+
+
+def test_row_order_and_params_are_pinned():
+    rows = run_suites([3, 5], "all")
+    assert [(r.check, r.d, r.params) for r in rows] == _ROWS_D3_D5
+    # rows are floored at 0: 1 - |<a|b>| alone reads -4.44e-16 for mes.universal at d=3
+    assert all(r.max_error >= 0.0 for r in rows)
+
+
+# every row of run_suites([3, 5], "all"), in report order
+_ROWS_D3_D5 = [
+    ("mub.count", 3, ""),
+    ("mub.orthonormal", 3, ""),
+    ("mub.unbiased", 3, ""),
+    ("mub.eigenrelation", 3, ""),
+    ("mub.clock_shift_algebra", 3, ""),
+    ("mub.lines_family_match", 3, ""),
+    ("mes.gram", 3, "b'=b, all b"),
+    ("mes.reduced", 3, "identity/d both particles"),
+    ("mes.schmidt", 3, "all coefficients 1/sqrt(d)"),
+    ("mes.completeness", 3, "sum of projectors"),
+    ("mes.random_projection", 3, "200 states"),
+    ("mes.negative_controls", 3, "20 random states"),
+    ("mes.universal", 3, "all d+1 bases"),
+    ("mes.relabeling", 3, "worked 3-level example"),
+    ("collective.index_maps", 3, "exhaustive"),
+    ("collective.permutation", 3, ""),
+    ("collective.operator_factorization", 3, ""),
+    ("collective.operator_algebra", 3, ""),
+    ("collective.point_bases", 3, "both grams"),
+    ("collective.point_mes", 3, ""),
+    ("collective.conjugate_overlap", 3, "modulus 1/d"),
+    ("collective.cb_mes_factorization", 3, "phase -qp"),
+    ("collective.point_translation", 3, ""),
+    ("collective.local_action_shift", 3, "doubled shift"),
+    ("collective.local_action_random", 3, "50 words"),
+    ("collective.hop_example", 3, "Xc^2 Xr^6"),
+    ("collective.hop_random", 3, "100 words"),
+    ("line.factorization", 3, "b=cb m=0"),
+    ("line.factorization", 3, "b=cb m=1"),
+    ("line.factorization", 3, "b=cb m=2"),
+    ("line.factorization", 3, "b=0 m=0"),
+    ("line.factorization", 3, "b=0 m=1"),
+    ("line.factorization", 3, "b=0 m=2"),
+    ("line.factorization", 3, "b=1 m=0"),
+    ("line.factorization", 3, "b=1 m=1"),
+    ("line.factorization", 3, "b=1 m=2"),
+    ("line.factorization", 3, "b=2 m=0"),
+    ("line.factorization", 3, "b=2 m=1"),
+    ("line.factorization", 3, "b=2 m=2"),
+    ("mub.count", 5, ""),
+    ("mub.orthonormal", 5, ""),
+    ("mub.unbiased", 5, ""),
+    ("mub.eigenrelation", 5, ""),
+    ("mub.clock_shift_algebra", 5, ""),
+    ("mub.lines_family_match", 5, ""),
+    ("mes.gram", 5, "b'=b, all b"),
+    ("mes.reduced", 5, "identity/d both particles"),
+    ("mes.schmidt", 5, "all coefficients 1/sqrt(d)"),
+    ("mes.completeness", 5, "sum of projectors"),
+    ("mes.random_projection", 5, "200 states"),
+    ("mes.negative_controls", 5, "20 random states"),
+    ("mes.universal", 5, "all d+1 bases"),
+    ("collective.index_maps", 5, "exhaustive"),
+    ("collective.permutation", 5, ""),
+    ("collective.operator_factorization", 5, ""),
+    ("collective.operator_algebra", 5, ""),
+    ("collective.point_bases", 5, "both grams"),
+    ("collective.point_mes", 5, ""),
+    ("collective.conjugate_overlap", 5, "modulus 1/d"),
+    ("collective.cb_mes_factorization", 5, "phase -qp"),
+    ("collective.point_translation", 5, ""),
+    ("collective.local_action_shift", 5, "doubled shift"),
+    ("collective.local_action_random", 5, "50 words"),
+    ("collective.hop_example", 5, "Xc^2 Xr^6"),
+    ("collective.hop_random", 5, "100 words"),
+    ("line.factorization", 5, "b=cb m=0"),
+    ("line.factorization", 5, "b=cb m=1"),
+    ("line.factorization", 5, "b=cb m=2"),
+    ("line.factorization", 5, "b=cb m=3"),
+    ("line.factorization", 5, "b=cb m=4"),
+    ("line.factorization", 5, "b=0 m=0"),
+    ("line.factorization", 5, "b=0 m=1"),
+    ("line.factorization", 5, "b=0 m=2"),
+    ("line.factorization", 5, "b=0 m=3"),
+    ("line.factorization", 5, "b=0 m=4"),
+    ("line.factorization", 5, "b=1 m=0"),
+    ("line.factorization", 5, "b=1 m=1"),
+    ("line.factorization", 5, "b=1 m=2"),
+    ("line.factorization", 5, "b=1 m=3"),
+    ("line.factorization", 5, "b=1 m=4"),
+    ("line.factorization", 5, "b=2 m=0"),
+    ("line.factorization", 5, "b=2 m=1"),
+    ("line.factorization", 5, "b=2 m=2"),
+    ("line.factorization", 5, "b=2 m=3"),
+    ("line.factorization", 5, "b=2 m=4"),
+    ("line.factorization", 5, "b=3 m=0"),
+    ("line.factorization", 5, "b=3 m=1"),
+    ("line.factorization", 5, "b=3 m=2"),
+    ("line.factorization", 5, "b=3 m=3"),
+    ("line.factorization", 5, "b=3 m=4"),
+    ("line.factorization", 5, "b=4 m=0"),
+    ("line.factorization", 5, "b=4 m=1"),
+    ("line.factorization", 5, "b=4 m=2"),
+    ("line.factorization", 5, "b=4 m=3"),
+    ("line.factorization", 5, "b=4 m=4"),
+]
