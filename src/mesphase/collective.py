@@ -233,17 +233,11 @@ def format_word(factors: list[tuple[str, int]]) -> str:
     return " ".join(f"{name}^{power}" for name, power in factors)
 
 
-def word_matrix(
-    d: int,
-    word: "str | list[tuple[str, int]]",
-    generators: tuple[str, ...] = COLLECTIVE_GENERATORS,
-) -> np.ndarray:
-    """Dense matrix of a word, factors multiplied in written order.
-
-    The rightmost factor acts first on a ket, as in ordinary operator
-    composition.  The factors' generator maps are composed with exact
-    integer exponents and the result is made dense once.
-    """
+def _word_map(
+    d: int, word: "str | list[tuple[str, int]]", generators: tuple[str, ...] = COLLECTIVE_GENERATORS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (src, e) map of a word, factors composed in written order with
+    unreduced integer exponents; the rightmost factor acts first."""
     factors = parse_word(word, generators) if isinstance(word, str) else word
     maps = _generator_maps(d)
     base = {name: maps[name] for name in generators}
@@ -254,20 +248,29 @@ def word_matrix(
         for _ in range(power % d):
             exponents += g_exp[src]
             src = g_src[src]
-    return _dense(d, src, exponents)
+    return src, exponents
+
+
+def word_matrix(
+    d: int, word: "str | list[tuple[str, int]]", generators: tuple[str, ...] = COLLECTIVE_GENERATORS
+) -> np.ndarray:
+    """Dense matrix of a word, factors multiplied in written order: the
+    exact map of :func:`_word_map`, made dense once."""
+    return _dense(d, *_word_map(d, word, generators))
 
 
 def local_action(state: Ket, particle: int, word: "str | list[tuple[str, int]]") -> Ket:
-    """Apply a single-particle word (generators X, Z) to one side of a pair."""
+    """Apply a single-particle word (generators X, Z) to one side of a pair by
+    a gather on the rows (particle 1) or columns (particle 2) of the d x d
+    amplitude matrix."""
     d = _split_dim(state.dim)
-    w = word_matrix(d, word, SINGLE_GENERATORS)
+    src, exponents = _word_map(d, word, SINGLE_GENERATORS)
+    phases, amps = omega_powers(d)[exponents % d], state.amplitudes.reshape(d, d)
     if particle == 1:
-        full = np.kron(w, np.eye(d))
-    elif particle == 2:
-        full = np.kron(np.eye(d), w)
-    else:
-        raise ValueError("particle must be 1 or 2")
-    return Ket(full @ state.amplitudes)
+        return Ket((phases[:, None] * amps[src]).ravel())
+    if particle == 2:
+        return Ket((amps[:, src] * phases).ravel())
+    raise ValueError("particle must be 1 or 2")
 
 
 # -- lattice hopping ---------------------------------------------------------
@@ -323,8 +326,8 @@ def hop_dense(
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
-    applied = word_matrix(d, word) @ point_state_minus(d, (q, p)).amplitudes
     stack = point_basis(d, False)
+    applied = word_matrix(d, word) @ stack[q * d + p]
     # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
     k = int(np.argmax(np.abs(stack @ applied.conj())))
     overlap = np.vdot(stack[k], applied)

@@ -171,9 +171,7 @@ def schmidt_inversion_check(
     factor2 = phase_canonical(Ket.normalized(decomp.right[0]))
     b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
     b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
-    overlap = np.vdot(
-        np.kron(factor1.amplitudes, factor2.amplitudes), state.amplitudes
-    )
+    overlap = np.vdot(np.outer(factor1.amplitudes, factor2.amplitudes).ravel(), state.amplitudes)
     exponent = int(round(np.angle(overlap) / (2 * np.pi / d))) % d
     pows = np.exp(2j * np.pi * exponent / d)
     phase_error = abs(overlap - pows)

@@ -26,6 +26,7 @@ __all__ = [
     "RelabelingMap",
     "mes_state",
     "mes_basis",
+    "mes_stack",
     "universal_state",
     "build_relabeling",
     "diagonalizer_for",
@@ -71,17 +72,24 @@ def mes_state(
     return MesBasisElement(q, p, label1, label2, Ket(vec))
 
 
+def mes_stack(d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int | None") -> np.ndarray:
+    """Read-only (d^2, d^2) amplitudes of :func:`mes_basis`, row q*d + p."""
+    rows = (basis_rows(d, b)[1], basis_rows(d, b_prime)[1])
+    stack = _mes_amplitudes(d, *rows, np.arange(d), np.arange(d)).reshape(d * d, d * d)
+    stack.setflags(write=False)
+    return stack
+
+
 def mes_basis(
     d: int,
     b: "BasisLabel | int | None",
     b_prime: "BasisLabel | int | None",
 ) -> list[MesBasisElement]:
     """All d^2 elements, ordered lexicographically by (q, p)."""
-    label1, rows1 = basis_rows(d, b)
-    label2, rows2 = basis_rows(d, b_prime)
-    amps = _mes_amplitudes(d, rows1, rows2, np.arange(d), np.arange(d))
+    stack = mes_stack(d, b, b_prime)
+    labels = basis_rows(d, b)[0], basis_rows(d, b_prime)[0]
     return [
-        MesBasisElement(q, p, label1, label2, Ket(amps[q, p]))
+        MesBasisElement(q, p, *labels, Ket(stack[q * d + p]))
         for q in range(d) for p in range(d)
     ]
 

@@ -149,10 +149,7 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
 
 
 def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
-    stacks = [
-        np.array([e.vector.amplitudes for e in me.mes_basis(d, label, label)])
-        for label in BasisLabel.all_labels(d)
-    ]
+    stacks = [me.mes_stack(d, label, label) for label in BasisLabel.all_labels(d)]
 
     def random_projection():
         alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
@@ -178,10 +175,10 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         (
             "mes.schmidt",
             "all coefficients 1/sqrt(d)",
-            # the factors are computed too, as in schmidt_decompose, because
-            # LAPACK's values-only path rounds differently
+            # singular values only: an SVD of each d x d amplitude block,
+            # independent of the reduced operators that mes.reduced checks
             lambda: (
-                np.abs(np.linalg.svd(v.reshape(-1, d, d))[1] - 1 / np.sqrt(d)).max()
+                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
                 for v in stacks
             ),
         ),
@@ -211,15 +208,11 @@ def _relabeling_errors():
     rel = me.build_relabeling(v, [0, 1, 2])
     yield np.abs(rel.u.matrix - expected_u).max()
 
-    pair = np.zeros(9, dtype=complex)
-    for n in range(3):
-        pair += np.kron(Ket.basis(3, n).amplitudes, v[n].amplitudes)
-    pair /= np.sqrt(3)
-    mapped = np.kron(np.eye(3), rel.u.matrix) @ pair
-    diagonal = sum(
-        np.kron(Ket.basis(3, n).amplitudes, Ket.basis(3, n).amplitudes)
-        for n in range(3)
-    ) / np.sqrt(3)
+    # the pair sum_n |n>|v_n> / sqrt(3) as a 3 x 3 matrix with rows v_n;
+    # u acts on particle 2
+    pair = np.array([vec.amplitudes for vec in v]) / np.sqrt(3)
+    mapped = pair @ rel.u.matrix.T
+    diagonal = np.eye(3) / np.sqrt(3)
     yield 1.0 - abs(np.vdot(diagonal, mapped))
 
     w = np.exp(2j * np.pi / 3)
@@ -244,10 +237,6 @@ def suite_collective(
     d: int, tol: float, rng: np.random.Generator
 ) -> list[VerificationReport]:
     perm = co.collective_permutation(d).matrix
-    ops = co.collective_ops(d)
-    z = sw.clock_z(d).matrix
-    x = sw.shift_x(d).matrix
-    eye = np.eye(d)
     w = sw.omega_powers(d)
     h = (d + 1) // 2
     plus = co.point_basis(d, True)
@@ -275,43 +264,46 @@ def suite_collective(
             np.abs(perm @ perm.conj().T - np.eye(d * d)).max(),
         )
 
+    def flag(word, src, exponents, power=0):
+        """0.0 iff the word's exact map is (src, exponents) times w^power."""
+        got_src, got_exp = co._word_map(d, word)
+        ok = np.array_equal(got_src, src) and np.all((got_exp - exponents - power) % d == 0)
+        return 0.0 if ok else 1.0
+
     def operator_factorization():
-        z1, z2 = np.kron(z, eye), np.kron(eye, z)
-        x1, x2 = np.kron(x, eye), np.kron(eye, x)
-        powm = np.linalg.matrix_power
+        # Z|n> = w^n |n> and X|n> = |n+1> on one particle, the other untouched
+        n1, n2 = np.divmod(np.arange(d * d), d)
         return (
-            np.abs(z1 - ops.zr.matrix @ ops.zc.matrix).max(),
-            np.abs(z2 - powm(ops.zr.matrix, d - 1) @ ops.zc.matrix).max(),
-            np.abs(x1 - powm(ops.xr.matrix, h) @ powm(ops.xc.matrix, h)).max(),
-            np.abs(x2 - powm(ops.xr.matrix, d - h) @ powm(ops.xc.matrix, h)).max(),
+            flag([("Zr", 1), ("Zc", 1)], n1 * d + n2, n1),
+            flag([("Zr", d - 1), ("Zc", 1)], n1 * d + n2, n2),
+            flag([("Xr", h), ("Xc", h)], (n1 - 1) % d * d + n2, 0),
+            flag([("Xr", d - h), ("Xc", h)], n1 * d + (n2 - 1) % d, 0),
         )
 
     def operator_algebra():
-        for xs, zs in ((ops.xc, ops.zc), (ops.xr, ops.zr)):
-            yield np.abs(zs.matrix @ xs.matrix - w[1] * xs.matrix @ zs.matrix).max()
-        for a, b in (
-            (ops.xc, ops.zr),
-            (ops.xr, ops.zc),
-            (ops.xc, ops.xr),
-            (ops.zc, ops.zr),
-        ):
-            yield np.abs(a.matrix @ b.matrix - b.matrix @ a.matrix).max()
-        for s in (ops.xc, ops.zc, ops.xr, ops.zr):
-            yield np.abs(np.linalg.matrix_power(s.matrix, d) - np.eye(d * d)).max()
+        for xs, zs in (("Xc", "Zc"), ("Xr", "Zr")):
+            yield flag([(zs, 1), (xs, 1)], *co._word_map(d, [(xs, 1), (zs, 1)]), 1)
+        for a, b in (("Xc", "Zr"), ("Xr", "Zc"), ("Xc", "Xr"), ("Zc", "Zr")):
+            yield flag([(a, 1), (b, 1)], *co._word_map(d, [(b, 1), (a, 1)]))
+        for s in co.COLLECTIVE_GENERATORS:
+            # d factors of power 1, since a factor's power is reduced mod d;
+            # the empty word is the identity
+            yield flag([(s, 1)] * d, *co._word_map(d, []))
 
     def cb_mes_factorization():
-        elements = me.mes_basis(d, CB, CB)
+        elements = me.mes_stack(d, CB, CB)
         for q in range(d):
             for p in range(d):
-                element = elements[(2 * q) % d * d + p]
-                overlap = np.vdot(plus[q * d + p], element.vector.amplitudes)
+                overlap = np.vdot(plus[q * d + p], elements[(2 * q) % d * d + p])
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
         for q in range(d):
             for p in range(d):
-                gen_plus = co.word_matrix(d, [("Zc", d - p), ("Xr", q)]) @ plus[0]
-                gen_minus = co.word_matrix(d, [("Xc", q), ("Zr", d - p)]) @ minus[0]
+                src, e = co._word_map(d, [("Zc", d - p), ("Xr", q)])
+                gen_plus = w[e % d] * plus[0][src]
+                src, e = co._word_map(d, [("Xc", q), ("Zr", d - p)])
+                gen_minus = w[e % d] * minus[0][src]
                 # measured phases are exactly 1 for both generator routes
                 yield abs(np.vdot(plus[q * d + p], gen_plus) - 1.0)
                 yield abs(np.vdot(minus[q * d + p], gen_minus) - 1.0)
@@ -328,13 +320,13 @@ def suite_collective(
         )
 
     def local_action_random():
-        elements = me.mes_basis(d, CB, CB)
+        elements = me.mes_stack(d, CB, CB)
         for _ in range(50):
             word = [
                 (str(rng.choice(["X", "Z"])), int(rng.integers(-d, d + 1)))
                 for _ in range(rng.integers(1, 4))
             ]
-            state = elements[rng.integers(0, d * d)].vector
+            state = Ket(elements[rng.integers(0, d * d)])
             yield mes_deviation(co.local_action(state, int(rng.integers(1, 3)), word))
 
     def hop_example():
@@ -397,9 +389,8 @@ def suite_lines(d: int, tol: float) -> list[VerificationReport]:
         yield rep.max_error
         yield 0.0 if label_ok else 1.0
         if line.b.is_cb:
-            target = np.kron(
-                Ket.basis(d, line.m).amplitudes, Ket.basis(d, line.m).amplitudes
-            )
+            e = np.eye(d)[line.m]
+            target = np.outer(e, e).ravel()
             state = li.line_state(d, line).vector.amplitudes
             yield np.abs(state - target).max()
 

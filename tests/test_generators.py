@@ -1,10 +1,11 @@
 """The integer generator maps and the stacked MES-suite checks against the
 dense constructions they replaced, kept here as reference oracles.
 
-``collective_ops`` and the reduced-operator and Schmidt rows are compared
-exactly (``np.array_equal`` or ``==``); word matrices and the projection
-probabilities are products of roots of unity taken in a different order, so
-they are compared within a rounding bound.
+``collective_ops``, ``mes_stack`` and the reduced-operator and Schmidt rows
+are compared exactly (``np.array_equal`` or ``==``); word matrices, the
+gathered ``local_action``, values-only singular values and the projection
+probabilities round differently from their oracles, so they are compared
+within a rounding bound.
 """
 
 import numpy as np
@@ -16,10 +17,11 @@ from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
     collective_ops,
+    local_action,
     point_basis,
     word_matrix,
 )
-from mesphase.schwinger import CB, BasisLabel, clock_z, omega_powers, shift_x
+from mesphase.schwinger import CB, BasisLabel, clock_z, mub_basis, omega_powers, shift_x
 from mesphase.states import Ket, mes_deviation, reduced_operators, schmidt_decompose
 from mesphase.verify import _projections, _worst, run_suites
 
@@ -47,6 +49,27 @@ def word_matrix_oracle(d, word, generators):
     for name, power in word:
         mat = mat @ np.linalg.matrix_power(base[name], power % d)
     return mat
+
+
+def local_action_oracle(state, particle, word):
+    """The dense single-particle word matrix, tensored with the identity."""
+    d = int(np.sqrt(state.dim))
+    w, eye = word_matrix(d, word, SINGLE_GENERATORS), np.eye(d)
+    full = np.kron(w, eye) if particle == 1 else np.kron(eye, w)
+    return full @ state.amplitudes
+
+
+def mes_basis_oracle(d, b, b_prime):
+    """Row q*d + p: sum over m of w^(-m p) |m; b> (x) |m - q; b'>, from zeros."""
+    w = omega_powers(d)
+    rows1 = [s.vector.amplitudes for s in mub_basis(d, b)]
+    rows2 = [s.vector.amplitudes for s in mub_basis(d, b_prime)]
+    stack = np.zeros((d * d, d * d), dtype=np.complex128)
+    for q in range(d):
+        for p in range(d):
+            for m in range(d):
+                stack[q * d + p] += w[(-m * p) % d] * np.kron(rows1[m], rows2[(m - q) % d])
+    return stack / np.sqrt(d)
 
 
 def mes_deviation_oracle(amplitudes, d):
@@ -160,7 +183,42 @@ def test_generator_maps_are_read_only():
                 arr[0] = 1
 
 
+def test_local_action_matches_dense_kron():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.choice([3, 5, 7, 11]))
+        word = [
+            (str(rng.choice(SINGLE_GENERATORS)), int(rng.integers(-2 * d, 2 * d + 1)))
+            for _ in range(rng.integers(0, 5))
+        ]
+        state = Ket.normalized(rng.normal(size=d * d) + 1j * rng.normal(size=d * d))
+        for particle in (1, 2):
+            got = local_action(state, particle, word).amplitudes
+            assert np.abs(got - local_action_oracle(state, particle, word)).max() < 1e-15
+    with pytest.raises(ValueError):
+        local_action(state, 3, word)
+
+
 # -- stacked MES-suite checks -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d, pairs",
+    [
+        (3, [(b, b2) for b in BasisLabel.all_labels(3) for b2 in BasisLabel.all_labels(3)]),
+        (5, [(b, b2) for b in BasisLabel.all_labels(5) for b2 in BasisLabel.all_labels(5)]),
+        *(
+            (d, [(CB, CB), (CB, BasisLabel(2)), (BasisLabel(3), CB), (BasisLabel(1), BasisLabel(d - 1))])
+            for d in (7, 11, 13)
+        ),
+    ],
+)
+def test_mes_stack_equals_loop_oracle(d, pairs):
+    for b, b_prime in pairs:
+        stack = me.mes_stack(d, b, b_prime)
+        assert np.array_equal(stack, mes_basis_oracle(d, b, b_prime))
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -180,6 +238,15 @@ def test_batched_svd_equals_per_element_schmidt(d):
         values = np.linalg.svd(v.reshape(-1, d, d))[1]
         expected = [schmidt_decompose(Ket(a)).coefficients for a in v]
         assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_values_only_svd_equals_full_svd(d):
+    for v in mes_stacks(d):
+        blocks = v.reshape(-1, d, d)
+        values = np.linalg.svd(blocks, compute_uv=False)
+        assert values.shape == (d * d, d)
+        assert np.abs(values - np.linalg.svd(blocks)[1]).max() < 1e-15
 
 
 @pytest.mark.parametrize("d", DIMS)

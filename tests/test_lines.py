@@ -16,7 +16,7 @@ from mesphase.lines import (
 )
 from mesphase.modring import ModInt, Prime
 from mesphase.schwinger import CB, BasisLabel, mub_family, mub_state
-from mesphase.states import Ket, schmidt_decompose, tensor
+from mesphase.states import Ket, phase_canonical, schmidt_decompose, tensor
 
 
 def half(x, d):
@@ -143,6 +143,16 @@ def test_factor_one_is_tilde_partner(d):
         # the line state is tilde(u) (x) u with phase exactly 1
         product = tensor(u.tilde(), u)
         assert abs(np.vdot(product.amplitudes, state.amplitudes) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_outer_product_of_line_factors_equals_kron(d):
+    # schmidt_inversion_check builds the product state with np.outer
+    for line in all_lines(d):
+        decomp = schmidt_decompose(line_state(d, line).vector)
+        f1 = phase_canonical(Ket.normalized(decomp.left[0])).amplitudes
+        f2 = phase_canonical(Ket.normalized(decomp.right[0])).amplitudes
+        assert np.array_equal(np.outer(f1, f2).ravel(), np.kron(f1, f2))
 
 
 def test_expected_labels_use_half_and_quarter():

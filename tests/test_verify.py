@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mesphase import cli, lines as li, schwinger as sw, states, verify
+from mesphase import cli, collective as co, lines as li, schwinger as sw, states, verify
 from mesphase.errors import InvalidDimension, InvalidTolerance
 from mesphase.verify import _worst, run_suites
 
@@ -133,6 +133,30 @@ def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch)
     assert all(
         row.max_error == math.inf for row in mub_rows.values() if not row.passed
     )
+
+
+def _shift_one_zc_exponent(maps):
+    src, exponents = maps["Zc"]
+    exponents = exponents.copy()
+    exponents[7] += 1
+    return {**maps, "Zc": (src, exponents)}
+
+
+def _swap_two_xr_sources(maps):
+    src, exponents = maps["Xr"]
+    src = src.copy()
+    src[[2, 11]] = src[[11, 2]]
+    return {**maps, "Xr": (src, exponents)}
+
+
+@pytest.mark.parametrize("corrupt", [_shift_one_zc_exponent, _swap_two_xr_sources])
+def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corrupt):
+    corrupted = corrupt(co._generator_maps(5))
+    monkeypatch.setattr(co, "_generator_maps", lambda d: corrupted)
+    rows = {row.check: row for row in run_suites([5], "collective")}
+    for check in ("collective.operator_algebra", "collective.operator_factorization"):
+        assert not rows[check].passed
+        assert rows[check].max_error == 1.0
 
 
 def test_every_dimension_is_validated_before_any_suite_runs(monkeypatch):
