@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Compare the CLI of this checkout against a base checkout: for every command
+# below, stdout and the exit code must be byte-identical.
+#
+# Usage, from the repository root:  .github/scripts/cli_parity.sh BASE_DIR
+# where BASE_DIR is a checkout of the base commit (e.g. a git worktree).
+set -u
+base=$1
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+status=0
+
+run() {  # run TREE NAME ARGS...: stdout to $tmp/NAME.out, exit code to $tmp/NAME.code
+  local tree=$1 name=$2 code=0
+  shift 2
+  PYTHONPATH="$tree/src" python -m mesphase.cli "$@" > "$tmp/$name.out" || code=$?
+  echo "$code" > "$tmp/$name.code"
+}
+
+while IFS= read -r command; do
+  eval "set -- $command"
+  run "$base" base "$@"
+  run . head "$@"
+  if cmp -s "$tmp/base.out" "$tmp/head.out" && cmp -s "$tmp/base.code" "$tmp/head.code"; then
+    echo "same:    mesphase $command"
+  else
+    echo "DIFFERS: mesphase $command (exit $(cat "$tmp/base.code") -> $(cat "$tmp/head.code"))"
+    status=1
+  fi
+done <<'COMMANDS'
+gen-mub --d 11 --format csv
+gen-mes --d 7 --b 2 --b-prime cb
+gen-mes --d 11 --b cb --b-prime 4 --format csv
+lines --d 13
+lines --d 5 --alt-realization --format json
+hop --d 13 --q 4 --p 9 --word "Xc^5 Zr^-3 Xr^7 Zc^2" --format json
+COMMANDS
+exit $status

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .collective import format_word, hop, hop_dense, hop_trajectory, parse_word
+from .collective import HopResult, format_word, hop, hop_dense, hop_trajectory, parse_word
 from .errors import (
     InvalidDimension,
     InvalidLabel,
@@ -31,9 +31,9 @@ from .errors import (
     WordParseError,
 )
 from .lines import line_factor_table
-from .mes import mes_basis
-from .schwinger import BasisLabel, mub_family, validate_dimension
-from .states import DEFAULT_TOL
+from .mes import mes_stack
+from .schwinger import BasisLabel, mub_stack, validate_dimension
+from .states import DEFAULT_TOL, _check_unit_rows
 from .verify import SUITES, run_suites, validate_tolerance
 
 TOL_ENV_VAR = "MESPHASE_TOL"
@@ -49,6 +49,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _csv_field(value):
+    """A CSV cell: bools as true/false, floats as :func:`_fmt` text."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else value
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -137,25 +144,23 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 def _cmd_gen_mub(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
-    family = mub_family(d)
-    amps = np.array([s.vector.amplitudes for basis in family for s in basis])
+    amps = mub_stack(d).reshape(-1, d)
+    _check_unit_rows(amps)
+    labels = BasisLabel.all_labels(d)
     if args.format == "json":
         bases = [
             {
-                "b": str(basis[0].b),
-                "states": [
-                    {"m": s.m, "ket": _ket_stub(i * d + j, d)}
-                    for j, s in enumerate(basis)
-                ],
+                "b": str(b),
+                "states": [{"m": m, "ket": _ket_stub(i * d + m, d)} for m in range(d)],
             }
-            for i, basis in enumerate(family)
+            for i, b in enumerate(labels)
         ]
         _emit(_json_with_kets({"d": d, "bases": bases}, amps), args.out)
     else:
         header = ["b", "m"]
         header += [f"re{k}" for k in range(d)] + [f"im{k}" for k in range(d)]
-        labels = [(basis[0].b, s.m) for basis in family for s in basis]
-        _emit(_csv_with_kets(header, labels, amps), args.out)
+        rows = [(b, m) for b in labels for m in range(d)]
+        _emit(_csv_with_kets(header, rows, amps), args.out)
     return 0
 
 
@@ -163,25 +168,24 @@ def _cmd_gen_mes(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
     b = BasisLabel.parse(args.b, d)
     b_prime = BasisLabel.parse(args.b_prime, d)
-    elements = mes_basis(d, b, b_prime)
-    b_text, b_prime_text = str(elements[0].b), str(elements[0].b_prime)
-    amps = np.array([e.vector.amplitudes for e in elements])
+    amps = mes_stack(d, b, b_prime)
+    _check_unit_rows(amps)
+    grid = [divmod(k, d) for k in range(d * d)]
     if args.format == "json":
         skeleton = {
             "d": d,
-            "b": b_text,
-            "b_prime": b_prime_text,
+            "b": str(b),
+            "b_prime": str(b_prime),
             "states": [
-                {"q": e.q, "p": e.p, "ket": _ket_stub(k, d * d)}
-                for k, e in enumerate(elements)
+                {"q": q, "p": p, "ket": _ket_stub(k, d * d)} for k, (q, p) in enumerate(grid)
             ],
         }
         _emit(_json_with_kets(skeleton, amps), args.out)
     else:
         header = ["b", "b_prime", "q", "p"]
         header += [f"re{k}" for k in range(d * d)] + [f"im{k}" for k in range(d * d)]
-        labels = [(b_text, b_prime_text, e.q, e.p) for e in elements]
-        _emit(_csv_with_kets(header, labels, amps), args.out)
+        rows = [(b, b_prime, q, p) for q, p in grid]
+        _emit(_csv_with_kets(header, rows, amps), args.out)
     return 0
 
 
@@ -214,16 +218,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         header = ["check", "d", "params", "max_error", "pass"]
         if args.timing:
             header.append("runtime_ms")
-        table = []
-        for r in rows:
-            record = [r.check, r.d, r.params, _fmt(r.max_error), str(r.passed).lower()]
-            if args.timing:
-                record.append(f"{r.runtime_ms:.3f}")
-            table.append(record)
+        table = [
+            [_csv_field(v) for v in (r.check, r.d, r.params, r.max_error, r.passed)]
+            + ([f"{r.runtime_ms:.3f}"] if args.timing else [])
+            for r in rows
+        ]
         _emit(_csv_text(header, table), args.out)
     passed = sum(r.passed for r in rows)
     print(f"{passed}/{len(rows)} checks passed (tol={_fmt(tol)})", file=sys.stderr)
     return 0 if all_pass else 1
+
+
+def _hop_fields(step: HopResult) -> dict:
+    return {"q": step.point.q, "p": step.point.p, "phase_exponent": step.phase_exponent}
 
 
 def _cmd_hop(args: argparse.Namespace) -> int:
@@ -240,58 +247,21 @@ def _cmd_hop(args: argparse.Namespace) -> int:
             "d": d,
             "word": format_word(factors),
             "start": {"q": start[0], "p": start[1]},
-            "trajectory": [
-                {
-                    "factor": factor,
-                    "q": step.point.q,
-                    "p": step.point.p,
-                    "phase_exponent": step.phase_exponent,
-                }
-                for factor, step in trajectory
-            ],
-            "symbolic": {
-                "q": symbolic.point.q,
-                "p": symbolic.point.p,
-                "phase_exponent": symbolic.phase_exponent,
-            },
-            "dense": {
-                "q": dense.point.q,
-                "p": dense.point.p,
-                "phase_exponent": dense.phase_exponent,
-                "fidelity": float(_fmt(fidelity)),
-            },
+            "trajectory": [{"factor": f, **_hop_fields(step)} for f, step in trajectory],
+            "symbolic": _hop_fields(symbolic),
+            "dense": {**_hop_fields(dense), "fidelity": float(_fmt(fidelity))},
             "agree": agree,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         header = ["stage", "factor", "q", "p", "phase_exponent", "fidelity", "agree"]
         rows = [
-            [f"step{k}", factor, step.point.q, step.point.p, step.phase_exponent, "", ""]
-            for k, (factor, step) in enumerate(trajectory)
+            [f"step{k}", f, *_hop_fields(step).values(), "", ""]
+            for k, (f, step) in enumerate(trajectory)
         ]
-        rows.append(
-            [
-                "symbolic",
-                format_word(factors),
-                symbolic.point.q,
-                symbolic.point.p,
-                symbolic.phase_exponent,
-                "",
-                "",
-            ]
-        )
-        rows.append(
-            [
-                "dense",
-                format_word(factors),
-                dense.point.q,
-                dense.point.p,
-                dense.phase_exponent,
-                _fmt(fidelity),
-                str(agree).lower(),
-            ]
-        )
-        _emit(_csv_text(header, rows), args.out)
+        rows.append(["symbolic", format_word(factors), *_hop_fields(symbolic).values(), "", ""])
+        rows.append(["dense", format_word(factors), *_hop_fields(dense).values(), fidelity, agree])
+        _emit(_csv_text(header, [[_csv_field(v) for v in row] for row in rows]), args.out)
     return 0 if agree else 1
 
 
@@ -306,30 +276,8 @@ def _cmd_lines(args: argparse.Namespace) -> int:
             row["max_error"] = float(_fmt(row["max_error"]))
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        header = [
-            "d",
-            "b",
-            "m",
-            "schmidt_rank_ok",
-            "factor_label_b",
-            "factor_label_m",
-            "global_phase_exponent",
-            "max_error",
-        ]
-        rows = [
-            [
-                row["d"],
-                row["b"],
-                row["m"],
-                str(row["schmidt_rank_ok"]).lower(),
-                row["factor_label_b"],
-                row["factor_label_m"],
-                row["global_phase_exponent"],
-                _fmt(row["max_error"]),
-            ]
-            for row in table
-        ]
-        _emit(_csv_text(header, rows), args.out)
+        rows = [[_csv_field(v) for v in row.values()] for row in table]
+        _emit(_csv_text(list(table[0]), rows), args.out)
     return 0
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import WordParseError
 from .modring import ModInt, Prime
 from .schwinger import mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp, _split_dim
+from .states import Ket, UnitaryOp, _overlap_match, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -318,8 +318,8 @@ def hop_dense(
     word: "str | list[tuple[str, int]]",
 ) -> tuple[HopResult, float]:
     """Oracle for :func:`hop`: apply the dense word matrix to the lattice
-    state and re-identify the image by one overlap matmul against the cached
-    point basis, re-measuring the winning overlap with ``np.vdot``.
+    state and re-identify the image against the cached point basis with
+    :func:`mesphase.states._overlap_match`.
 
     Returns the identified (point, phase exponent) and the overlap modulus,
     which is 1 exactly when the image is again a lattice state.  A
@@ -328,13 +328,8 @@ def hop_dense(
     q, p = _point(point, d)
     stack = point_basis(d, False)
     applied = word_matrix(d, word) @ stack[q * d + p]
-    # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
-    k = int(np.argmax(np.abs(stack @ applied.conj())))
-    overlap = np.vdot(stack[k], applied)
-    if not np.isfinite(overlap):
-        return HopResult(PhasePoint(0, 0), 0), 0.0
-    exponent = int(round(np.angle(overlap) / (2 * np.pi / d))) % d
-    return HopResult(PhasePoint(*divmod(k, d)), exponent), float(abs(overlap))
+    k, exponent, fidelity = _overlap_match(stack, applied, d)
+    return HopResult(PhasePoint(*divmod(k, d)), exponent), fidelity
 
 
 def hop_trajectory(
@@ -345,13 +340,14 @@ def hop_trajectory(
     """Intermediate lattice states after each factor, rightmost factor first.
 
     The first entry is ("", start); the last entry equals :func:`hop` on the
-    whole word.
+    whole word.  Each step hops the previous point by one factor and adds
+    its phase exponent mod d.
     """
-    q, p = _point(point, d)
     factors = parse_word(word) if isinstance(word, str) else word
-    steps = [("", HopResult(PhasePoint(q, p), 0))]
-    done: list[tuple[str, int]] = []
+    step = HopResult(PhasePoint(*_point(point, d)), 0)
+    steps = [("", step)]
     for factor in reversed(factors):
-        done.insert(0, factor)
-        steps.append((format_word([factor]), hop(d, (q, p), done)))
+        moved = hop(d, step.point, [factor])
+        step = HopResult(moved.point, (step.phase_exponent + moved.phase_exponent) % d)
+        steps.append((format_word([factor]), step))
     return steps

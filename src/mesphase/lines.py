@@ -35,14 +35,17 @@ from .modring import ModInt, Prime
 from .schwinger import (
     CB,
     BasisLabel,
+    MubState,
     mub_stack,
     validate_dimension,
 )
 from .states import (
     DEFAULT_TOL,
     Ket,
-    phase_canonical,
-    schmidt_decompose,
+    _omega_exponent,
+    _overlap_match,
+    _phase_canonical,
+    validate_tolerance,
 )
 
 __all__ = [
@@ -103,6 +106,11 @@ def line_state(d: int, line: Line, realization: str = "standard") -> LineState:
     (Fourier label on the center-of-mass mode) instead; the result is still a
     rank-1 product but with the factor roles of the two particles exchanged.
     """
+    return LineState(line, Ket(_line_amplitudes(d, line, realization)))
+
+
+def _line_amplitudes(d: int, line: Line, realization: str = "standard") -> np.ndarray:
+    """The amplitude array of :func:`line_state`."""
     if realization not in ("standard", "alt"):
         raise ValueError("realization must be 'standard' or 'alt'")
     stack = point_basis(d, realization == "alt")
@@ -110,27 +118,30 @@ def line_state(d: int, line: Line, realization: str = "standard") -> LineState:
     total = np.zeros(d * d, dtype=np.complex128)
     for pt in line_points(d, line):
         total += stack[pt.q * d + pt.p]
-    return LineState(line, Ket(total / np.sqrt(d)))
+    return total / np.sqrt(d)
+
+
+def _factorize(d: int, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular values of the d x d amplitude matrix and its leading factor
+    pair, each normalized and phase-canonical: the particle-1 factor (left
+    singular vector) and the particle-2 factor (right singular vector)."""
+    u, s, vh = np.linalg.svd(amplitudes.reshape(d, d))
+    left, right = (_phase_canonical(f / np.linalg.norm(f)) for f in (u[:, 0], vh[0]))
+    return s, left, right
 
 
 def _identify_label(
-    d: int, factor: Ket, conjugate: bool
+    d: int, factor: np.ndarray, conjugate: bool
 ) -> tuple[BasisLabel, int, float]:
-    """Best-matching (basis, index) for a single-particle factor.
-
-    One overlap matmul against the cached MUB stack picks the winner, whose
-    fidelity is then re-measured with ``np.vdot``.  With ``conjugate=True``
-    the search runs over the tilde partners of the family instead.  A
-    non-finite factor matches nothing: (cb, 0) with fidelity 0.
+    """Best-matching (basis, index) for a single-particle factor array, by
+    :func:`mesphase.states._overlap_match` against the cached MUB stack.
+    With ``conjugate=True`` the search runs over the tilde partners of the
+    family instead.  A non-finite factor matches nothing: (cb, 0) with
+    fidelity 0.
     """
     stack = mub_stack(d).reshape(-1, d)
-    amps = factor.amplitudes
-    # |<conj(s)|f>| = |s . f| and |<s|f>| = |s . conj(f)|
-    k = int(np.argmax(np.abs(stack @ (amps if conjugate else amps.conj()))))
-    ref = np.conj(stack[k]) if conjugate else stack[k]
-    fid = abs(np.vdot(ref, amps))
-    if not np.isfinite(fid):
-        return CB, 0, 0.0
+    # |<conj(s)|f>| = |<s|conj(f)>|
+    k, _, fid = _overlap_match(stack, factor.conj() if conjugate else factor, d)
     b, m = divmod(k, d)
     return (CB if b == 0 else BasisLabel(b - 1)), m, fid
 
@@ -164,15 +175,14 @@ def schmidt_inversion_check(
     the line state with the canonicalized product of its factors, as an
     exact exponent of w when it lies on the d-point circle.
     """
-    state = line_state(d, line, realization).vector
-    decomp = schmidt_decompose(state)
-    second = float(decomp.coefficients[1]) if d > 1 else 0.0
-    factor1 = phase_canonical(Ket.normalized(decomp.left[0]))
-    factor2 = phase_canonical(Ket.normalized(decomp.right[0]))
+    validate_tolerance(tol)
+    state = _line_amplitudes(d, line, realization)
+    s, factor1, factor2 = _factorize(d, state)
+    second = float(s[1]) if d > 1 else 0.0
     b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
     b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
-    overlap = np.vdot(np.outer(factor1.amplitudes, factor2.amplitudes).ravel(), state.amplitudes)
-    exponent = int(round(np.angle(overlap) / (2 * np.pi / d))) % d
+    overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
+    exponent = _omega_exponent(overlap, d)
     pows = np.exp(2j * np.pi * exponent / d)
     phase_error = abs(overlap - pows)
     max_error = float(max(second, 1.0 - fid1, 1.0 - fid2, phase_error))
@@ -214,25 +224,30 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
     :func:`mesphase.schwinger.mub_family` and agrees with it state by state
     up to a phase.
     """
-    from .schwinger import MubState
+    stack = _mub_stack_from_lines(d, tol)
+    return [
+        [MubState(label, m, Ket(stack[i, m])) for m in range(d)]
+        for i, label in enumerate(BasisLabel.all_labels(d))
+    ]
 
+
+def _mub_stack_from_lines(d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The states of :func:`mub_from_lines` as a (d+1, d, d) array in the
+    layout of :func:`mesphase.schwinger.mub_stack`."""
     validate_dimension(d)
-    slots: dict[BasisLabel, list] = {
-        label: [None] * d for label in BasisLabel.all_labels(d)
-    }
+    validate_tolerance(tol)
+    stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     for line in all_lines(d):
-        state = line_state(d, line).vector
-        decomp = schmidt_decompose(state)
-        if decomp.coefficients[1] > tol:
+        s, _, factor2 = _factorize(d, _line_amplitudes(d, line))
+        # not (s <= tol), so that a NaN singular value fails too
+        if not s[1] <= tol:
             raise FactorizationFailed(
                 f"line b={line.b} m={line.m} has Schmidt rank > 1 "
-                f"(second singular value {decomp.coefficients[1]:.3e})"
+                f"(second singular value {s[1]:.3e})"
             )
         label, m = expected_factor2_label(d, line)
-        slots[label][m] = MubState(
-            label, m, phase_canonical(Ket.normalized(decomp.right[0]))
-        )
-    return [slots[label] for label in BasisLabel.all_labels(d)]
+        stack[0 if label.is_cb else label.index + 1, m] = factor2
+    return stack
 
 
 def line_factor_table(

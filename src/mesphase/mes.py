@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotBijective, NotOrthonormal
 from .schwinger import BasisLabel, basis_rows, omega_powers
-from .states import DEFAULT_TOL, Ket, UnitaryOp
+from .states import DEFAULT_TOL, Ket, UnitaryOp, _gram_deviation, validate_tolerance
 
 __all__ = [
     "MesBasisElement",
@@ -100,11 +100,16 @@ def universal_state(d: int, b: "BasisLabel | int | None") -> Ket:
     Independent of the basis b: summing any orthonormal basis against its
     conjugate partner collapses to the diagonal state (1/sqrt d) sum_n |n>|n>.
     """
+    return Ket(_universal_amplitudes(d, b))
+
+
+def _universal_amplitudes(d: int, b: "BasisLabel | int | None") -> np.ndarray:
+    """The amplitude array of :func:`universal_state`."""
     _, rows = basis_rows(d, b)
     vec = np.zeros(d * d, dtype=np.complex128)
     for m in range(d):
         vec += np.kron(rows[m], np.conj(rows[m]))
-    return Ket(vec / np.sqrt(d))
+    return vec / np.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,12 @@ class RelabelingMap:
 
 
 def _check_orthonormal(vectors: np.ndarray, tol: float) -> None:
+    validate_tolerance(tol)
     n = vectors.shape[0]
-    gram = vectors.conj() @ vectors.T
     if vectors.shape[1] != n:
         raise NotOrthonormal(f"{n} vectors cannot span a {vectors.shape[1]}-dim space")
-    if np.abs(gram - np.eye(n)).max() > tol:
+    # not (err <= tol), so that a NaN deviation fails too
+    if not _gram_deviation(vectors) <= tol:
         raise NotOrthonormal("source states are not an orthonormal basis")
 
 
@@ -145,7 +151,7 @@ def build_relabeling(
     targets_mod = [int(t) % d for t in targets]
     u = np.zeros((d, d), dtype=np.complex128)
     for src, tgt in zip(vecs, targets_mod):
-        u += np.outer(Ket.basis(d, tgt).amplitudes, np.conj(src))
+        u += np.outer(np.eye(d)[tgt], np.conj(src))
     pows = omega_powers(d)
     z_bar = np.zeros((d, d), dtype=np.complex128)
     x_bar = np.zeros((d, d), dtype=np.complex128)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidDimension, InvalidLabel
 from .modring import Prime
-from .states import DEFAULT_TOL, Ket, UnitaryOp
+from .states import DEFAULT_TOL, Ket, UnitaryOp, validate_tolerance
 
 __all__ = [
     "BasisLabel",
@@ -127,10 +127,7 @@ def clock_z(d: int) -> UnitaryOp:
 def shift_x(d: int) -> UnitaryOp:
     """Cyclic shift |n> -> |n+1>, with |d-1> wrapping to |0>."""
     validate_dimension(d)
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for n in range(d):
-        mat[(n + 1) % d, n] = 1.0
-    return UnitaryOp(mat)
+    return UnitaryOp(np.roll(np.eye(d), 1, axis=0))
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +190,7 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
 def mub_eigen_check(
     d: int, b: "BasisLabel | int", m: int, tol: float = DEFAULT_TOL
 ) -> bool:
-    return mub_eigen_residual(d, b, m) < tol
+    return mub_eigen_residual(d, b, m) < validate_tolerance(tol)
 
 
 def tilde(state: "MubState | Ket") -> Ket:

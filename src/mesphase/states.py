@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch
+from .errors import DimMismatch, InvalidTolerance
 
 __all__ = [
     "DEFAULT_TOL",
@@ -40,12 +40,29 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 
 
+def validate_tolerance(tol: float) -> float:
+    """A tolerance must be finite with 0 < tol < 1: the 0/1 flag rows report
+    1.0 on failure and would pass at any larger tol."""
+    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
+        raise InvalidTolerance(f"tolerance {tol!r} must be finite with 0 < tol < 1")
+    return tol
+
+
 def _as_readonly_complex(values, ndim: int) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != ndim:
         raise DimMismatch(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _check_unit_rows(amplitudes: np.ndarray) -> None:
+    """Raise ValueError unless every row (last axis) has unit norm within
+    ``DEFAULT_TOL``; not (err <= tol), so a NaN or infinite amplitude fails."""
+    norms = np.atleast_1d(np.linalg.norm(amplitudes, axis=-1))
+    bad = ~(np.abs(norms - 1.0) <= DEFAULT_TOL)
+    if bad.any():
+        raise ValueError(f"ket is not normalized (norm = {norms[bad][0]!r})")
 
 
 def _split_dim(dim: int) -> int:
@@ -64,9 +81,7 @@ class Ket:
 
     def __post_init__(self) -> None:
         arr = _as_readonly_complex(self.amplitudes, 1)
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"ket is not normalized (norm = {norm!r})")
+        _check_unit_rows(arr)
         object.__setattr__(self, "amplitudes", arr)
 
     @property
@@ -124,6 +139,7 @@ class DensityOp:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        validate_tolerance(self.tol)
         mat = _as_readonly_complex(self.matrix, 2)
         n = mat.shape[0]
         if mat.shape != (n, n):
@@ -164,6 +180,7 @@ class UnitaryOp:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        validate_tolerance(self.tol)
         mat = _as_readonly_complex(self.matrix, 2)
         n = mat.shape[0]
         if mat.shape != (n, n):
@@ -258,9 +275,15 @@ def _reduced_deviation(amplitudes: np.ndarray) -> float:
     return float(_worst(*(np.abs(rho - target).max() for rho in rhos)))
 
 
+def _gram_deviation(rows: np.ndarray) -> float:
+    """Largest deviation of the Gram matrix of ``rows`` from identity; a NaN
+    deviation counts as +inf."""
+    return float(_worst(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max()))
+
+
 def is_mes(state: Ket, tol: float = DEFAULT_TOL) -> bool:
     """True iff both reduced density operators equal identity/d within tol."""
-    return mes_deviation(state) < tol
+    return mes_deviation(state) < validate_tolerance(tol)
 
 
 def mes_deviation(state: Ket) -> float:
@@ -274,7 +297,7 @@ def equal_up_to_global_phase(
 ) -> tuple[bool, float]:
     """Whether |<a|b>| = 1 within tol, together with arg <a|b>."""
     overlap = a.inner(b)
-    return bool(abs(abs(overlap) - 1.0) < tol), float(np.angle(overlap))
+    return bool(abs(abs(overlap) - 1.0) < validate_tolerance(tol)), float(np.angle(overlap))
 
 
 def phase_canonical(ket: Ket, tol: float = DEFAULT_TOL) -> Ket:
@@ -283,7 +306,32 @@ def phase_canonical(ket: Ket, tol: float = DEFAULT_TOL) -> Ket:
     Used for deterministic printing and factor matching only; equality tests
     always go through inner products.
     """
-    for amp in ket.amplitudes:
+    return Ket(_phase_canonical(ket.amplitudes, tol))
+
+
+def _phase_canonical(amplitudes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The amplitude array of :func:`phase_canonical`."""
+    for amp in amplitudes:
         if abs(amp) > tol:
-            return Ket(ket.amplitudes * (abs(amp) / amp))
-    return ket
+            return amplitudes * (abs(amp) / amp)
+    return amplitudes
+
+
+def _omega_exponent(z: complex, d: int) -> int:
+    """The exponent k in 0..d-1 of the d-th root of unity w^k nearest in
+    phase to z."""
+    return int(round(np.angle(z) / (2 * np.pi / d))) % d
+
+
+def _overlap_match(stack: np.ndarray, vector: np.ndarray, d: int) -> tuple[int, int, float]:
+    """The row k of ``stack`` with the largest |<s_k|v>|, the w-exponent of
+    that overlap's phase, and its modulus re-measured with ``np.vdot``.
+
+    A non-finite overlap, as from a NaN vector, matches nothing: (0, 0, 0.0).
+    """
+    # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
+    k = int(np.argmax(np.abs(stack @ vector.conj())))
+    overlap = np.vdot(stack[k], vector)
+    if not np.isfinite(overlap):
+        return 0, 0, 0.0
+    return k, _omega_exponent(overlap, d), float(abs(overlap))

@@ -22,16 +22,18 @@ from . import collective as co
 from . import lines as li
 from . import mes as me
 from . import schwinger as sw
-from .errors import FactorizationFailed, InvalidTolerance
+from .errors import FactorizationFailed
 from .schwinger import CB, BasisLabel
 from .states import (
     DEFAULT_TOL,
     Ket,
+    _gram_deviation,
     _reduced_deviation,
     _worst,
     is_mes,
     mes_deviation,
     reduced_operators,
+    validate_tolerance,
 )
 
 __all__ = ["VerificationReport", "run_suites", "validate_tolerance", "SUITES"]
@@ -49,14 +51,6 @@ class VerificationReport:
     runtime_ms: float
 
 
-def validate_tolerance(tol: float) -> float:
-    """A tolerance must be finite with 0 < tol < 1: the 0/1 flag rows report
-    1.0 on failure and would pass at any larger tol."""
-    if not (math.isfinite(tol) and 0.0 < tol < 1.0):
-        raise InvalidTolerance(f"tolerance {tol!r} must be finite with 0 < tol < 1")
-    return tol
-
-
 def _projections(rhos: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """<a|rho|a> for every rho of an (n, d, d) stack and every row a of
     ``alphas``, shape (n, len(alphas)).
@@ -67,11 +61,6 @@ def _projections(rhos: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     n, d, _ = rhos.shape
     outer = (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
     return rhos.reshape(n, d * d) @ outer.T
-
-
-def _gram_deviation(v: np.ndarray) -> float:
-    """Largest deviation of the Gram matrix of the rows of ``v`` from identity."""
-    return np.abs(v.conj() @ v.T - np.eye(len(v))).max()
 
 
 def _rows(d: int, tol: float, entries) -> list[VerificationReport]:
@@ -97,12 +86,11 @@ def _rows(d: int, tol: float, entries) -> list[VerificationReport]:
 
 
 def suite_mub(d: int, tol: float) -> list[VerificationReport]:
-    family = sw.mub_family(d)
     stacks = sw.mub_stack(d)
 
     def count():
-        ok = len(family) == d + 1 and sum(len(b) for b in family) == d * (d + 1)
-        return [0.0 if ok else 1.0]
+        # d+1 bases of d states each, d(d+1) states in total
+        return [0.0 if stacks.shape == (d + 1, d, d) else 1.0]
 
     def clock_shift_algebra():
         z = sw.clock_z(d).matrix
@@ -118,10 +106,9 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
     def lines_family_match():
         # the extraction keeps its own numerical rank gate; the configured
         # tolerance only judges the resulting fidelities
-        rebuilt = li.mub_from_lines(d)
-        for direct, extracted in zip(family, rebuilt):
-            for s_direct, s_extracted in zip(direct, extracted):
-                yield 1.0 - abs(s_direct.vector.inner(s_extracted.vector))
+        rebuilt = li._mub_stack_from_lines(d)
+        for direct, extracted in zip(stacks.reshape(-1, d), rebuilt.reshape(-1, d)):
+            yield 1.0 - abs(np.vdot(direct, extracted))
 
     entries = [
         ("mub.count", "", count),
@@ -166,8 +153,8 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         return [accepted / 20.0]
 
     def universal():
-        states = [me.universal_state(d, label) for label in BasisLabel.all_labels(d)]
-        return (1.0 - abs(a.inner(b)) for a, b in combinations(states, 2))
+        states = [me._universal_amplitudes(d, label) for label in BasisLabel.all_labels(d)]
+        return (1.0 - abs(np.vdot(a, b)) for a, b in combinations(states, 2))
 
     entries = [
         ("mes.gram", "b'=b, all b", lambda: map(_gram_deviation, stacks)),
@@ -391,8 +378,7 @@ def suite_lines(d: int, tol: float) -> list[VerificationReport]:
         if line.b.is_cb:
             e = np.eye(d)[line.m]
             target = np.outer(e, e).ravel()
-            state = li.line_state(d, line).vector.amplitudes
-            yield np.abs(state - target).max()
+            yield np.abs(li._line_amplitudes(d, line) - target).max()
 
     entries = [
         ("line.factorization", f"b={line.b} m={line.m}", lambda line=line: factorization(line))

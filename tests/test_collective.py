@@ -309,3 +309,23 @@ def test_hop_trajectory_steps():
     assert steps[1][0] == "Xr^6"
     assert steps[1][1] == HopResult(PhasePoint(1, 2), 5)
     assert steps[-1][1] == hop(d, (1, 2), "Xc^2 Xr^6")
+
+
+def _suffix_hop_trajectory(d, point, factors):
+    """Every suffix of the word hopped from the start point."""
+    steps = [("", hop(d, point, []))]
+    for i in range(len(factors) - 1, -1, -1):
+        steps.append((format_word([factors[i]]), hop(d, point, factors[i:])))
+    return steps
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_hop_trajectory_matches_suffix_hops(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(200):
+        factors = [
+            (str(rng.choice(COLLECTIVE_GENERATORS)), int(rng.integers(-2 * d, 2 * d + 1)))
+            for _ in range(rng.integers(0, 9))
+        ]
+        point = (int(rng.integers(-d, 2 * d)), int(rng.integers(-d, 2 * d)))
+        assert hop_trajectory(d, point, factors) == _suffix_hop_trajectory(d, point, factors)

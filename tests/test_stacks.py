@@ -181,7 +181,7 @@ def test_nan_word_matrix_fails_hop_rows(monkeypatch):
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_nan_factor_matches_no_label(conjugate):
     d = 5
-    factor = Ket(np.full(d, np.nan, dtype=complex))
+    factor = np.full(d, np.nan, dtype=complex)
     label, m, fidelity = li._identify_label(d, factor, conjugate)
     assert (label, m) == (CB, 0)
     assert fidelity <= 0.0

@@ -12,6 +12,8 @@ from mesphase.states import (
     schmidt_decompose,
     tensor,
     UnitaryOp,
+    _check_unit_rows,
+    _gram_deviation,
 )
 
 rng = np.random.default_rng(20260810)
@@ -211,3 +213,34 @@ def test_operators_reject_non_finite_matrices(cls, valid, value):
             cls(np.full((2, 2), value))
         with pytest.raises(ValueError):
             cls(_one_entry(valid, value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_ket_rejects_non_finite_amplitudes(value):
+    amps = np.full(5, 1 / np.sqrt(5), dtype=complex)
+    Ket(amps)
+    amps[3] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            Ket(amps)
+        with pytest.raises(ValueError):
+            Ket(np.full(5, value, dtype=complex))
+
+
+def test_unit_row_check_fails_any_bad_row():
+    rows = np.eye(4, dtype=complex)
+    _check_unit_rows(rows)
+    _check_unit_rows(rows[0])
+    for bad in (np.nan, np.inf, 2.0):
+        poisoned = rows.copy()
+        poisoned[2, 1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                _check_unit_rows(poisoned)
+
+
+def test_gram_deviation_counts_nan_as_infinite():
+    assert _gram_deviation(np.eye(3, dtype=complex)) == 0.0
+    rows = np.eye(3, dtype=complex)
+    rows[1, 2] = np.nan
+    assert _gram_deviation(rows) == np.inf

@@ -279,3 +279,55 @@ _ROWS_D3_D5 = [
     ("line.factorization", 5, "b=4 m=3"),
     ("line.factorization", 5, "b=4 m=4"),
 ]
+
+
+def _tolerance_callers():
+    from mesphase import mes as me
+
+    basis = [states.Ket.basis(3, n) for n in range(3)]
+    line = li.Line(sw.BasisLabel(1), 2)
+    return {
+        "mub_from_lines": lambda tol: li.mub_from_lines(3, tol),
+        "schmidt_inversion_check": lambda tol: li.schmidt_inversion_check(3, line, tol),
+        "line_factor_table": lambda tol: li.line_factor_table(3, tol),
+        "is_mes": lambda tol: states.is_mes(me.universal_state(3, sw.CB), tol),
+        "mub_eigen_check": lambda tol: sw.mub_eigen_check(3, 1, 0, tol),
+        "equal_up_to_global_phase": lambda tol: states.equal_up_to_global_phase(
+            basis[0], basis[0], tol
+        ),
+        "build_relabeling": lambda tol: me.build_relabeling(basis, [0, 1, 2], tol),
+        "diagonalizer_for": lambda tol: me.diagonalizer_for(basis, [1, 1, 1], tol),
+        "UnitaryOp": lambda tol: states.UnitaryOp(np.eye(3), tol),
+        "DensityOp": lambda tol: states.DensityOp(np.eye(3) / 3, tol),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tolerance_callers()))
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 1.0])
+def test_library_tolerances_fail_closed(name, tol):
+    call = _tolerance_callers()[name]
+    call(states.DEFAULT_TOL)
+    with pytest.raises(InvalidTolerance):
+        call(tol)
+
+
+def test_validate_tolerance_has_one_definition():
+    assert verify.validate_tolerance is states.validate_tolerance
+    assert cli.validate_tolerance is states.validate_tolerance
+
+
+def test_rank_d_state_is_not_taken_for_a_line(monkeypatch):
+    from mesphase import mes as me
+    from mesphase.errors import FactorizationFailed
+
+    mes = me._universal_amplitudes(5, sw.CB)
+    monkeypatch.setattr(li, "_line_amplitudes", lambda d, line, realization="standard": mes)
+    with pytest.raises(FactorizationFailed):
+        li.mub_from_lines(5)
+    rep = li.schmidt_inversion_check(5, li.Line(sw.CB, 0))
+    assert not rep.schmidt_rank_ok and rep.second_singular_value > 0.4
+    for tol in (math.nan, math.inf):
+        with pytest.raises(InvalidTolerance):
+            li.mub_from_lines(5, tol)
+        with pytest.raises(InvalidTolerance):
+            li.schmidt_inversion_check(5, li.Line(sw.CB, 0), tol)
