@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Compare the CLI of this checkout against a base checkout: for every command
-# below, stdout and the exit code must be byte-identical.
+# below, stdout, stderr and the exit code must be byte-identical.
 #
 # Usage, from the repository root:  .github/scripts/cli_parity.sh BASE_DIR
 # where BASE_DIR is a checkout of the base commit (e.g. a git worktree).
@@ -10,10 +10,10 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
 
-run() {  # run TREE NAME ARGS...: stdout to $tmp/NAME.out, exit code to $tmp/NAME.code
+run() {  # run TREE NAME ARGS...: stdout, stderr and exit code to $tmp/NAME.{out,err,code}
   local tree=$1 name=$2 code=0
   shift 2
-  PYTHONPATH="$tree/src" python -m mesphase.cli "$@" > "$tmp/$name.out" || code=$?
+  PYTHONPATH="$tree/src" python -m mesphase.cli "$@" > "$tmp/$name.out" 2> "$tmp/$name.err" || code=$?
   echo "$code" > "$tmp/$name.code"
 }
 
@@ -21,7 +21,8 @@ while IFS= read -r command; do
   eval "set -- $command"
   run "$base" base "$@"
   run . head "$@"
-  if cmp -s "$tmp/base.out" "$tmp/head.out" && cmp -s "$tmp/base.code" "$tmp/head.code"; then
+  if cmp -s "$tmp/base.out" "$tmp/head.out" && cmp -s "$tmp/base.err" "$tmp/head.err" \
+    && cmp -s "$tmp/base.code" "$tmp/head.code"; then
     echo "same:    mesphase $command"
   else
     echo "DIFFERS: mesphase $command (exit $(cat "$tmp/base.code") -> $(cat "$tmp/head.code"))"
@@ -34,5 +35,7 @@ gen-mes --d 11 --b cb --b-prime 4 --format csv
 lines --d 13
 lines --d 5 --alt-realization --format json
 hop --d 13 --q 4 --p 9 --word "Xc^5 Zr^-3 Xr^7 Zc^2" --format json
+verify --d 3 --d 5 --d 7 --d 11 --d 13 --format json
+verify --d 11 --format csv --seed 5
 COMMANDS
 exit $status

@@ -27,7 +27,6 @@ from .errors import (
     InvalidDimension,
     InvalidLabel,
     InvalidTolerance,
-    NotPrime,
     WordParseError,
 )
 from .lines import line_factor_table
@@ -295,21 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats=("json", "csv")) -> None:
+    def add_common(p: argparse.ArgumentParser, formats=("json", "csv"), tol=True) -> None:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="FILE", default=None)
-        p.add_argument("--tol", type=float, default=None)
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("gen-mub", help="emit the d+1 unbiased bases")
     p.add_argument("--d", type=int, required=True)
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=_cmd_gen_mub)
 
     p = sub.add_parser("gen-mes", help="emit a d^2-element maximally entangled basis")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--b", default="cb", help="basis label for particle 1 ('cb' or 0..d-1)")
     p.add_argument("--b-prime", default="cb", dest="b_prime", help="basis label for particle 2")
-    add_common(p)
+    add_common(p, tol=False)
     p.set_defaults(func=_cmd_gen_mes)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -355,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError, NotPrime) as exc:
+    except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,6 +80,8 @@ class CollectiveIndex:
 
 
 def _point(point: "PhasePoint | tuple[int, int]", d: int) -> tuple[int, int]:
+    """The point's (q, p) reduced mod d, once d is validated."""
+    validate_dimension(d)
     if isinstance(point, PhasePoint):
         return point.q % d, point.p % d
     q, p = point
@@ -88,7 +90,7 @@ def _point(point: "PhasePoint | tuple[int, int]", d: int) -> tuple[int, int]:
 
 def particle_to_collective(d: int, n1: int, n2: int) -> CollectiveIndex:
     """(n1, n2) -> (nc, nr) = ((n1+n2)/2, (n1-n2)/2) mod d."""
-    prime = Prime(d)
+    prime = Prime(validate_dimension(d))
     nc = ModInt(n1 + n2, prime).half()
     nr = ModInt(n1 - n2, prime).half()
     return CollectiveIndex(int(nc), int(nr))
@@ -96,25 +98,34 @@ def particle_to_collective(d: int, n1: int, n2: int) -> CollectiveIndex:
 
 def collective_to_particle(d: int, nc: int, nr: int) -> tuple[int, int]:
     """(nc, nr) -> (n1, n2) = (nc + nr, nc - nr) mod d."""
-    Prime(d)
+    validate_dimension(d)
     return (nc + nr) % d, (nc - nr) % d
 
 
 @lru_cache(maxsize=None)
-def _permutation_matrix(d: int) -> np.ndarray:
-    mat = np.zeros((d * d, d * d), dtype=np.complex128)
-    for n1 in range(d):
-        for n2 in range(d):
-            idx = particle_to_collective(d, n1, n2)
-            mat[idx.nc * d + idx.nr, n1 * d + n2] = 1.0
-    mat.setflags(write=False)
-    return mat
+def _collective_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nc, nr) arrays over the particle-flat index n1*d + n2, the
+    modular half taken as multiplication by h = (d + 1) / 2."""
+    validate_dimension(d)
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    h = (d + 1) // 2
+    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
+    nc.setflags(write=False)
+    nr.setflags(write=False)
+    return nc, nr
+
+
+def _particle_index(d: int) -> np.ndarray:
+    """The inverse map, collective-flat c*d + r -> particle-flat
+    (c + r)*d + (c - r) mod d."""
+    c, r = np.divmod(np.arange(d * d), d)
+    return (c + r) % d * d + (c - r) % d
 
 
 def collective_permutation(d: int) -> UnitaryOp:
     """Permutation sending particle-flat index n1*d + n2 to nc*d + nr."""
     validate_dimension(d)
-    return UnitaryOp(_permutation_matrix(d))
+    return UnitaryOp(_dense(d, _particle_index(d), 0))
 
 
 COLLECTIVE_GENERATORS = ("Xc", "Zc", "Xr", "Zr")
@@ -125,11 +136,9 @@ SINGLE_GENERATORS = ("X", "Z")
 def _generator_maps(d: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Read-only (src, e) maps of every generator, (G v)[i] = w^e[i] v[src[i]]:
     Xc, Zc, Xr, Zr over the particle-flat index n1*d + n2, X and Z over n."""
-    validate_dimension(d)
+    nc, nr = _collective_index(d)
     flat, n = np.arange(d * d), np.arange(d)
     n1, n2 = np.divmod(flat, d)
-    h = (d + 1) // 2
-    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
     maps = {
         "Xc": ((n1 - 1) % d * d + (n2 - 1) % d, np.zeros_like(flat)),
         "Zc": (flat, nc),
@@ -179,10 +188,7 @@ def point_basis(d: int, plus: bool) -> np.ndarray:
     """Read-only (d^2, d^2) stack of :func:`point_state_plus` (or, with
     ``plus=False``, :func:`point_state_minus`) amplitudes, row q*d + p for
     point (q, p); scattered from the Fourier rows of the MUB stack."""
-    validate_dimension(d)
-    n1, n2 = np.divmod(np.arange(d * d), d)
-    h = (d + 1) // 2
-    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
+    nc, nr = _collective_index(d)
     fixed, fourier = (nr, nc) if plus else (nc, nr)
     basis = np.zeros((d, d, d * d), dtype=np.complex128)
     basis[fixed, :, np.arange(d * d)] = mub_stack(d)[1][:, fourier].T
@@ -296,7 +302,6 @@ def hop(
     p by -k;  Zc^k and Xr^k are diagonal and add k*q resp. k*p to the phase
     exponent, evaluated at the current labels.
     """
-    validate_dimension(d)
     q, p = _point(point, d)
     factors = parse_word(word) if isinstance(word, str) else word
     phase = 0
@@ -343,8 +348,8 @@ def hop_trajectory(
     whole word.  Each step hops the previous point by one factor and adds
     its phase exponent mod d.
     """
-    factors = parse_word(word) if isinstance(word, str) else word
     step = HopResult(PhasePoint(*_point(point, d)), 0)
+    factors = parse_word(word) if isinstance(word, str) else word
     steps = [("", step)]
     for factor in reversed(factors):
         moved = hop(d, step.point, [factor])

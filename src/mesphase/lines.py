@@ -36,6 +36,7 @@ from .schwinger import (
     CB,
     BasisLabel,
     MubState,
+    _label_index,
     mub_stack,
     validate_dimension,
 )
@@ -89,12 +90,13 @@ def line_points(d: int, line: Line) -> list[PhasePoint]:
     """The d grid points of a line.
 
     Vertical lines are {(m, p) : p}; orientation b gives {(q, b*q - m) : q}.
+    An orientation outside 0..d-1 raises InvalidLabel; m is reduced mod d.
     """
     validate_dimension(d)
     m = line.m % d
-    if line.b.is_cb:
+    b = _label_index(line.b, d)
+    if b is None:
         return [PhasePoint(m, p) for p in range(d)]
-    b = line.b.index % d
     return [PhasePoint(q, (b * q - m) % d) for q in range(d)]
 
 
@@ -206,13 +208,11 @@ def schmidt_inversion_check(
 def expected_factor2_label(d: int, line: Line) -> tuple[BasisLabel, int]:
     """Predicted particle-2 factor label: (cb, m) for vertical lines, else
     (b/4 mod d, m/2 mod d)."""
-    prime = Prime(d)
-    if line.b.is_cb:
+    prime = Prime(validate_dimension(d))
+    b = _label_index(line.b, d)
+    if b is None:
         return CB, line.m % d
-    return (
-        BasisLabel(int(ModInt(line.b.index, prime).quarter())),
-        int(ModInt(line.m, prime).half()),
-    )
+    return BasisLabel(int(ModInt(b, prime).quarter())), int(ModInt(line.m, prime).half())
 
 
 def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:

@@ -149,16 +149,12 @@ def build_relabeling(
     if sorted(int(t) % d for t in targets) != list(range(d)):
         raise NotBijective(f"targets {targets} are not a bijection onto 0..{d - 1}")
     targets_mod = [int(t) % d for t in targets]
+    # row t of u is the conjugate of the source with target t
     u = np.zeros((d, d), dtype=np.complex128)
-    for src, tgt in zip(vecs, targets_mod):
-        u += np.outer(np.eye(d)[tgt], np.conj(src))
-    pows = omega_powers(d)
-    z_bar = np.zeros((d, d), dtype=np.complex128)
-    x_bar = np.zeros((d, d), dtype=np.complex128)
-    by_target = {tgt: src for src, tgt in zip(vecs, targets_mod)}
-    for tgt, src in by_target.items():
-        z_bar += pows[tgt] * np.outer(src, np.conj(src))
-        x_bar += np.outer(by_target[(tgt + 1) % d], np.conj(src))
+    u[targets_mod] = vecs.conj()
+    by_target = vecs[np.argsort(targets_mod)]
+    z_bar = (by_target.T * omega_powers(d)) @ by_target.conj()
+    x_bar = np.roll(by_target, -1, axis=0).T @ by_target.conj()
     return RelabelingMap(
         sources=tuple(sources),
         targets=tuple(targets_mod),
@@ -181,10 +177,7 @@ def diagonalizer_for(
     eigenvalues = np.asarray(spectrum, dtype=np.complex128)
     if eigenvalues.shape != (vecs.shape[0],):
         raise ValueError("spectrum length must match the number of source states")
-    f = np.zeros((vecs.shape[1], vecs.shape[1]), dtype=np.complex128)
-    for lam, src in zip(eigenvalues, vecs):
-        f += lam * np.outer(src, np.conj(src))
-    return UnitaryOp(f)
+    return UnitaryOp((vecs.T * eigenvalues) @ vecs.conj())
 
 
 def mes_basis_to_json(

@@ -130,29 +130,11 @@ class ModInt:
         return self * ModInt(4, self.modulus).inverse()
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with g = gcd(a, b) = s*a + t*b."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def mod_inverse(a: ModInt) -> ModInt:
-    """Multiplicative inverse of a nonzero residue, by extended Euclid."""
+    """Multiplicative inverse of a nonzero residue."""
     if a.value == 0:
         raise ZeroInverse(f"0 has no inverse mod {a.modulus.d}")
-    g, s, _ = _xgcd(a.value, a.modulus.d)
-    if g != 1:  # unreachable for a prime modulus
-        raise NotPrime(f"{a.value} is not invertible mod {a.modulus.d}")
-    result = ModInt(s, a.modulus)
-    assert (a * result).value == 1
-    return result
+    return ModInt(pow(a.value, -1, a.modulus.d), a.modulus)
 
 
 def half(x: ModInt) -> ModInt:

@@ -18,6 +18,7 @@ unit circle, so the amplitudes sit exactly on the d-point circle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,9 +47,10 @@ __all__ = [
 
 
 def validate_dimension(d: int) -> int:
-    """Odd prime check, reported as an InvalidDimension for interface code."""
+    """Odd prime check, reported as an InvalidDimension for interface code.
+    A non-integer such as 7.0 is refused too."""
     try:
-        Prime(d)
+        Prime(operator.index(d))
     except Exception as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
     return d

@@ -223,9 +223,9 @@ def _relabeling_errors():
 def suite_collective(
     d: int, tol: float, rng: np.random.Generator
 ) -> list[VerificationReport]:
-    perm = co.collective_permutation(d).matrix
     w = sw.omega_powers(d)
     h = (d + 1) // 2
+    nc, nr = co._collective_index(d)
     plus = co.point_basis(d, True)
     minus = co.point_basis(d, False)
 
@@ -237,19 +237,16 @@ def suite_collective(
                     co.collective_to_particle(d, idx.nc, idx.nr) == (n1, n2)
                     and (idx.nc + idx.nr) % d == n1
                     and (idx.nc - idx.nr) % d == n2
+                    and (idx.nc, idx.nr) == (nc[n1 * d + n2], nr[n1 * d + n2])
                 )
                 yield 0.0 if ok else 1.0
 
     def permutation():
-        ok_structure = (
-            np.all(np.abs(perm.sum(axis=0) - 1) < tol)
-            and np.all(np.abs(perm.sum(axis=1) - 1) < tol)
-            and np.all((np.abs(perm) < tol) | (np.abs(perm - 1) < tol))
-        )
-        return (
-            0.0 if ok_structure else 1.0,
-            np.abs(perm @ perm.conj().T - np.eye(d * d)).max(),
-        )
+        # the permutation's source map and the collective index nc*d + nr
+        # must invert each other exactly
+        flat, forward, inverse = np.arange(d * d), nc * d + nr, co._particle_index(d)
+        ok = np.array_equal(forward[inverse], flat) and np.array_equal(inverse[forward], flat)
+        return [0.0 if ok else 1.0]
 
     def flag(word, src, exponents, power=0):
         """0.0 iff the word's exact map is (src, exponents) times w^power."""

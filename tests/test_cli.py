@@ -146,6 +146,17 @@ def test_verify_rejects_bad_tolerance(capsys, tol):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("gen-mub", "--d", "3"), ("gen-mes", "--d", "3", "--b", "cb", "--b-prime", "0")]
+)
+@pytest.mark.parametrize("tol", ["1e-9", "nan", "-5"])
+def test_generators_take_no_tolerance(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "inf", "-1e-10", "2"])
 def test_bad_env_var_tolerance_rejected(capsys, monkeypatch, value):
     monkeypatch.setenv("MESPHASE_TOL", value)

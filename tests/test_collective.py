@@ -19,7 +19,7 @@ from mesphase.collective import (
     point_state_plus,
     word_matrix,
 )
-from mesphase.errors import WordParseError
+from mesphase.errors import InvalidDimension, WordParseError
 from mesphase.mes import mes_basis, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
 from mesphase.states import Ket, is_mes, partial_trace, tensor
@@ -52,6 +52,23 @@ def test_index_roundtrip_exhaustive(d):
             assert collective_to_particle(d, idx.nc, idx.nr) == (n1, n2)
             assert (idx.nc + idx.nr) % d == n1
             assert (idx.nc - idx.nr) % d == n2
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 9, -3, 7.0])
+def test_entry_points_reject_bad_dimensions(d):
+    for call in (
+        lambda: particle_to_collective(d, 1, 2),
+        lambda: collective_to_particle(d, 1, 2),
+        lambda: collective_permutation(d),
+        lambda: point_state_plus(d, (1, 2)),
+        lambda: point_state_minus(d, (1, 2)),
+        lambda: hop(d, (1, 2), ""),
+        lambda: hop_dense(d, (1, 2), ""),
+        lambda: hop_trajectory(d, (1, 2), ""),
+        lambda: hop_trajectory(d, (1, 2), "Xc"),
+    ):
+        with pytest.raises(InvalidDimension):
+            call()
 
 
 # -- permutation ---------------------------------------------------------------

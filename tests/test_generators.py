@@ -1,12 +1,15 @@
-"""The integer generator maps and the stacked MES-suite checks against the
-dense constructions they replaced, kept here as reference oracles.
+"""The collective permutation, the integer generator maps and the stacked
+MES-suite checks against the loop and dense constructions they replaced,
+kept here as reference oracles.
 
-``collective_ops``, ``mes_stack`` and the reduced-operator and Schmidt rows
-are compared exactly (``np.array_equal`` or ``==``); word matrices, the
-gathered ``local_action``, values-only singular values and the projection
-probabilities round differently from their oracles, so they are compared
-within a rounding bound.
+``collective_permutation``, ``collective_ops``, ``mes_stack`` and the
+reduced-operator and Schmidt rows are compared exactly (``np.array_equal`` or
+``==``); word matrices, the gathered ``local_action``, values-only singular
+values and the projection probabilities round differently from their
+oracles, so they are compared within a rounding bound.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,9 +34,22 @@ DIMS = [3, 5, 7, 11, 13]
 # -- reference constructions ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def permutation_oracle(d):
+    """Read-only d^2 x d^2 permutation with a 1 at (nc*d + nr, n1*d + n2),
+    one ModInt halving per pair (n1, n2)."""
+    perm = np.zeros((d * d, d * d), dtype=np.complex128)
+    for n1 in range(d):
+        for n2 in range(d):
+            idx = co.particle_to_collective(d, n1, n2)
+            perm[idx.nc * d + idx.nr, n1 * d + n2] = 1.0
+    perm.setflags(write=False)
+    return perm
+
+
 def collective_ops_oracle(d):
     """perm.T @ kron(op_c, op_r) @ perm for each collective generator."""
-    perm = co._permutation_matrix(d)
+    perm = permutation_oracle(d)
     z, x, eye = clock_z(d).matrix, shift_x(d).matrix, np.eye(d)
     factors = {"Xc": (x, eye), "Zc": (z, eye), "Xr": (eye, x), "Zr": (eye, z)}
     return {name: perm.T @ np.kron(*pair) @ perm for name, pair in factors.items()}
@@ -143,6 +159,23 @@ def collective_rows_oracle(d):
 
 
 # -- generator maps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_collective_permutation_equals_modint_loop(d):
+    assert np.array_equal(co.collective_permutation(d).matrix, permutation_oracle(d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_collective_index_equals_modint_halving(d):
+    nc, nr = co._collective_index(d)
+    for n1 in range(d):
+        for n2 in range(d):
+            idx = co.particle_to_collective(d, n1, n2)
+            assert (nc[n1 * d + n2], nr[n1 * d + n2]) == (idx.nc, idx.nr)
+    for arr in (nc, nr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mesphase.collective import PhasePoint, point_state_minus
+from mesphase.errors import InvalidDimension, InvalidLabel
 from mesphase.lines import (
     Line,
     all_lines,
@@ -161,6 +162,32 @@ def test_expected_labels_use_half_and_quarter():
     b2, m2 = expected_factor2_label(d, line)
     assert b2 == BasisLabel(quarter(3, d))
     assert m2 == half(5, d)
+
+
+@pytest.mark.parametrize("b", [5, -1, 7])
+def test_out_of_range_orientations_rejected(b):
+    d = 5
+    line = Line(BasisLabel(b), 0)
+    for call in (
+        lambda: line_points(d, line),
+        lambda: line_state(d, line),
+        lambda: schmidt_inversion_check(d, line),
+        lambda: expected_factor2_label(d, line),
+    ):
+        with pytest.raises(InvalidLabel):
+            call()
+    # the offset stays reduced mod d
+    shifted = Line(BasisLabel(2), d + 3)
+    assert line_points(d, shifted) == line_points(d, Line(BasisLabel(2), 3))
+    assert expected_factor2_label(d, shifted) == expected_factor2_label(d, Line(BasisLabel(2), 3))
+    assert expected_factor2_label(d, Line(CB, -1)) == (CB, d - 1)
+
+
+@pytest.mark.parametrize("d", [0, 2, 9])
+def test_expected_label_rejects_bad_dimensions(d):
+    for line in (Line(CB, 1), Line(BasisLabel(1), 1)):
+        with pytest.raises(InvalidDimension):
+            expected_factor2_label(d, line)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

@@ -12,7 +12,7 @@ from mesphase.mes import (
     mes_state,
     universal_state,
 )
-from mesphase.schwinger import CB, BasisLabel, clock_z, mub_state, omega_powers
+from mesphase.schwinger import CB, BasisLabel, clock_z, mub_stack, mub_state, omega_powers
 from mesphase.states import (
     Ket,
     equal_up_to_global_phase,
@@ -197,6 +197,57 @@ def test_diagonalizer_conjugates_to_clock():
     f = diagonalizer_for(worked_sources(), [w[0], w[1], w[2]])
     conj = rel.u.matrix @ f.matrix @ rel.u.matrix.conj().T
     assert np.abs(conj - clock_z(3).matrix).max() < 1e-12
+
+
+def relabeling_oracle(vecs, targets):
+    """u, z_bar and x_bar accumulated as d outer products each."""
+    d = len(vecs)
+    pows = omega_powers(d)
+    u = np.zeros((d, d), dtype=np.complex128)
+    for src, tgt in zip(vecs, targets):
+        u += np.outer(np.eye(d)[tgt], np.conj(src))
+    z_bar = np.zeros((d, d), dtype=np.complex128)
+    x_bar = np.zeros((d, d), dtype=np.complex128)
+    by_target = {tgt: src for src, tgt in zip(vecs, targets)}
+    for tgt, src in by_target.items():
+        z_bar += pows[tgt] * np.outer(src, np.conj(src))
+        x_bar += np.outer(by_target[(tgt + 1) % d], np.conj(src))
+    return u, z_bar, x_bar
+
+
+def diagonalizer_oracle(vecs, spectrum):
+    """F accumulated as one outer product per source."""
+    f = np.zeros((len(vecs), len(vecs)), dtype=np.complex128)
+    for lam, src in zip(spectrum, vecs):
+        f += lam * np.outer(src, np.conj(src))
+    return f
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_relabeling_and_diagonalizer_match_outer_product_loops(d):
+    rng = np.random.default_rng(d)
+    for vecs in mub_stack(d):
+        targets = [int(t) for t in rng.permutation(d)]
+        sources = [Ket(v) for v in vecs]
+        rel = build_relabeling(sources, [t + d * int(rng.integers(-2, 3)) for t in targets])
+        assert rel.targets == tuple(targets)
+        u, z_bar, x_bar = relabeling_oracle(vecs, targets)
+        assert np.array_equal(rel.u.matrix, u)
+        assert np.abs(rel.z_bar.matrix - z_bar).max() < 1e-14
+        assert np.abs(rel.x_bar.matrix - x_bar).max() < 1e-14
+        spectrum = np.exp(2j * np.pi * rng.random(d))
+        f = diagonalizer_for(sources, spectrum).matrix
+        assert np.abs(f - diagonalizer_oracle(vecs, spectrum)).max() < 1e-14
+
+
+def test_worked_relabeling_equals_outer_product_loops_exactly():
+    vecs = np.array([s.amplitudes for s in worked_sources()])
+    w = omega_powers(3)[1]
+    spectrum = np.array([1.0, w, w**2])
+    rel = build_relabeling(worked_sources(), [0, 1, 2])
+    assert np.array_equal(rel.u.matrix, relabeling_oracle(vecs, [0, 1, 2])[0])
+    f = diagonalizer_for(worked_sources(), spectrum).matrix
+    assert np.array_equal(f, diagonalizer_oracle(vecs, spectrum))
 
 
 @pytest.mark.parametrize("bad", [-1, 5])

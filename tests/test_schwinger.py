@@ -45,7 +45,7 @@ def test_clock_shift_commutation_and_order(d):
 
 
 def test_invalid_dimensions_rejected():
-    for bad in (2, 4, 9, 1):
+    for bad in (2, 4, 9, 1, 7.0, "7", None):
         with pytest.raises(InvalidDimension):
             clock_z(bad)
 

@@ -26,6 +26,7 @@ from mesphase.mes import mes_basis, mes_state
 from mesphase.schwinger import CB, mub_stack, mub_state, omega_powers
 from mesphase.states import Ket
 from mesphase.verify import run_suites
+from test_generators import permutation_oracle
 
 DIMS = [3, 5, 7, 11, 13]
 
@@ -43,7 +44,7 @@ def mub_oracle(d, b, m):
 
 def point_oracle(d, q, p, plus):
     """perm.T @ kron(e_q, f_p), or its plus twin perm.T @ kron(f_p, e_q)."""
-    perm = co._permutation_matrix(d)
+    perm = permutation_oracle(d)
     e_q, f_p = Ket.basis(d, q).amplitudes, mub_oracle(d, 0, p)
     return perm.T @ (np.kron(f_p, e_q) if plus else np.kron(e_q, f_p))
 
