@@ -37,5 +37,9 @@ lines --d 5 --alt-realization --format json
 hop --d 13 --q 4 --p 9 --word "Xc^5 Zr^-3 Xr^7 Zc^2" --format json
 verify --d 3 --d 5 --d 7 --d 11 --d 13 --format json
 verify --d 11 --format csv --seed 5
+lines --d 23 --alt-realization
+lines --d 29 --format json
+verify --d 17 --d 19 --suite mes --format json
+verify --d 17 --d 19 --d 23 --suite lines
 COMMANDS
 exit $status

@@ -57,12 +57,17 @@ def _csv_field(value):
     return _fmt(value) if isinstance(value, float) else value
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _write(args: argparse.Namespace, payload: dict, header: list[str], rows: list[list]) -> None:
+    """Emit a report as indented JSON of ``payload``, or as CSV of ``header``
+    and ``rows`` with every cell through :func:`_csv_field`."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows([_csv_field(v) for v in row] for row in rows)
+    _emit(buf.getvalue(), args.out)
 
 
 # -- basis serialization ---------------------------------------------------------
@@ -114,7 +119,7 @@ def _json_with_kets(skeleton: dict, amps: np.ndarray) -> str:
 
 
 def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> str:
-    """``_csv_text(header, rows)`` for rows ``[*labels[k], *re, *im]`` of
+    """The CSV text of :func:`_write` for rows ``[*labels[k], *re, *im]`` of
     amps[k] with ``_fmt`` floats.  No field needs quoting: labels are ``cb``
     or integers, and ``_fmt`` text holds no comma, quote or newline."""
     texts = _format_floats(_re_im_rows(amps), _fmt)
@@ -124,6 +129,17 @@ def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> 
         for label, row in zip(labels, texts)
     ]
     return "\n".join(lines + [""])
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a non-negative int; other text as ``type=int`` refuses it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} must be non-negative")
+    return seed
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
@@ -193,38 +209,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     dims = args.d if args.d else list(DEFAULT_DIMS)
     rows = run_suites(dims, args.suite, tol, args.seed)
     all_pass = all(r.passed for r in rows)
-    if args.format == "json":
-        payload = {
-            "tolerance": tol,
-            "seed": args.seed,
-            "suite": args.suite,
-            "dims": dims,
-            "rows": [
-                {
-                    "check": r.check,
-                    "d": r.d,
-                    "params": r.params,
-                    "max_error": float(_fmt(r.max_error)),
-                    "pass": r.passed,
-                    **({"runtime_ms": round(r.runtime_ms, 3)} if args.timing else {}),
-                }
-                for r in rows
-            ],
-            "all_pass": all_pass,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        header = ["check", "d", "params", "max_error", "pass"]
-        if args.timing:
-            header.append("runtime_ms")
-        table = [
-            [_csv_field(v) for v in (r.check, r.d, r.params, r.max_error, r.passed)]
-            + ([f"{r.runtime_ms:.3f}"] if args.timing else [])
+    payload = {
+        "tolerance": tol,
+        "seed": args.seed,
+        "suite": args.suite,
+        "dims": dims,
+        "rows": [
+            {
+                "check": r.check,
+                "d": r.d,
+                "params": r.params,
+                "max_error": float(_fmt(r.max_error)),
+                "pass": r.passed,
+                **({"runtime_ms": round(r.runtime_ms, 3)} if args.timing else {}),
+            }
             for r in rows
-        ]
-        _emit(_csv_text(header, table), args.out)
-    passed = sum(r.passed for r in rows)
-    print(f"{passed}/{len(rows)} checks passed (tol={_fmt(tol)})", file=sys.stderr)
+        ],
+        "all_pass": all_pass,
+    }
+    header = ["check", "d", "params", "max_error", "pass"] + ["runtime_ms"] * args.timing
+    table = [
+        [r.check, r.d, r.params, r.max_error, r.passed] + [f"{r.runtime_ms:.3f}"] * args.timing
+        for r in rows
+    ]
+    _write(args, payload, header, table)
+    print(f"{sum(r.passed for r in rows)}/{len(rows)} checks passed (tol={_fmt(tol)})", file=sys.stderr)
     return 0 if all_pass else 1
 
 
@@ -241,26 +250,23 @@ def _cmd_hop(args: argparse.Namespace) -> int:
     symbolic = hop(d, start, factors)
     dense, fidelity = hop_dense(d, start, factors)
     agree = dense == symbolic and abs(fidelity - 1.0) < tol
-    if args.format == "json":
-        payload = {
-            "d": d,
-            "word": format_word(factors),
-            "start": {"q": start[0], "p": start[1]},
-            "trajectory": [{"factor": f, **_hop_fields(step)} for f, step in trajectory],
-            "symbolic": _hop_fields(symbolic),
-            "dense": {**_hop_fields(dense), "fidelity": float(_fmt(fidelity))},
-            "agree": agree,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        header = ["stage", "factor", "q", "p", "phase_exponent", "fidelity", "agree"]
-        rows = [
-            [f"step{k}", f, *_hop_fields(step).values(), "", ""]
-            for k, (f, step) in enumerate(trajectory)
-        ]
-        rows.append(["symbolic", format_word(factors), *_hop_fields(symbolic).values(), "", ""])
-        rows.append(["dense", format_word(factors), *_hop_fields(dense).values(), fidelity, agree])
-        _emit(_csv_text(header, [[_csv_field(v) for v in row] for row in rows]), args.out)
+    payload = {
+        "d": d,
+        "word": format_word(factors),
+        "start": {"q": start[0], "p": start[1]},
+        "trajectory": [{"factor": f, **_hop_fields(step)} for f, step in trajectory],
+        "symbolic": _hop_fields(symbolic),
+        "dense": {**_hop_fields(dense), "fidelity": float(_fmt(fidelity))},
+        "agree": agree,
+    }
+    header = ["stage", "factor", "q", "p", "phase_exponent", "fidelity", "agree"]
+    rows = [
+        [f"step{k}", f, *_hop_fields(step).values(), "", ""]
+        for k, (f, step) in enumerate(trajectory)
+    ]
+    rows.append(["symbolic", format_word(factors), *_hop_fields(symbolic).values(), "", ""])
+    rows.append(["dense", format_word(factors), *_hop_fields(dense).values(), fidelity, agree])
+    _write(args, payload, header, rows)
     return 0 if agree else 1
 
 
@@ -269,14 +275,9 @@ def _cmd_lines(args: argparse.Namespace) -> int:
     tol = _resolve_tol(args)
     realization = "alt" if args.alt_realization else "standard"
     table = line_factor_table(d, tol, realization)
-    if args.format == "json":
-        payload = {"d": d, "realization": realization, "rows": table}
-        for row in payload["rows"]:
-            row["max_error"] = float(_fmt(row["max_error"]))
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        rows = [[_csv_field(v) for v in row.values()] for row in table]
-        _emit(_csv_text(list(table[0]), rows), args.out)
+    rows = [{**row, "max_error": float(_fmt(row["max_error"]))} for row in table]
+    payload = {"d": d, "realization": realization, "rows": rows}
+    _write(args, payload, list(table[0]), [list(row.values()) for row in table])
     return 0
 
 
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dimension to check; repeatable (default: 3 5 7)",
     )
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--timing", action="store_true", help="include per-row runtime")
     add_common(p, formats=("csv", "json"))
     p.set_defaults(func=_cmd_verify)

@@ -175,7 +175,6 @@ class CollectiveOps:
         return {"Xc": self.xc, "Zc": self.zc, "Xr": self.xr, "Zr": self.zr}[name]
 
 
-@lru_cache(maxsize=None)
 def collective_ops(d: int) -> CollectiveOps:
     maps = _generator_maps(d)
     return CollectiveOps(
@@ -239,12 +238,18 @@ def format_word(factors: list[tuple[str, int]]) -> str:
     return " ".join(f"{name}^{power}" for name, power in factors)
 
 
+def _factors(word: "str | list[tuple[str, int]]", generators=COLLECTIVE_GENERATORS) -> list[tuple[str, int]]:
+    """The (generator, power) factors of a word given as text or as a factor
+    list; a list is checked through its text, so both raise WordParseError."""
+    return parse_word(word if isinstance(word, str) else format_word(word), generators)
+
+
 def _word_map(
     d: int, word: "str | list[tuple[str, int]]", generators: tuple[str, ...] = COLLECTIVE_GENERATORS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (src, e) map of a word, factors composed in written order with
     unreduced integer exponents; the rightmost factor acts first."""
-    factors = parse_word(word, generators) if isinstance(word, str) else word
+    factors = _factors(word, generators)
     maps = _generator_maps(d)
     base = {name: maps[name] for name in generators}
     src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
@@ -303,7 +308,7 @@ def hop(
     exponent, evaluated at the current labels.
     """
     q, p = _point(point, d)
-    factors = parse_word(word) if isinstance(word, str) else word
+    factors = _factors(word)
     phase = 0
     for name, power in reversed(factors):
         if name == "Xc":
@@ -349,7 +354,7 @@ def hop_trajectory(
     its phase exponent mod d.
     """
     step = HopResult(PhasePoint(*_point(point, d)), 0)
-    factors = parse_word(word) if isinstance(word, str) else word
+    factors = _factors(word)
     steps = [("", step)]
     for factor in reversed(factors):
         moved = hop(d, step.point, [factor])

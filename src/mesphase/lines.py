@@ -38,6 +38,7 @@ from .schwinger import (
     MubState,
     _label_index,
     mub_stack,
+    omega_powers,
     validate_dimension,
 )
 from .states import (
@@ -46,6 +47,7 @@ from .states import (
     _omega_exponent,
     _overlap_match,
     _phase_canonical,
+    _worst,
     validate_tolerance,
 )
 
@@ -115,12 +117,8 @@ def _line_amplitudes(d: int, line: Line, realization: str = "standard") -> np.nd
     """The amplitude array of :func:`line_state`."""
     if realization not in ("standard", "alt"):
         raise ValueError("realization must be 'standard' or 'alt'")
-    stack = point_basis(d, realization == "alt")
-    # summed row by row from zeros: this rounding shows in max_error
-    total = np.zeros(d * d, dtype=np.complex128)
-    for pt in line_points(d, line):
-        total += stack[pt.q * d + pt.p]
-    return total / np.sqrt(d)
+    rows = [pt.q * d + pt.p for pt in line_points(d, line)]
+    return point_basis(d, realization == "alt")[rows].sum(axis=0) / np.sqrt(d)
 
 
 def _factorize(d: int, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,14 +178,13 @@ def schmidt_inversion_check(
     validate_tolerance(tol)
     state = _line_amplitudes(d, line, realization)
     s, factor1, factor2 = _factorize(d, state)
-    second = float(s[1]) if d > 1 else 0.0
+    second = float(s[1])
     b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
     b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
     overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
     exponent = _omega_exponent(overlap, d)
-    pows = np.exp(2j * np.pi * exponent / d)
-    phase_error = abs(overlap - pows)
-    max_error = float(max(second, 1.0 - fid1, 1.0 - fid2, phase_error))
+    phase_error = abs(overlap - omega_powers(d)[exponent])
+    max_error = float(_worst(second, 1.0 - fid1, 1.0 - fid2, phase_error))
     return LineFactorReport(
         d=d,
         line=line,

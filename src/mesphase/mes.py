@@ -104,12 +104,10 @@ def universal_state(d: int, b: "BasisLabel | int | None") -> Ket:
 
 
 def _universal_amplitudes(d: int, b: "BasisLabel | int | None") -> np.ndarray:
-    """The amplitude array of :func:`universal_state`."""
-    _, rows = basis_rows(d, b)
-    vec = np.zeros(d * d, dtype=np.complex128)
-    for m in range(d):
-        vec += np.kron(rows[m], np.conj(rows[m]))
-    return vec / np.sqrt(d)
+    """The amplitude array of :func:`universal_state`: u(0, 0) of the MES
+    basis built from b and its tilde partner."""
+    rows = basis_rows(d, b)[1]
+    return _mes_amplitudes(d, rows, rows.conj(), np.array([0]), np.array([0]))[0, 0]
 
 
 @dataclass(frozen=True)

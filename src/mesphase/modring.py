@@ -7,6 +7,7 @@ by the modular inverse, which is why d = 2 is excluded throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import NotPrime, ZeroInverse
@@ -39,7 +40,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prime:
-    """An odd prime modulus d >= 3.
+    """An odd prime modulus d >= 3; a non-integer such as 7.0 raises TypeError.
 
     2 is prime but rejected: halving and quartering of exponents need 2 and 4
     to be invertible mod d.
@@ -48,6 +49,7 @@ class Prime:
     d: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))
         if self.d == 2:
             raise NotPrime("d=2 is excluded; only odd primes are supported")
         if not is_prime(self.d):

@@ -18,13 +18,12 @@ unit circle, so the amplitudes sit exactly on the d-point circle.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidLabel
+from .errors import InvalidDimension, InvalidLabel, NotPrime
 from .modring import Prime
 from .states import DEFAULT_TOL, Ket, UnitaryOp, validate_tolerance
 
@@ -50,8 +49,8 @@ def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code.
     A non-integer such as 7.0 is refused too."""
     try:
-        Prime(operator.index(d))
-    except Exception as exc:
+        Prime(d)
+    except (NotPrime, TypeError) as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
     return d
 

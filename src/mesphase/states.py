@@ -246,11 +246,8 @@ class SchmidtDecomposition:
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        terms = [
-            c * np.kron(l, r)
-            for c, l, r in zip(self.coefficients, self.left, self.right)
-        ]
-        return np.sum(terms, axis=0)
+        products = self.left[:, :, None] * self.right[:, None, :]
+        return (self.coefficients[:, None, None] * products).sum(axis=0).ravel()
 
 
 def schmidt_decompose(state: Ket) -> SchmidtDecomposition:

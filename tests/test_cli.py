@@ -167,6 +167,22 @@ def test_bad_env_var_tolerance_rejected(capsys, monkeypatch, value):
         assert "MESPHASE_TOL" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_rejects_negative_seed(capsys, seed):
+    code, out, err = run(capsys, "verify", "--d", "3", "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "non-negative" in err
+    assert "Traceback" not in err
+
+
+def test_verify_seed_keeps_int_parsing(capsys):
+    code, _, err = run(capsys, "verify", "--d", "3", "--seed", "abc")
+    assert code == 2
+    assert "argument --seed: invalid int value: 'abc'" in err
+    assert run(capsys, "verify", "--d", "3", "--suite", "mes", "--seed", "0")[0] == 0
+
+
 def test_verify_writes_file(tmp_path, capsys):
     out_file = tmp_path / "report.csv"
     code, out, _ = run(capsys, "verify", "--d", "3", "--suite", "mub", "--out", str(out_file))

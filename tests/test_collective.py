@@ -213,6 +213,47 @@ def test_parse_word_rejects_bad_factors():
         parse_word("Xc^2", generators=("X", "Z"))
 
 
+@pytest.mark.parametrize(
+    "word, single",
+    [
+        ([("Q", 3), ("Xc", 1)], [("Q", 3), ("X", 1)]),
+        ([("Xc", 1.5)], [("X", 1.5)]),
+        ([("Xc", "x")], [("Z", "x")]),
+        ([("X", 1)], [("Xc", 1)]),
+        ([("Xc^2", 1)], [("X^2", 1)]),
+    ],
+)
+def test_factor_lists_are_checked_like_text(word, single):
+    # a factor list goes through the text grammar, so every entry point
+    # refuses a bad one instead of returning a wrong answer
+    d, start = 5, (1, 2)
+    state = point_state_minus(d, start)
+    calls = [
+        lambda: hop(d, start, word),
+        lambda: hop_dense(d, start, word),
+        lambda: hop_trajectory(d, start, word),
+        lambda: word_matrix(d, word),
+        lambda: local_action(state, 1, single),
+    ]
+    for call in calls:
+        with pytest.raises(WordParseError):
+            call()
+
+
+def test_factor_lists_equal_their_text():
+    d, start = 7, (3, 4)
+    word = [("Xc", 2), ("Zr", -1), ("Xr", 9), ("Zc", 0)]
+    text = format_word(word)
+    assert hop(d, start, word) == hop(d, start, text)
+    assert hop_trajectory(d, start, word) == hop_trajectory(d, start, text)
+    assert np.array_equal(word_matrix(d, word), word_matrix(d, text))
+    state = point_state_minus(d, start)
+    single = [("X", 3), ("Z", -2)]
+    assert np.array_equal(
+        local_action(state, 2, single).amplitudes, local_action(state, 2, format_word(single)).amplitudes
+    )
+
+
 def test_word_matrix_respects_written_order():
     d = 5
     ops = collective_ops(d)

@@ -24,6 +24,7 @@ from mesphase.collective import (
     point_basis,
     word_matrix,
 )
+from mesphase.errors import WordParseError
 from mesphase.schwinger import CB, BasisLabel, clock_z, mub_basis, omega_powers, shift_x
 from mesphase.states import Ket, mes_deviation, reduced_operators, schmidt_decompose
 from mesphase.verify import _projections, _worst, run_suites
@@ -201,9 +202,9 @@ def test_word_matrix_matches_matrix_power_chain():
 
 
 def test_word_matrix_rejects_generators_of_the_other_set():
-    with pytest.raises(KeyError):
+    with pytest.raises(WordParseError):
         word_matrix(5, [("Xc", 1)], SINGLE_GENERATORS)
-    with pytest.raises(KeyError):
+    with pytest.raises(WordParseError):
         word_matrix(5, [("X", 1)])
 
 

@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from mesphase.collective import PhasePoint, point_state_minus
+from mesphase.collective import PhasePoint, point_basis, point_state_minus
 from mesphase.errors import InvalidDimension, InvalidLabel
 from mesphase.lines import (
     Line,
+    _factorize,
+    _identify_label,
+    _line_amplitudes,
     all_lines,
     expected_factor2_label,
     line_factor_table,
@@ -17,7 +20,9 @@ from mesphase.lines import (
 )
 from mesphase.modring import ModInt, Prime
 from mesphase.schwinger import CB, BasisLabel, mub_family, mub_state
-from mesphase.states import Ket, phase_canonical, schmidt_decompose, tensor
+from mesphase.states import Ket, _omega_exponent, phase_canonical, schmidt_decompose, tensor
+
+ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def half(x, d):
@@ -87,6 +92,44 @@ def line_state_oracle(d, line):
     for pt in line_points(d, line):
         total += point_state_minus(d, pt).amplitudes
     return total / np.sqrt(d)
+
+
+def row_sum_oracle(d, line, realization):
+    """The line state summed from zeros one point-basis row at a time."""
+    stack = point_basis(d, realization == "alt")
+    total = np.zeros(d * d, dtype=np.complex128)
+    for pt in line_points(d, line):
+        total += stack[pt.q * d + pt.p]
+    return total / np.sqrt(d)
+
+
+def max_error_oracle(d, line, realization):
+    """``schmidt_inversion_check(...).max_error`` with the phase target w^k
+    from a scalar ``np.exp`` and the errors reduced by builtin ``max``."""
+    state = _line_amplitudes(d, line, realization)
+    s, factor1, factor2 = _factorize(d, state)
+    fid1 = _identify_label(d, factor1, conjugate=True)[2]
+    fid2 = _identify_label(d, factor2, conjugate=False)[2]
+    overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
+    target = np.exp(2j * np.pi * _omega_exponent(overlap, d) / d)
+    return float(max(float(s[1]), 1.0 - fid1, 1.0 - fid2, abs(overlap - target)))
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_line_state_equals_row_by_row_sum_bytes(d):
+    for realization in ("standard", "alt"):
+        for line in all_lines(d):
+            expected = row_sum_oracle(d, line, realization).tobytes()
+            assert _line_amplitudes(d, line, realization).tobytes() == expected
+            assert line_state(d, line, realization).vector.amplitudes.tobytes() == expected
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_max_error_equals_scalar_exp_phase_target(d):
+    for realization in ("standard", "alt"):
+        for line in all_lines(d):
+            report = schmidt_inversion_check(d, line, realization=realization)
+            assert report.max_error == max_error_oracle(d, line, realization)
 
 
 @pytest.mark.parametrize("d", [3, 5])

@@ -5,6 +5,7 @@ import pytest
 
 from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
+    _universal_amplitudes,
     build_relabeling,
     diagonalizer_for,
     mes_basis,
@@ -12,7 +13,15 @@ from mesphase.mes import (
     mes_state,
     universal_state,
 )
-from mesphase.schwinger import CB, BasisLabel, clock_z, mub_stack, mub_state, omega_powers
+from mesphase.schwinger import (
+    CB,
+    BasisLabel,
+    basis_rows,
+    clock_z,
+    mub_stack,
+    mub_state,
+    omega_powers,
+)
 from mesphase.states import (
     Ket,
     equal_up_to_global_phase,
@@ -21,6 +30,9 @@ from mesphase.states import (
     schmidt_decompose,
     tensor,
 )
+
+ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
 
 def diagonal_pair(d):
     vec = np.zeros(d * d, dtype=complex)
@@ -104,6 +116,23 @@ def test_universal_state_is_label_independent(d):
         ok, _ = equal_up_to_global_phase(a, b)
         assert ok
         assert abs(abs(a.inner(b)) - 1) < 1e-12
+
+
+def universal_oracle(d, b):
+    """(1/sqrt d) sum_m kron(|m; b>, conj |m; b>), summed from zeros."""
+    rows = basis_rows(d, b)[1]
+    vec = np.zeros(d * d, dtype=np.complex128)
+    for m in range(d):
+        vec += np.kron(rows[m], np.conj(rows[m]))
+    return vec / np.sqrt(d)
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_universal_state_equals_kron_sum_bytes(d):
+    for b in BasisLabel.all_labels(d):
+        expected = universal_oracle(d, b).tobytes()
+        assert _universal_amplitudes(d, b).tobytes() == expected
+        assert universal_state(d, b).amplitudes.tobytes() == expected
 
 
 def test_universal_state_passes_is_mes():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mesphase.errors import NotPrime, ZeroInverse
@@ -68,6 +69,18 @@ def test_prime_constructor_rejects_two_and_composites():
     with pytest.raises(NotPrime):
         Prime(1)
     assert Prime(3).d == 3
+
+
+@pytest.mark.parametrize("bad", [7.0, 3.5, "7", None])
+def test_prime_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        Prime(bad)
+
+
+def test_prime_stores_a_python_int():
+    d = Prime(np.int64(7)).d
+    assert type(d) is int and d == 7
+    assert int(ModInt(3, Prime(np.int64(7))).inverse()) == 5
 
 
 def test_negative_values_normalize():

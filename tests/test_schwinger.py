@@ -17,6 +17,7 @@ from mesphase.schwinger import (
     omega_powers,
     shift_x,
     tilde,
+    validate_dimension,
 )
 from mesphase.states import Ket
 
@@ -48,6 +49,8 @@ def test_invalid_dimensions_rejected():
     for bad in (2, 4, 9, 1, 7.0, "7", None):
         with pytest.raises(InvalidDimension):
             clock_z(bad)
+        with pytest.raises(InvalidDimension):
+            validate_dimension(bad)
 
 
 def test_label_parse_and_count():

@@ -126,6 +126,26 @@ def test_schmidt_reconstruction_random():
         assert np.all(np.diff(decomp.coefficients) <= 1e-15)
 
 
+def reconstruct_oracle(decomp):
+    """sum_k c_k * kron(left_k, right_k), the terms stacked and summed in order."""
+    terms = [c * np.kron(l, r) for c, l, r in zip(decomp.coefficients, decomp.left, decomp.right)]
+    return np.sum(terms, axis=0)
+
+
+def test_schmidt_reconstruction_equals_kron_sum_bytes():
+    seeded = np.random.default_rng(7)
+
+    def draw(n):
+        return Ket.normalized(seeded.normal(size=n) + 1j * seeded.normal(size=n))
+
+    states = [diagonal_pair(d) for d in (2, 3, 5, 7)]
+    states += [tensor(draw(d), draw(d)) for d in (2, 3, 5, 7)]
+    states += [draw(d * d) for d in range(2, 9) for _ in range(20)]
+    for state in states:
+        decomp = schmidt_decompose(state)
+        assert decomp.reconstruct().tobytes() == reconstruct_oracle(decomp).tobytes()
+
+
 def test_is_mes_on_diagonal_pair_and_product():
     assert is_mes(diagonal_pair(5))
     assert not is_mes(tensor(Ket.basis(3, 0), Ket.basis(3, 0)))
