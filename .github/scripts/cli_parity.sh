@@ -41,5 +41,10 @@ lines --d 23 --alt-realization
 lines --d 29 --format json
 verify --d 17 --d 19 --suite mes --format json
 verify --d 17 --d 19 --d 23 --suite lines
+gen-mes --d 23 --b 3 --b-prime 5
+gen-mes --d 23 --b 3 --b-prime 5 --format csv
+gen-mes --d 29 --b cb --b-prime 7 --format csv
+gen-mub --d 23
+verify --d 23 --suite mes --format json
 COMMANDS
 exit $status

@@ -15,9 +15,7 @@ import io
 import json
 import math
 import os
-import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -43,11 +41,22 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+class _CannotWrite(Exception):
+    """``--out`` could not be opened or written (exit 2)."""
+
+
+def _emit(chunks: list[str], out: str | None) -> None:
+    """Write the text chunks to ``out``, or to stdout without it.  Callers
+    pass a finished list, so a run that fails while formatting never opens
+    (and truncates) ``out``."""
+    if not out:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _csv_field(value):
@@ -61,20 +70,21 @@ def _write(args: argparse.Namespace, payload: dict, header: list[str], rows: lis
     """Emit a report as indented JSON of ``payload``, or as CSV of ``header``
     and ``rows`` with every cell through :func:`_csv_field`."""
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit([json.dumps(payload, indent=2), "\n"], args.out)
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_csv_field(v) for v in row] for row in rows)
-    _emit(buf.getvalue(), args.out)
+    _emit([buf.getvalue()], args.out)
 
 
 # -- basis serialization ---------------------------------------------------------
 #
 # gen-mub and gen-mes write up to a million floats, but a basis holds only a
 # few thousand distinct ones (sums of d-th roots of unity over sqrt d), so the
-# text of each distinct value is made once and gathered.
+# text of each distinct value is made once and gathered.  Each writer returns
+# its document as a list of text chunks for :func:`_emit`.
 
 
 def _json_float(x: float) -> str:
@@ -82,14 +92,53 @@ def _json_float(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
+# Fibonacci hashing: the top bits of bits * 2^64/phi (mod 2^64) pick the slot
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_codes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(bits, return_inverse=True)`` for a 1-d int64 array: the
+    sorted distinct keys, and each element's index among them.  The keys come
+    from a sort; the codes from a linear-probing table of key indices, at
+    most half full, built and probed with whole-array steps."""
+    ordered = np.sort(bits)
+    new = np.ones(ordered.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    keys = ordered[new]
+    log2 = max(1, (2 * keys.size - 1).bit_length())
+    mask = (1 << log2) - 1
+
+    def home(x: np.ndarray) -> np.ndarray:
+        return ((x.view(np.uint64) * _GOLDEN) >> np.uint64(64 - log2)).astype(np.intp)
+
+    table = np.full(mask + 1, -1, dtype=np.intp)
+    pending, slot = np.arange(keys.size), home(keys)
+    while pending.size:
+        # claim the free slots (one of several keys aiming at a slot wins);
+        # a key that finds its slot taken moves on to the next one
+        free = table[slot] < 0
+        table[slot[free]] = pending[free]
+        lost = table[slot] != pending
+        pending, slot = pending[lost], (slot[lost] + 1) & mask
+
+    slot = home(bits)
+    codes = table[slot]
+    miss = np.flatnonzero(keys[codes] != bits)
+    while miss.size:
+        slot[miss] = (slot[miss] + 1) & mask
+        codes[miss] = table[slot[miss]]
+        miss = miss[keys[codes[miss]] != bits[miss]]
+    return keys, codes
+
+
 def _format_floats(values: np.ndarray, fmt) -> list:
     """``fmt(x)`` for every float64 x in ``values``, as nested lists of the
     same shape, calling ``fmt`` once per distinct bit pattern (not per
     distinct value: -0.0 == 0.0, but their text differs)."""
     flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    keys, codes = _distinct_codes(flat.view(np.int64))
     texts = np.array([fmt(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse.reshape(np.shape(values))].tolist()
+    return texts[codes.reshape(np.shape(values))].tolist()
 
 
 def _re_im_rows(amps: np.ndarray) -> np.ndarray:
@@ -103,32 +152,32 @@ def _ket_stub(k: int, dim: int) -> dict:
     return {"dim": dim, "re": [f"@{2 * k}"], "im": [f"@{2 * k + 1}"]}
 
 
-def _json_with_kets(skeleton: dict, amps: np.ndarray) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, where doc is ``skeleton`` with
-    every ``_ket_stub(k, n)`` replaced by ``Ket(amps[k]).to_json()``."""
+def _json_with_kets(skeleton: dict, amps: np.ndarray) -> list[str]:
+    """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, where doc is
+    ``skeleton`` with every ``_ket_stub(k, n)`` replaced by
+    ``Ket(amps[k]).to_json()``."""
     n = amps.shape[1]
     lists = _format_floats(_re_im_rows(amps).reshape(-1, n), _json_float)
+    # each stub list prints as one line holding only its quoted "@i", the
+    # stubs in order i = 0, 1, ..., all at the same depth
+    head, *tails = (json.dumps(skeleton, indent=2) + "\n").split('"@')
+    sep = ",\n" + head[head.rindex("\n") + 1:]
+    chunks = [head]
+    for floats, tail in zip(lists, tails):
+        chunks += (sep.join(floats), tail[tail.index('"') + 1:])
+    return chunks
 
-    def splice(match: re.Match) -> str:
-        pad = match.group(1)
-        return pad + (",\n" + pad).join(lists[int(match.group(2))])
 
-    # each stub list prints as one line holding only its quoted "@i"
-    text = json.dumps(skeleton, indent=2) + "\n"
-    return re.sub(r'^( *)"@(\d+)"$', splice, text, flags=re.MULTILINE)
-
-
-def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> str:
-    """The CSV text of :func:`_write` for rows ``[*labels[k], *re, *im]`` of
-    amps[k] with ``_fmt`` floats.  No field needs quoting: labels are ``cb``
-    or integers, and ``_fmt`` text holds no comma, quote or newline."""
+def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> list[str]:
+    """The chunks of the CSV text of :func:`_write` for rows
+    ``[*labels[k], *re, *im]`` of amps[k] with ``_fmt`` floats.  No field
+    needs quoting: labels are ``cb`` or integers, and ``_fmt`` text holds no
+    comma, quote or newline."""
     texts = _format_floats(_re_im_rows(amps), _fmt)
-    lines = [",".join(header)]
-    lines += [
-        ",".join(map(str, label)) + "," + ",".join(row)
-        for label, row in zip(labels, texts)
-    ]
-    return "\n".join(lines + [""])
+    chunks = [",".join(header), "\n"]
+    for label, row in zip(labels, texts):
+        chunks += (",".join(map(str, label)), ",", ",".join(row), "\n")
+    return chunks
 
 
 def _seed(text: str) -> int:
@@ -356,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError) as exc:
+    except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError, _CannotWrite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -212,7 +212,18 @@ def point_state_minus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:
 
 # -- operator words ----------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^([A-Za-z]+)(?:\^(-?\d+))?$")
+_FACTOR_RE = re.compile(r"([A-Za-z]+)(?:\^(-?\d+))?")
+
+
+def _factor(token: str, generators: tuple[str, ...]) -> tuple[str, int]:
+    """One ``Name^power`` factor, or WordParseError."""
+    match = _FACTOR_RE.fullmatch(token)
+    if match is None or match.group(1) not in generators:
+        raise WordParseError(
+            f"bad factor {token!r}; expected one of {generators} with optional ^integer"
+        )
+    power = int(match.group(2)) if match.group(2) is not None else 1
+    return match.group(1), power
 
 
 def parse_word(text: str, generators: tuple[str, ...] = COLLECTIVE_GENERATORS) -> list[tuple[str, int]]:
@@ -221,16 +232,7 @@ def parse_word(text: str, generators: tuple[str, ...] = COLLECTIVE_GENERATORS) -
     Factors are whitespace-separated; a missing caret means power 1.  The
     empty word parses to the empty list (the identity).
     """
-    factors: list[tuple[str, int]] = []
-    for token in text.split():
-        match = _FACTOR_RE.match(token)
-        if match is None or match.group(1) not in generators:
-            raise WordParseError(
-                f"bad factor {token!r}; expected one of {generators} with optional ^integer"
-            )
-        power = int(match.group(2)) if match.group(2) is not None else 1
-        factors.append((match.group(1), power))
-    return factors
+    return [_factor(token, generators) for token in text.split()]
 
 
 def format_word(factors: list[tuple[str, int]]) -> str:
@@ -240,8 +242,11 @@ def format_word(factors: list[tuple[str, int]]) -> str:
 
 def _factors(word: "str | list[tuple[str, int]]", generators=COLLECTIVE_GENERATORS) -> list[tuple[str, int]]:
     """The (generator, power) factors of a word given as text or as a factor
-    list; a list is checked through its text, so both raise WordParseError."""
-    return parse_word(word if isinstance(word, str) else format_word(word), generators)
+    list; each listed factor is checked on its own as ``name^power`` text, so
+    both forms raise WordParseError."""
+    if isinstance(word, str):
+        return parse_word(word, generators)
+    return [_factor(f"{name}^{power}", generators) for name, power in word]
 
 
 def _word_map(

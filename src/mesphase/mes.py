@@ -43,18 +43,33 @@ class MesBasisElement:
     vector: Ket
 
 
+# q rows per block of :func:`_mes_amplitudes`: a (block, d, d^2) complex
+# accumulator of about 512 KB stays in cache while its d terms are added
+_BLOCK_VALUES = 1 << 15
+
+
 def _mes_amplitudes(
     d: int, rows1: np.ndarray, rows2: np.ndarray, qs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
     """Amplitudes of u(q, p) for every q in qs and p in ps, shape
-    (len(qs), len(ps), d^2), summed over m in order from zeros."""
-    pows = omega_powers(d)
+    (len(qs), len(ps), d^2), summed over m in order from zeros.
+
+    Each element is the same sum whatever the blocking: the terms
+    w^(-m p) * (rows1[m] (x) rows2[m - q]) for m = 0..d-1, added one at a
+    time, then divided by sqrt d."""
+    phases = omega_powers(d)[(-np.arange(d)[:, None] * ps) % d][:, :, None]
     total = np.zeros((len(qs), len(ps), d * d), dtype=np.complex128)
-    for m in range(d):
-        # pair[i] = kron(rows1[m], rows2[(m - qs[i]) % d])
-        pair = (rows1[m][:, None] * rows2[(m - qs) % d][:, None, :]).reshape(-1, 1, d * d)
-        total += pows[(-m * ps) % d][:, None] * pair
-    return total / np.sqrt(d)
+    block = max(1, _BLOCK_VALUES // d**3)
+    terms = np.empty_like(total[:block])
+    for start in range(0, len(qs), block):
+        q = qs[start:start + block]
+        acc, term = total[start:start + block], terms[:len(q)]
+        for m in range(d):
+            # pair[i] = kron(rows1[m], rows2[(m - q[i]) % d])
+            pair = (rows1[m][:, None] * rows2[(m - q) % d][:, None, :]).reshape(-1, 1, d * d)
+            acc += np.multiply(phases[m], pair, out=term)
+        acc /= np.sqrt(d)
+    return total
 
 
 def mes_state(

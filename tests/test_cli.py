@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mesphase.cli as cli
 from mesphase.cli import main
 from mesphase.states import Ket, is_mes
 
@@ -190,6 +191,43 @@ def test_verify_writes_file(tmp_path, capsys):
     assert out == ""
     header, rows = parse_csv(out_file.read_text())
     assert header[0] == "check" and rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d", "3", "--suite", "mub"],
+        ["gen-mub", "--d", "3", "--format", "csv"],
+        ["gen-mes", "--d", "3"],
+        ["hop", "--d", "5", "--q", "1", "--p", "2", "--word", "Xc"],
+        ["lines", "--d", "3"],
+    ],
+)
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    # exit 1 means "checks failed" for verify, so a bad --out must not read as it
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen-mub", "gen-mes"])
+def test_failed_generation_leaves_out_untouched(tmp_path, capsys, monkeypatch, command):
+    def nan_stack(d, *labels):
+        stack = np.full((d + 1, d, d) if command == "gen-mub" else (d * d, d * d), 0.5 + 0j)
+        stack[1, 2] = np.nan
+        return stack
+
+    monkeypatch.setattr(cli, "mub_stack" if command == "gen-mub" else "mes_stack", nan_stack)
+    target = tmp_path / "old.txt"
+    target.write_bytes(b"earlier output\n")
+    with pytest.raises(ValueError, match="not normalized"):
+        main([command, "--d", "3", "--out", str(target)])
+    assert target.read_bytes() == b"earlier output\n"
+    assert capsys.readouterr().out == ""
 
 
 # -- hop ----------------------------------------------------------------------

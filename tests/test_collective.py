@@ -221,10 +221,12 @@ def test_parse_word_rejects_bad_factors():
         ([("Xc", "x")], [("Z", "x")]),
         ([("X", 1)], [("Xc", 1)]),
         ([("Xc^2", 1)], [("X^2", 1)]),
+        ([("Xc Zc", 1)], [("X Z", 1)]),
+        ([("Xc", "1\n")], [("X", " 1")]),
     ],
 )
 def test_factor_lists_are_checked_like_text(word, single):
-    # a factor list goes through the text grammar, so every entry point
+    # each listed factor goes through the text grammar on its own, so every entry point
     # refuses a bad one instead of returning a wrong answer
     d, start = 5, (1, 2)
     state = point_state_minus(d, start)

@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+import mesphase.mes as me
 from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
+    _mes_amplitudes,
     _universal_amplitudes,
     build_relabeling,
     diagonalizer_for,
     mes_basis,
     mes_basis_to_json,
+    mes_stack,
     mes_state,
     universal_state,
 )
@@ -133,6 +136,54 @@ def test_universal_state_equals_kron_sum_bytes(d):
         expected = universal_oracle(d, b).tobytes()
         assert _universal_amplitudes(d, b).tobytes() == expected
         assert universal_state(d, b).amplitudes.tobytes() == expected
+
+
+def mes_sum_oracle(d, rows1, rows2, qs, ps):
+    """The d-step sum: at step m, every (q, p) element gets its term
+    w^(-m p) * kron(rows1[m], rows2[m - q]), the whole stack at once."""
+    pows = omega_powers(d)
+    total = np.zeros((len(qs), len(ps), d * d), dtype=np.complex128)
+    for m in range(d):
+        pair = (rows1[m][:, None] * rows2[(m - qs) % d][:, None, :]).reshape(-1, 1, d * d)
+        total += pows[(-m * ps) % d][:, None] * pair
+    return total / np.sqrt(d)
+
+
+def _label_pairs(d):
+    labels = BasisLabel.all_labels(d)
+    if d <= 5:
+        return [(b, b_prime) for b in labels for b_prime in labels]
+    return [(CB, CB), (BasisLabel(3), BasisLabel(5)), (CB, BasisLabel(d - 1)), (BasisLabel(1), CB)]
+
+
+# at d = 17, 19, 23, 29 and 31 the q blocks hold 6, 4, 2, 1 and 1 rows, so
+# the last block is partial at 17, 19 and 23; d <= 13 is one block
+@pytest.mark.parametrize("d", [3, 5, 17, 19, 23, 29, 31])
+def test_mes_sum_equals_d_step_loop_bytes(d):
+    qs = ps = np.arange(d)
+    for b, b_prime in _label_pairs(d):
+        rows1, rows2 = basis_rows(d, b)[1], basis_rows(d, b_prime)[1]
+        expected = mes_sum_oracle(d, rows1, rows2, qs, ps)
+        assert mes_stack(d, b, b_prime).tobytes() == expected.tobytes()
+        for q, p in ((0, 0), (d - 1, 1), (d // 2, d - 1)):
+            element = mes_state(d, b, b_prime, q, p).vector.amplitudes
+            assert element.tobytes() == expected[q, p].tobytes()
+    for b in BasisLabel.all_labels(d)[:: max(1, d // 4)]:
+        rows = basis_rows(d, b)[1]
+        zero = np.array([0])
+        expected = mes_sum_oracle(d, rows, rows.conj(), zero, zero)[0, 0]
+        assert _universal_amplitudes(d, b).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_mes_sum_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
+    rows1, rows2 = basis_rows(d, BasisLabel(2))[1], basis_rows(d, CB)[1]
+    qs = np.array([d - 1, 0, 3, 1, 2, 4][:d])
+    ps = np.arange(d)[::-1]
+    expected = mes_sum_oracle(d, rows1, rows2, qs, ps).tobytes()
+    for rows_per_block in range(1, d + 2):
+        monkeypatch.setattr(me, "_BLOCK_VALUES", rows_per_block * d**3)
+        assert _mes_amplitudes(d, rows1, rows2, qs, ps).tobytes() == expected
 
 
 def test_universal_state_passes_is_mes():

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from mesphase.cli import _format_floats, _json_float, _fmt, main
+from mesphase.cli import _GOLDEN, _distinct_codes, _format_floats, _json_float, _fmt, main
 from mesphase.mes import mes_basis_to_json
 from mesphase.schwinger import BasisLabel, family_to_json
 from mesphase.states import Ket
@@ -149,6 +149,55 @@ def test_format_floats_calls_fmt_once_per_bit_pattern():
 
     _format_floats(TRICKY, counting)
     assert len(calls) == len(set(TRICKY.reshape(-1).view(np.int64).tolist()))
+
+
+# -- distinct codes against np.unique ----------------------------------------------
+
+
+def crowded_keys(k):
+    """k distinct int64 keys that all hash to the last slot of their table,
+    so each insert and lookup probes a cluster that wraps round to slot 0."""
+    log2 = (2 * k - 1).bit_length()
+    rng = np.random.default_rng(k)
+    pool = rng.integers(-(2**63), 2**63 - 1, size=400 << log2, dtype=np.int64)
+    home = (pool.view(np.uint64) * _GOLDEN) >> np.uint64(64 - log2)
+    keys = np.unique(pool[home == (1 << log2) - 1])[:k]
+    assert keys.size == k
+    return keys
+
+
+def boundary_case(k):
+    """k distinct random keys, each repeated a few times in shuffled order;
+    the table holds 2^L slots for 2^(L-2) < k <= 2^(L-1)."""
+    rng = np.random.default_rng(1000 + k)
+    keys = np.unique(rng.integers(-(2**63), 2**63 - 1, size=2 * k, dtype=np.int64))[:k]
+    assert keys.size == k
+    return rng.permutation(np.repeat(keys, 3))
+
+
+RNG = np.random.default_rng(7)
+CODE_CASES = {
+    "tricky": TRICKY.reshape(-1).view(np.int64),
+    "empty": np.array([], dtype=np.int64),
+    "one value": np.full(1000, 0.5).view(np.int64),
+    "one key": np.array([np.nan]).view(np.int64),
+    "duplicated random bits": RNG.choice(RNG.integers(-(2**63), 2**63 - 1, size=40), 20_000),
+    "duplicated basis floats": RNG.choice(
+        np.exp(2j * np.pi * np.arange(23) / 23).view(np.float64) / np.sqrt(23), 50_000
+    ).view(np.int64),
+    "neighbouring bits": np.arange(-3000, 3000, dtype=np.int64).repeat(2),
+    **{f"{k} keys": boundary_case(k) for k in (2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097)},
+    **{f"{k} crowded keys": np.tile(crowded_keys(k), 2) for k in (2, 5, 8, 9)},
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_CASES))
+def test_distinct_codes_match_unique(name):
+    bits = CODE_CASES[name]
+    keys, codes = _distinct_codes(bits)
+    expected_keys, expected_codes = np.unique(bits, return_inverse=True)
+    assert keys.dtype == np.int64 and keys.tobytes() == expected_keys.tobytes()
+    assert np.array_equal(codes, expected_codes.reshape(-1))
 
 
 def test_ket_to_json_lists_are_python_floats():
