@@ -46,5 +46,9 @@ gen-mes --d 23 --b 3 --b-prime 5 --format csv
 gen-mes --d 29 --b cb --b-prime 7 --format csv
 gen-mub --d 23
 verify --d 23 --suite mes --format json
+gen-mub --d 9
+gen-mes --d 7 --b 9
+gen-mub --d 5 --format json
+gen-mes --d 5 --b 1 --b-prime 0 --out /nonexistent/dir/x.json
 COMMANDS
 exit $status

@@ -71,7 +71,6 @@ from .schwinger import (
     mub_family,
     mub_state,
     shift_x,
-    tilde,
 )
 from .states import (
     DEFAULT_TOL,
@@ -131,7 +130,6 @@ __all__ = [
     "mub_family",
     "mub_eigen_residual",
     "mub_eigen_check",
-    "tilde",
     # entangled bases
     "MesBasisElement",
     "RelabelingMap",

@@ -1,10 +1,11 @@
 """Command-line front end: generate basis families, verify them, hop the
 lattice, and tabulate line-state factorizations.
 
-Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error.  Report output is deterministic for a fixed invocation: rows come in
-a fixed order, floats are printed with 15 significant digits, and timing is
-only included on request.
+Exit codes: 0 success / all checks passed, 1 verification failure or a
+generated state that fails its unit-norm check (``error:`` on stderr, nothing
+written), 2 usage error.  Report output is deterministic for a fixed
+invocation: rows come in a fixed order, floats are printed with 15
+significant digits, and timing is only included on request.
 """
 
 from __future__ import annotations
@@ -147,15 +148,15 @@ def _re_im_rows(amps: np.ndarray) -> np.ndarray:
 
 
 def _ket_stub(k: int, dim: int) -> dict:
-    """Stands in for ``Ket(amps[k]).to_json()`` in a :func:`_json_with_kets`
-    skeleton."""
+    """Stands in for the ket object ``{"dim", "re", "im"}`` of amps[k] in a
+    :func:`_json_with_kets` skeleton."""
     return {"dim": dim, "re": [f"@{2 * k}"], "im": [f"@{2 * k + 1}"]}
 
 
 def _json_with_kets(skeleton: dict, amps: np.ndarray) -> list[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, where doc is
-    ``skeleton`` with every ``_ket_stub(k, n)`` replaced by
-    ``Ket(amps[k]).to_json()``."""
+    ``skeleton`` with every ``_ket_stub(k, n)`` replaced by the ket object
+    ``{"dim": n, "re": amps[k].real.tolist(), "im": amps[k].imag.tolist()}``."""
     n = amps.shape[1]
     lists = _format_floats(_re_im_rows(amps).reshape(-1, n), _json_float)
     # each stub list prints as one line holding only its quoted "@i", the
@@ -206,51 +207,54 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _gen_output(
+    args: argparse.Namespace, amps: np.ndarray, skeleton: dict, columns: list[str], labels: list
+) -> int:
+    """Emit the states ``amps`` of gen-mub/gen-mes: JSON of ``skeleton`` with
+    its ket stubs filled in, or CSV rows ``[*labels[k], *re, *im]`` under the
+    label ``columns``.  A state without unit norm is refused before anything
+    is written: ``error:`` on stderr, exit 1."""
+    try:
+        _check_unit_rows(amps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.format == "json":
+        _emit(_json_with_kets(skeleton, amps), args.out)
+    else:
+        n = amps.shape[1]
+        header = columns + [f"re{k}" for k in range(n)] + [f"im{k}" for k in range(n)]
+        _emit(_csv_with_kets(header, labels, amps), args.out)
+    return 0
+
+
 def _cmd_gen_mub(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
-    amps = mub_stack(d).reshape(-1, d)
-    _check_unit_rows(amps)
     labels = BasisLabel.all_labels(d)
-    if args.format == "json":
-        bases = [
-            {
-                "b": str(b),
-                "states": [{"m": m, "ket": _ket_stub(i * d + m, d)} for m in range(d)],
-            }
+    skeleton = {
+        "d": d,
+        "bases": [
+            {"b": str(b), "states": [{"m": m, "ket": _ket_stub(i * d + m, d)} for m in range(d)]}
             for i, b in enumerate(labels)
-        ]
-        _emit(_json_with_kets({"d": d, "bases": bases}, amps), args.out)
-    else:
-        header = ["b", "m"]
-        header += [f"re{k}" for k in range(d)] + [f"im{k}" for k in range(d)]
-        rows = [(b, m) for b in labels for m in range(d)]
-        _emit(_csv_with_kets(header, rows, amps), args.out)
-    return 0
+        ],
+    }
+    rows = [(b, m) for b in labels for m in range(d)]
+    return _gen_output(args, mub_stack(d).reshape(-1, d), skeleton, ["b", "m"], rows)
 
 
 def _cmd_gen_mes(args: argparse.Namespace) -> int:
     d = validate_dimension(args.d)
     b = BasisLabel.parse(args.b, d)
     b_prime = BasisLabel.parse(args.b_prime, d)
-    amps = mes_stack(d, b, b_prime)
-    _check_unit_rows(amps)
     grid = [divmod(k, d) for k in range(d * d)]
-    if args.format == "json":
-        skeleton = {
-            "d": d,
-            "b": str(b),
-            "b_prime": str(b_prime),
-            "states": [
-                {"q": q, "p": p, "ket": _ket_stub(k, d * d)} for k, (q, p) in enumerate(grid)
-            ],
-        }
-        _emit(_json_with_kets(skeleton, amps), args.out)
-    else:
-        header = ["b", "b_prime", "q", "p"]
-        header += [f"re{k}" for k in range(d * d)] + [f"im{k}" for k in range(d * d)]
-        rows = [(b, b_prime, q, p) for q, p in grid]
-        _emit(_csv_with_kets(header, rows, amps), args.out)
-    return 0
+    skeleton = {
+        "d": d,
+        "b": str(b),
+        "b_prime": str(b_prime),
+        "states": [{"q": q, "p": p, "ket": _ket_stub(k, d * d)} for k, (q, p) in enumerate(grid)],
+    }
+    rows = [(b, b_prime, q, p) for q, p in grid]
+    return _gen_output(args, mes_stack(d, b, b_prime), skeleton, ["b", "b_prime", "q", "p"], rows)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "universal_state",
     "build_relabeling",
     "diagonalizer_for",
-    "mes_basis_to_json",
 ]
 
 
@@ -171,9 +170,9 @@ def build_relabeling(
     return RelabelingMap(
         sources=tuple(sources),
         targets=tuple(targets_mod),
-        u=UnitaryOp(u),
-        z_bar=UnitaryOp(z_bar),
-        x_bar=UnitaryOp(x_bar),
+        u=UnitaryOp(u, tol),
+        z_bar=UnitaryOp(z_bar, tol),
+        x_bar=UnitaryOp(x_bar, tol),
     )
 
 
@@ -190,19 +189,4 @@ def diagonalizer_for(
     eigenvalues = np.asarray(spectrum, dtype=np.complex128)
     if eigenvalues.shape != (vecs.shape[0],):
         raise ValueError("spectrum length must match the number of source states")
-    return UnitaryOp((vecs.T * eigenvalues) @ vecs.conj())
-
-
-def mes_basis_to_json(
-    d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int | None"
-) -> dict:
-    """The annotated MES basis in serialized form."""
-    elements = mes_basis(d, b, b_prime)
-    return {
-        "d": d,
-        "b": str(elements[0].b),
-        "b_prime": str(elements[0].b_prime),
-        "states": [
-            {"q": e.q, "p": e.p, "ket": e.vector.to_json()} for e in elements
-        ],
-    }
+    return UnitaryOp((vecs.T * eigenvalues) @ vecs.conj(), tol)

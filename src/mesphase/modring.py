@@ -55,12 +55,6 @@ class Prime:
         if not is_prime(self.d):
             raise NotPrime(f"d={self.d} is not prime")
 
-    def residue(self, value: int) -> "ModInt":
-        return ModInt(value, self)
-
-    def __int__(self) -> int:
-        return self.d
-
 
 @dataclass(frozen=True)
 class ModInt:

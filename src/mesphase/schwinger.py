@@ -40,8 +40,6 @@ __all__ = [
     "mub_family",
     "mub_eigen_residual",
     "mub_eigen_check",
-    "tilde",
-    "family_to_json",
 ]
 
 
@@ -192,26 +190,3 @@ def mub_eigen_check(
     d: int, b: "BasisLabel | int", m: int, tol: float = DEFAULT_TOL
 ) -> bool:
     return mub_eigen_residual(d, b, m) < validate_tolerance(tol)
-
-
-def tilde(state: "MubState | Ket") -> Ket:
-    """Conjugate the computational-basis amplitudes.
-
-    An involution; computational-basis vectors are their own tilde states.
-    """
-    ket = state.vector if isinstance(state, MubState) else state
-    return ket.tilde()
-
-
-def family_to_json(d: int) -> dict:
-    """The full basis family, annotated with (b, m) labels."""
-    return {
-        "d": d,
-        "bases": [
-            {
-                "b": str(basis[0].b),
-                "states": [{"m": s.m, "ket": s.vector.to_json()} for s in basis],
-            }
-            for basis in mub_family(d)
-        ],
-    }

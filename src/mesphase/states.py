@@ -108,27 +108,9 @@ class Ket:
             raise DimMismatch(f"dims {self.dim} != {other.dim}")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def tensor(self, other: "Ket") -> "Ket":
-        return tensor(self, other)
-
     def tilde(self) -> "Ket":
         """The state whose computational-basis amplitudes are conjugated."""
         return Ket(np.conj(self.amplitudes))
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Ket":
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if len(re) != data["dim"] or len(im) != data["dim"]:
-            raise DimMismatch("amplitude list length does not match dim")
-        return cls(re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -153,24 +135,6 @@ class DensityOp:
             raise ValueError("density matrix is not positive semidefinite")
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_json(self) -> dict:
-        flat = self.matrix.reshape(-1)
-        return {
-            "dim": self.dim,
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DensityOp":
-        n = data["dim"]
-        flat = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(flat.reshape(n, n))
-
 
 @dataclass(frozen=True)
 class UnitaryOp:
@@ -189,23 +153,6 @@ class UnitaryOp:
         if not np.abs(mat.conj().T @ mat - np.eye(n)).max() <= self.tol:
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, ket: Ket) -> Ket:
-        if ket.dim != self.dim:
-            raise DimMismatch(f"dims {self.dim} != {ket.dim}")
-        return Ket(self.matrix @ ket.amplitudes)
-
-    def dagger(self) -> "UnitaryOp":
-        return UnitaryOp(self.matrix.conj().T, self.tol)
-
-    def __matmul__(self, other: "UnitaryOp") -> "UnitaryOp":
-        if other.dim != self.dim:
-            raise DimMismatch(f"dims {self.dim} != {other.dim}")
-        return UnitaryOp(self.matrix @ other.matrix, self.tol)
 
 
 def tensor(a: Ket, b: Ket) -> Ket:

@@ -65,7 +65,7 @@ def test_gen_mes_round_trip_reverifies(capsys):
     code, out, _ = run(capsys, "gen-mes", "--d", "3", "--b", "1", "--b-prime", "0")
     assert code == 0
     data = json.loads(out)
-    kets = [Ket.from_json(s["ket"]) for s in data["states"]]
+    kets = [Ket(np.array(s["ket"]["re"]) + 1j * np.array(s["ket"]["im"])) for s in data["states"]]
     vecs = np.array([k.amplitudes for k in kets])
     assert np.abs(vecs.conj() @ vecs.T - np.eye(9)).max() < 1e-10
     for k in kets:
@@ -224,10 +224,14 @@ def test_failed_generation_leaves_out_untouched(tmp_path, capsys, monkeypatch, c
     monkeypatch.setattr(cli, "mub_stack" if command == "gen-mub" else "mes_stack", nan_stack)
     target = tmp_path / "old.txt"
     target.write_bytes(b"earlier output\n")
-    with pytest.raises(ValueError, match="not normalized"):
-        main([command, "--d", "3", "--out", str(target)])
+    code, out, err = run(capsys, command, "--d", "3", "--out", str(target))
+    assert code == 1
+    assert err.startswith("error:") and "not normalized" in err
     assert target.read_bytes() == b"earlier output\n"
-    assert capsys.readouterr().out == ""
+    assert out == ""
+    # without --out nothing reaches stdout either
+    code, out, err = run(capsys, command, "--d", "3")
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 # -- hop ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import mesphase.mes as me
+from mesphase.cli import main
 from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
     _mes_amplitudes,
@@ -11,7 +13,6 @@ from mesphase.mes import (
     build_relabeling,
     diagonalizer_for,
     mes_basis,
-    mes_basis_to_json,
     mes_stack,
     mes_state,
     universal_state,
@@ -306,6 +307,7 @@ def diagonalizer_oracle(vecs, spectrum):
 @pytest.mark.parametrize("d", [3, 5, 7, 11])
 def test_relabeling_and_diagonalizer_match_outer_product_loops(d):
     rng = np.random.default_rng(d)
+    noise_rng = np.random.default_rng(100 + d)
     for vecs in mub_stack(d):
         targets = [int(t) for t in rng.permutation(d)]
         sources = [Ket(v) for v in vecs]
@@ -318,6 +320,20 @@ def test_relabeling_and_diagonalizer_match_outer_product_loops(d):
         spectrum = np.exp(2j * np.pi * rng.random(d))
         f = diagonalizer_for(sources, spectrum).matrix
         assert np.abs(f - diagonalizer_oracle(vecs, spectrum)).max() < 1e-14
+        # sources orthonormal only to about 1e-8: refused at the default tol,
+        # built at tol=1e-6, whose outputs are unitary to that tol too
+        noise = noise_rng.standard_normal((d, d, 2)) @ np.array([1e-8, 1e-8j])
+        noisy = (vecs + noise) / np.linalg.norm(vecs + noise, axis=1, keepdims=True)
+        loose = [Ket(v) for v in noisy]
+        with pytest.raises(NotOrthonormal):
+            build_relabeling(loose, targets)
+        rel = build_relabeling(loose, targets, tol=1e-6)
+        u, z_bar, x_bar = relabeling_oracle(noisy, targets)
+        assert np.array_equal(rel.u.matrix, u)
+        assert np.abs(rel.z_bar.matrix - z_bar).max() < 1e-14
+        assert np.abs(rel.x_bar.matrix - x_bar).max() < 1e-14
+        f = diagonalizer_for(loose, spectrum, tol=1e-6).matrix
+        assert np.abs(f - diagonalizer_oracle(noisy, spectrum)).max() < 1e-14
 
 
 def test_worked_relabeling_equals_outer_product_loops_exactly():
@@ -347,12 +363,14 @@ def test_out_of_range_integer_labels_rejected(bad):
     assert (element.q, element.p) == (d - 1, 3)
 
 
-def test_mes_basis_json():
-    data = mes_basis_to_json(3, CB, BasisLabel(1))
+def test_mes_basis_json(capsys):
+    assert main(["gen-mes", "--d", "3", "--b", "cb", "--b-prime", "1", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["b"] == "cb" and data["b_prime"] == "1"
     assert len(data["states"]) == 9
     qp = [(s["q"], s["p"]) for s in data["states"]]
     assert qp == [(q, p) for q in range(3) for p in range(3)]
+    assert all(len(s["ket"]["re"]) == len(s["ket"]["im"]) == s["ket"]["dim"] == 9 for s in data["states"])
 
 
 def test_mub_labels_carried_on_elements():

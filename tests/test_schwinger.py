@@ -1,14 +1,15 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from mesphase.cli import main
 from mesphase.errors import InvalidDimension, InvalidLabel
 from mesphase.schwinger import (
     CB,
     BasisLabel,
     clock_z,
-    family_to_json,
     mub_eigen_check,
     mub_eigen_residual,
     mub_basis,
@@ -16,7 +17,6 @@ from mesphase.schwinger import (
     mub_state,
     omega_powers,
     shift_x,
-    tilde,
     validate_dimension,
 )
 from mesphase.states import Ket
@@ -139,21 +139,23 @@ def test_tilde():
     d = 7
     # basis vectors are real: fixed points
     e3 = mub_state(d, CB, 3)
-    assert np.abs(tilde(e3).amplitudes - e3.vector.amplitudes).max() == 0.0
+    assert np.abs(e3.vector.tilde().amplitudes - e3.vector.amplitudes).max() == 0.0
     # general states: conjugated amplitudes, involution
     s = mub_state(d, 4, 2).vector
-    t = tilde(s)
+    t = s.tilde()
     assert np.abs(t.amplitudes - np.conj(s.amplitudes)).max() == 0.0
-    assert np.abs(tilde(t).amplitudes - s.amplitudes).max() == 0.0
+    assert np.abs(t.tilde().amplitudes - s.amplitudes).max() == 0.0
 
 
-def test_family_json_shape():
+def test_family_json_shape(capsys):
     d = 3
-    data = family_to_json(d)
+    assert main(["gen-mub", "--d", str(d), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["d"] == d
     assert len(data["bases"]) == d + 1
     assert data["bases"][0]["b"] == "cb"
     for basis in data["bases"]:
         assert len(basis["states"]) == d
         for state in basis["states"]:
-            assert len(state["ket"]["re"]) == d
+            ket = state["ket"]
+            assert ket["dim"] == len(ket["re"]) == len(ket["im"]) == d

@@ -1,8 +1,9 @@
 """The gen-mub / gen-mes writers against the per-float path they replaced.
 
 The oracle is the old serialization: ``json.dumps(..., indent=2)`` of the
-public ``family_to_json`` / ``mes_basis_to_json`` dicts, and ``csv.writer``
-rows of ``_fmt`` floats.  The CLI must print the same bytes.
+``family_to_json`` / ``mes_basis_to_json`` dicts below, built from the
+``Ket`` objects of ``mub_family`` / ``mes_basis`` one ket at a time, and
+``csv.writer`` rows of ``_fmt`` floats.  The CLI must print the same bytes.
 """
 
 import csv
@@ -13,9 +14,40 @@ import numpy as np
 import pytest
 
 from mesphase.cli import _GOLDEN, _distinct_codes, _format_floats, _json_float, _fmt, main
-from mesphase.mes import mes_basis_to_json
-from mesphase.schwinger import BasisLabel, family_to_json
+from mesphase.mes import mes_basis
+from mesphase.schwinger import BasisLabel, mub_family
 from mesphase.states import Ket
+
+
+def ket_json(ket):
+    """The gen-* ket object: dim and the real and imaginary amplitude lists."""
+    amps = ket.amplitudes
+    return {"dim": ket.dim, "re": amps.real.tolist(), "im": amps.imag.tolist()}
+
+
+def family_to_json(d):
+    """The full basis family, annotated with (b, m) labels."""
+    return {
+        "d": d,
+        "bases": [
+            {
+                "b": str(basis[0].b),
+                "states": [{"m": s.m, "ket": ket_json(s.vector)} for s in basis],
+            }
+            for basis in mub_family(d)
+        ],
+    }
+
+
+def mes_basis_to_json(d, b, b_prime):
+    """The annotated MES basis in serialized form."""
+    elements = mes_basis(d, b, b_prime)
+    return {
+        "d": d,
+        "b": str(elements[0].b),
+        "b_prime": str(elements[0].b_prime),
+        "states": [{"q": e.q, "p": e.p, "ket": ket_json(e.vector)} for e in elements],
+    }
 
 
 def cli_text(capsys, *argv):
@@ -202,7 +234,7 @@ def test_distinct_codes_match_unique(name):
 
 def test_ket_to_json_lists_are_python_floats():
     amps = np.exp(2j * np.pi * np.arange(7) / 7) / np.sqrt(7)
-    data = Ket(amps).to_json()
+    data = ket_json(Ket(amps))
     assert data["re"] == [float(x) for x in amps.real]
     assert data["im"] == [float(x) for x in amps.imag]
     assert all(type(x) is float for x in data["re"] + data["im"])

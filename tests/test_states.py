@@ -197,16 +197,6 @@ def test_phase_canonical():
     assert ok
 
 
-def test_json_round_trip():
-    k = random_ket(7)
-    back = Ket.from_json(k.to_json())
-    assert np.abs(back.amplitudes - k.amplitudes).max() < 1e-15
-
-    rho = partial_trace(random_ket(9), keep=2)
-    back_rho = DensityOp.from_json(rho.to_json())
-    assert np.abs(back_rho.matrix - rho.matrix).max() < 1e-15
-
-
 def test_density_op_validation():
     with pytest.raises(ValueError):
         DensityOp(np.array([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
