@@ -50,5 +50,8 @@ gen-mub --d 9
 gen-mes --d 7 --b 9
 gen-mub --d 5 --format json
 gen-mes --d 5 --b 1 --b-prime 0 --out /nonexistent/dir/x.json
+verify --d 7 --seed 12345 --format json
+verify --d 13 --suite collective --seed 99
+verify --d 13 --suite mes --seed 7 --format json
 COMMANDS
 exit $status

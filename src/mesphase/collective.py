@@ -279,13 +279,20 @@ def local_action(state: Ket, particle: int, word: "str | list[tuple[str, int]]")
     """Apply a single-particle word (generators X, Z) to one side of a pair by
     a gather on the rows (particle 1) or columns (particle 2) of the d x d
     amplitude matrix."""
-    d = _split_dim(state.dim)
+    return Ket(_local_action(state.amplitudes, particle, word))
+
+
+def _local_action(
+    amplitudes: np.ndarray, particle: int, word: "str | list[tuple[str, int]]"
+) -> np.ndarray:
+    """The amplitude array of :func:`local_action` for a flat pair array."""
+    d = _split_dim(len(amplitudes))
     src, exponents = _word_map(d, word, SINGLE_GENERATORS)
-    phases, amps = omega_powers(d)[exponents % d], state.amplitudes.reshape(d, d)
+    phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(d, d)
     if particle == 1:
-        return Ket((phases[:, None] * amps[src]).ravel())
+        return (phases[:, None] * amps[src]).ravel()
     if particle == 2:
-        return Ket((amps[:, src] * phases).ravel())
+        return (amps[:, src] * phases).ravel()
     raise ValueError("particle must be 1 or 2")
 
 
@@ -341,8 +348,14 @@ def hop_dense(
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
+    return _hop_dense(d, word_matrix(d, word), q, p)
+
+
+def _hop_dense(d: int, matrix: np.ndarray, q: int, p: int) -> tuple[HopResult, float]:
+    """:func:`hop_dense` of the lattice state (q, p), reduced mod d, under a
+    word already made dense by :func:`word_matrix`."""
     stack = point_basis(d, False)
-    applied = word_matrix(d, word) @ stack[q * d + p]
+    applied = matrix @ stack[q * d + p]
     k, exponent, fidelity = _overlap_match(stack, applied, d)
     return HopResult(PhasePoint(*divmod(k, d)), exponent), fidelity
 

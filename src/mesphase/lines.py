@@ -117,8 +117,16 @@ def _line_amplitudes(d: int, line: Line, realization: str = "standard") -> np.nd
     """The amplitude array of :func:`line_state`."""
     if realization not in ("standard", "alt"):
         raise ValueError("realization must be 'standard' or 'alt'")
-    rows = [pt.q * d + pt.p for pt in line_points(d, line)]
+    rows = _line_rows(d, line)
     return point_basis(d, realization == "alt")[rows].sum(axis=0) / np.sqrt(d)
+
+
+def _line_rows(d: int, line: Line) -> np.ndarray:
+    """Point-basis rows q*d + p of :func:`line_points`, in the same order:
+    m*d + j for a vertical line, j*d + (b*j - m) mod d for orientation b."""
+    validate_dimension(d)
+    m, b, j = line.m % d, _label_index(line.b, d), np.arange(d)
+    return m * d + j if b is None else j * d + (b * j - m) % d
 
 
 def _factorize(d: int, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,8 +134,12 @@ def _factorize(d: int, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     pair, each normalized and phase-canonical: the particle-1 factor (left
     singular vector) and the particle-2 factor (right singular vector)."""
     u, s, vh = np.linalg.svd(amplitudes.reshape(d, d))
-    left, right = (_phase_canonical(f / np.linalg.norm(f)) for f in (u[:, 0], vh[0]))
-    return s, left, right
+    return s, _canonical_factor(u[:, 0]), _canonical_factor(vh[0])
+
+
+def _canonical_factor(factor: np.ndarray) -> np.ndarray:
+    """A singular vector normalized and made phase-canonical."""
+    return _phase_canonical(factor / np.linalg.norm(factor))
 
 
 def _identify_label(
@@ -234,16 +246,22 @@ def _mub_stack_from_lines(d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     validate_dimension(d)
     validate_tolerance(tol)
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
-    for line in all_lines(d):
-        s, _, factor2 = _factorize(d, _line_amplitudes(d, line))
-        # not (s <= tol), so that a NaN singular value fails too
-        if not s[1] <= tol:
-            raise FactorizationFailed(
-                f"line b={line.b} m={line.m} has Schmidt rank > 1 "
-                f"(second singular value {s[1]:.3e})"
-            )
-        label, m = expected_factor2_label(d, line)
-        stack[0 if label.is_cb else label.index + 1, m] = factor2
+    lines = all_lines(d)
+    # one SVD call per pencil of d parallel lines: the stacked call factors
+    # each d x d matrix on its own, to the bits of a per-line _factorize
+    for start in range(0, len(lines), d):
+        pencil = lines[start:start + d]
+        amplitudes = np.stack([_line_amplitudes(d, line) for line in pencil])
+        _, s, vh = np.linalg.svd(amplitudes.reshape(d, d, d))
+        for line, values, row in zip(pencil, s, vh[:, 0]):
+            # not (s <= tol), so that a NaN singular value fails too
+            if not values[1] <= tol:
+                raise FactorizationFailed(
+                    f"line b={line.b} m={line.m} has Schmidt rank > 1 "
+                    f"(second singular value {values[1]:.3e})"
+                )
+            label, m = expected_factor2_label(d, line)
+            stack[0 if label.is_cb else label.index + 1, m] = _canonical_factor(row)
     return stack
 
 

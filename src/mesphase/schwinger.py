@@ -125,8 +125,15 @@ def clock_z(d: int) -> UnitaryOp:
 
 def shift_x(d: int) -> UnitaryOp:
     """Cyclic shift |n> -> |n+1>, with |d-1> wrapping to |0>."""
-    validate_dimension(d)
-    return UnitaryOp(np.roll(np.eye(d), 1, axis=0))
+    return UnitaryOp(_shift_matrix(validate_dimension(d)))
+
+
+@lru_cache(maxsize=None)
+def _shift_matrix(d: int) -> np.ndarray:
+    """Read-only matrix of :func:`shift_x` for a validated d."""
+    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
+    shift.setflags(write=False)
+    return shift
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +189,7 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     state = rows[m % d]
     pows = omega_powers(d)
     z2b = np.diag(pows[[(2 * idx * n) % d for n in range(d)]])
-    applied = pows[idx] * (shift_x(d).matrix @ (z2b @ state))
+    applied = pows[idx] * (_shift_matrix(d) @ (z2b @ state))
     return float(np.abs(applied - pows[m % d] * state).max())
 
 

@@ -3,8 +3,10 @@ property, one report row per check.
 
 Every check is a ``(name, params, errors)`` entry whose ``errors()`` yields
 or returns its error values; :func:`_rows` turns the entries of one suite into
-report rows.  A row passes iff its worst error is below the configured
-tolerance, so the command-line exit code reduces to "all rows pass".  All
+report rows, calling each ``errors`` once, or once per shared object (such
+as an MES basis) that it is handed.  A row passes iff its worst error is
+below the configured tolerance, so the command-line exit code reduces to
+"all rows pass".  All
 randomized rows draw from a seeded generator; identical invocations produce
 identical reports.
 """
@@ -28,6 +30,7 @@ from .states import (
     DEFAULT_TOL,
     Ket,
     _gram_deviation,
+    _identity_deviation,
     _reduced_deviation,
     _worst,
     is_mes,
@@ -63,23 +66,42 @@ def _projections(rhos: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return rhos.reshape(n, d * d) @ outer.T
 
 
-def _rows(d: int, tol: float, entries) -> list[VerificationReport]:
-    """Run each ``(check, params, errors)`` entry in order, one row each.
+def _rows(d: int, tol: float, entries, items=((),)) -> list[VerificationReport]:
+    """One row per ``(check, params, errors)`` entry.
 
-    The row's error is the NaN-safe worst of the values ``errors()`` yields,
-    floored at 0; a factorization that fails or does not converge reports
-    inf.  ``runtime_ms`` times ``errors()`` only, not the suite's setup.
+    For each item of ``items`` in turn, every entry's ``errors(*item)`` runs
+    in entry order; by default that is one call of ``errors()``.  The row's
+    error is the NaN-safe worst of all the values its calls yield, floored at
+    0; a factorization that fails or does not converge reports inf.
+    ``runtime_ms`` is the summed time of those calls only: building the
+    items, like the rest of a suite's setup, falls outside every row.
     """
-    rows = []
-    for check, params, errors in entries:
-        start = time.perf_counter()
-        try:
-            err = float(_worst(0.0, *errors()))
-        except (np.linalg.LinAlgError, FactorizationFailed):
-            err = math.inf
-        ms = (time.perf_counter() - start) * 1000.0
-        rows.append(VerificationReport(check, d, params, err, err < tol, ms))
-    return rows
+    worst, ms = [0.0] * len(entries), [0.0] * len(entries)
+    for item in items:
+        for i, (_, _, errors) in enumerate(entries):
+            start = time.perf_counter()
+            try:
+                worst[i] = _worst(worst[i], *errors(*item))
+            except (np.linalg.LinAlgError, FactorizationFailed):
+                worst[i] = math.inf
+            ms[i] += (time.perf_counter() - start) * 1000.0
+        del item  # so the next item is built with this one gone
+    return [
+        VerificationReport(check, d, params, err, err < tol, t)
+        for (check, params, _), err, t in zip(entries, map(float, worst), ms)
+    ]
+
+
+def _random_word(rng: np.random.Generator, generators, low: int, high: int, lengths):
+    """A word of ``rng.integers(*lengths)`` factors, each a generator drawn
+    uniformly from ``generators`` and then a power from [low, high).
+
+    ``generators[rng.integers(0, n)]`` draws what ``rng.choice(generators)``
+    does, from the same stream, without its array conversion."""
+    return [
+        (generators[int(rng.integers(0, len(generators)))], int(rng.integers(low, high)))
+        for _ in range(rng.integers(*lengths))
+    ]
 
 
 # -- basis-family suite -------------------------------------------------------
@@ -136,14 +158,41 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
 
 
 def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
-    stacks = [me.mes_stack(d, label, label) for label in BasisLabel.all_labels(d)]
+    """The per-basis rows stream the d+1 bases u(q, p) of (b, b): each
+    (d^2, d^2) stack and its reduced operators are built once, outside the
+    rows, and dropped before the next basis is built."""
+    # drawn before the first basis, where the random_projection row used to
+    # draw them, so the rng stream of the later rows does not move
+    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
 
-    def random_projection():
-        alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
-        alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
-        for v in stacks:
-            for rhos in reduced_operators(v.reshape(-1, d, d)):
-                yield np.abs(_projections(rhos, alphas) - 1 / d).max()
+    def basis(label):
+        v = me.mes_stack(d, label, label)
+        return v, reduced_operators(v.reshape(-1, d, d))
+
+    per_basis = [
+        ("mes.gram", "b'=b, all b", lambda v, rhos: [_gram_deviation(v)]),
+        ("mes.reduced", "identity/d both particles", lambda v, rhos: [_identity_deviation(rhos)]),
+        (
+            "mes.schmidt",
+            "all coefficients 1/sqrt(d)",
+            # singular values only: an SVD of each d x d amplitude block,
+            # independent of the reduced operators that mes.reduced checks
+            lambda v, rhos: [
+                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
+            ],
+        ),
+        (
+            "mes.completeness",
+            "sum of projectors",
+            lambda v, rhos: [np.abs(v.T @ v.conj() - np.eye(d * d)).max()],
+        ),
+        (
+            "mes.random_projection",
+            "200 states",
+            lambda v, rhos: (np.abs(_projections(rho, alphas) - 1 / d).max() for rho in rhos),
+        ),
+    ]
 
     def negative_controls():
         accepted = 0
@@ -157,30 +206,13 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         return (1.0 - abs(np.vdot(a, b)) for a, b in combinations(states, 2))
 
     entries = [
-        ("mes.gram", "b'=b, all b", lambda: map(_gram_deviation, stacks)),
-        ("mes.reduced", "identity/d both particles", lambda: map(_reduced_deviation, stacks)),
-        (
-            "mes.schmidt",
-            "all coefficients 1/sqrt(d)",
-            # singular values only: an SVD of each d x d amplitude block,
-            # independent of the reduced operators that mes.reduced checks
-            lambda: (
-                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
-                for v in stacks
-            ),
-        ),
-        (
-            "mes.completeness",
-            "sum of projectors",
-            lambda: (np.abs(v.T @ v.conj() - np.eye(d * d)).max() for v in stacks),
-        ),
-        ("mes.random_projection", "200 states", random_projection),
         ("mes.negative_controls", "20 random states", negative_controls),
         ("mes.universal", "all d+1 bases", universal),
     ]
     if d == 3:
         entries.append(("mes.relabeling", "worked 3-level example", _relabeling_errors))
-    return _rows(d, tol, entries)
+    bases = map(basis, BasisLabel.all_labels(d))
+    return _rows(d, tol, per_basis, bases) + _rows(d, tol, entries)
 
 
 def _relabeling_errors():
@@ -228,6 +260,7 @@ def suite_collective(
     nc, nr = co._collective_index(d)
     plus = co.point_basis(d, True)
     minus = co.point_basis(d, False)
+    cb_elements = me.mes_stack(d, CB, CB)
 
     def index_maps():
         for n1 in range(d):
@@ -275,10 +308,9 @@ def suite_collective(
             yield flag([(s, 1)] * d, *co._word_map(d, []))
 
     def cb_mes_factorization():
-        elements = me.mes_stack(d, CB, CB)
         for q in range(d):
             for p in range(d):
-                overlap = np.vdot(plus[q * d + p], elements[(2 * q) % d * d + p])
+                overlap = np.vdot(plus[q * d + p], cb_elements[(2 * q) % d * d + p])
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
@@ -304,16 +336,15 @@ def suite_collective(
         )
 
     def local_action_random():
-        elements = me.mes_stack(d, CB, CB)
         for _ in range(50):
-            word = [
-                (str(rng.choice(["X", "Z"])), int(rng.integers(-d, d + 1)))
-                for _ in range(rng.integers(1, 4))
-            ]
-            state = Ket(elements[rng.integers(0, d * d)])
-            yield mes_deviation(co.local_action(state, int(rng.integers(1, 3)), word))
+            word = _random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
+            state = cb_elements[rng.integers(0, d * d)]
+            # the array core, so a non-finite state fails the row with inf
+            yield _reduced_deviation(co._local_action(state, int(rng.integers(1, 3)), word))
 
     def hop_example():
+        # one dense matrix serves all d^2 points
+        matrix = co.word_matrix(d, "Xc^2 Xr^6")
         for q in range(d):
             for p in range(d):
                 sym = co.hop(d, (q, p), "Xc^2 Xr^6")
@@ -321,17 +352,14 @@ def suite_collective(
                     sym.point == co.PhasePoint((q + 2) % d, p)
                     and sym.phase_exponent == (6 * p) % d
                 )
-                dense, fid = co.hop_dense(d, (q, p), "Xc^2 Xr^6")
+                dense, fid = co._hop_dense(d, matrix, q, p)
                 yield 0.0 if expected else 1.0
                 yield 0.0 if dense == sym else 1.0
                 yield 1.0 - fid
 
     def hop_random():
         for _ in range(100):
-            word = [
-                (str(rng.choice(co.COLLECTIVE_GENERATORS)), int(rng.integers(-9, 10)))
-                for _ in range(rng.integers(0, 5))
-            ]
+            word = _random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))
             q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
             sym = co.hop(d, (q, p), word)
             dense, fid = co.hop_dense(d, (q, p), word)

@@ -3,6 +3,7 @@ import pytest
 
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
+    _hop_dense,
     HopResult,
     PhasePoint,
     collective_ops,
@@ -22,7 +23,7 @@ from mesphase.collective import (
 from mesphase.errors import InvalidDimension, WordParseError
 from mesphase.mes import mes_basis, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
-from mesphase.states import Ket, is_mes, partial_trace, tensor
+from mesphase.states import Ket, _overlap_match, is_mes, partial_trace, tensor
 
 rng = np.random.default_rng(42)
 
@@ -359,6 +360,30 @@ def test_hop_random_words_match_dense_action(d):
         dense, fidelity = hop_dense(d, (q, p), word)
         assert abs(fidelity - 1) < 1e-10
         assert dense == sym
+
+
+def hop_dense_oracle(d, point, word):
+    """``hop_dense`` as one call per point: a fresh dense word matrix applied
+    to the public lattice state, matched against the minus point states."""
+    stack = np.array([point_state_minus(d, (q, p)).amplitudes for q in range(d) for p in range(d)])
+    applied = word_matrix(d, word) @ point_state_minus(d, point).amplitudes
+    k, exponent, fidelity = _overlap_match(stack, applied, d)
+    return HopResult(PhasePoint(*divmod(k, d)), exponent), fidelity
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
+    for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", ""):
+        matrix = word_matrix(d, word)
+        for q in range(d):
+            for p in range(d):
+                point, fidelity = _hop_dense(d, matrix, q, p)
+                for expected, expected_fidelity in (
+                    hop_dense(d, (q, p), word),
+                    hop_dense_oracle(d, (q, p), word),
+                ):
+                    assert point == expected
+                    assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
 
 
 def test_hop_trajectory_steps():

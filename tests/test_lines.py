@@ -10,6 +10,8 @@ from mesphase.lines import (
     _factorize,
     _identify_label,
     _line_amplitudes,
+    _line_rows,
+    _mub_stack_from_lines,
     all_lines,
     expected_factor2_label,
     line_factor_table,
@@ -122,6 +124,29 @@ def test_line_state_equals_row_by_row_sum_bytes(d):
             expected = row_sum_oracle(d, line, realization).tobytes()
             assert _line_amplitudes(d, line, realization).tobytes() == expected
             assert line_state(d, line, realization).vector.amplitudes.tobytes() == expected
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_closed_form_line_rows_equal_line_points(d):
+    for line in all_lines(d) + [Line(BasisLabel(2), -1), Line(CB, d + 3)]:
+        expected = [pt.q * d + pt.p for pt in line_points(d, line)]
+        assert _line_rows(d, line).tolist() == expected
+
+
+def mub_stack_from_lines_oracle(d):
+    """``_mub_stack_from_lines`` with one ``_factorize`` (one SVD) per line."""
+    stack = np.zeros((d + 1, d, d), dtype=np.complex128)
+    for line in all_lines(d):
+        s, _, factor2 = _factorize(d, _line_amplitudes(d, line))
+        assert s[1] <= 1e-10
+        label, m = expected_factor2_label(d, line)
+        stack[0 if label.is_cb else label.index + 1, m] = factor2
+    return stack
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
+    assert _mub_stack_from_lines(d).tobytes() == mub_stack_from_lines_oracle(d).tobytes()
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)

@@ -53,6 +53,15 @@ def test_invalid_dimensions_rejected():
             validate_dimension(bad)
 
 
+def test_shift_and_eigenrelation_refuse_a_float_dimension_once_cached():
+    # 7.0 == 7, so a cache keyed by d must not let it through
+    assert mub_eigen_residual(7, 1, 0) < 1e-12
+    assert shift_x(7).matrix.dtype == np.complex128
+    for call in (lambda: shift_x(7.0), lambda: mub_eigen_residual(7.0, 1, 0)):
+        with pytest.raises(InvalidDimension):
+            call()
+
+
 def test_label_parse_and_count():
     labels = BasisLabel.all_labels(5)
     assert len(labels) == 6

@@ -1,11 +1,13 @@
 import inspect
 import math
+import time
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from mesphase import cli, collective as co, lines as li, schwinger as sw, states, verify
-from mesphase.errors import InvalidDimension, InvalidTolerance
+from mesphase import cli, collective as co, lines as li, mes as me, schwinger as sw, states, verify
+from mesphase.errors import FactorizationFailed, InvalidDimension, InvalidTolerance
 from mesphase.verify import _worst, run_suites
 
 
@@ -133,6 +135,177 @@ def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch)
     assert all(
         row.max_error == math.inf for row in mub_rows.values() if not row.passed
     )
+
+
+def test_nan_in_the_cb_mes_stack_fails_the_collective_rows_closed(monkeypatch):
+    mes_stack = me.mes_stack
+
+    def poisoned(d, b, b_prime):
+        stack = mes_stack(d, b, b_prime).copy()
+        stack[:, 0] = np.nan
+        return stack
+
+    monkeypatch.setattr(me, "mes_stack", poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = {row.check: row for row in run_suites([5], "collective")}
+    failing = {check for check, row in rows.items() if not row.passed}
+    assert failing == {"collective.cb_mes_factorization", "collective.local_action_random"}
+    assert all(rows[check].max_error == math.inf for check in failing)
+
+
+# -- the streamed MES suite against the whole-list one ---------------------------
+
+
+def rows_oracle(d, tol, entries):
+    """Each (check, params, errors) entry run once, in order, one row each."""
+    rows = []
+    for check, params, errors in entries:
+        start = time.perf_counter()
+        try:
+            err = float(_worst(0.0, *errors()))
+        except (np.linalg.LinAlgError, FactorizationFailed):
+            err = math.inf
+        ms = (time.perf_counter() - start) * 1000.0
+        rows.append(verify.VerificationReport(check, d, params, err, err < tol, ms))
+    return rows
+
+
+def suite_mes_oracle(d, tol, rng):
+    """The MES suite with all d+1 basis stacks held at once, each row a pass
+    over the whole list, the reduced operators taken once per row."""
+    stacks = [me.mes_stack(d, label, label) for label in sw.BasisLabel.all_labels(d)]
+
+    def random_projection():
+        alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+        alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+        for v in stacks:
+            for rhos in states.reduced_operators(v.reshape(-1, d, d)):
+                yield np.abs(verify._projections(rhos, alphas) - 1 / d).max()
+
+    def negative_controls():
+        accepted = 0
+        for _ in range(20):
+            vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+            accepted += states.is_mes(states.Ket.normalized(vec), tol)
+        return [accepted / 20.0]
+
+    def universal():
+        kets = [me._universal_amplitudes(d, label) for label in sw.BasisLabel.all_labels(d)]
+        return (1.0 - abs(np.vdot(a, b)) for a, b in combinations(kets, 2))
+
+    entries = [
+        ("mes.gram", "b'=b, all b", lambda: map(states._gram_deviation, stacks)),
+        (
+            "mes.reduced",
+            "identity/d both particles",
+            lambda: map(states._reduced_deviation, stacks),
+        ),
+        (
+            "mes.schmidt",
+            "all coefficients 1/sqrt(d)",
+            lambda: (
+                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
+                for v in stacks
+            ),
+        ),
+        (
+            "mes.completeness",
+            "sum of projectors",
+            lambda: (np.abs(v.T @ v.conj() - np.eye(d * d)).max() for v in stacks),
+        ),
+        ("mes.random_projection", "200 states", random_projection),
+        ("mes.negative_controls", "20 random states", negative_controls),
+        ("mes.universal", "all d+1 bases", universal),
+    ]
+    if d == 3:
+        entries.append(("mes.relabeling", "worked 3-level example", verify._relabeling_errors))
+    return rows_oracle(d, tol, entries)
+
+
+def _compared(rows):
+    return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_streamed_mes_suite_equals_whole_list_oracle(d, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = verify.suite_mes(d, states.DEFAULT_TOL, rng)
+    assert _compared(rows) == _compared(suite_mes_oracle(d, states.DEFAULT_TOL, oracle_rng))
+    # the rows after the MES suite draw from the same stream
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert all(row.runtime_ms >= 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(0), sw.BasisLabel(4)])
+def test_nan_in_one_streamed_basis_fails_the_rows_the_oracle_fails(monkeypatch, label):
+    mes_stack = me.mes_stack
+
+    def poisoned(d, b, b_prime):
+        stack = mes_stack(d, b, b_prime)
+        if b != label:
+            return stack
+        stack = stack.copy()
+        stack[7, 3] = np.nan
+        return stack
+
+    monkeypatch.setattr(me, "mes_stack", poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = verify.suite_mes(5, states.DEFAULT_TOL, np.random.default_rng(0))
+        expected = suite_mes_oracle(5, states.DEFAULT_TOL, np.random.default_rng(0))
+    assert _compared(rows) == _compared(expected)
+    failing = {row.check for row in rows if not row.passed}
+    assert failing == {
+        "mes.gram",
+        "mes.reduced",
+        "mes.schmidt",
+        "mes.completeness",
+        "mes.random_projection",
+    }
+    assert all(row.max_error == math.inf for row in rows if not row.passed)
+
+
+def test_rows_sum_time_and_keep_the_worst_error_over_items(monkeypatch):
+    ticks = iter([0.0, 0.001, 0.010, 0.013, 0.020, 0.027, 0.030, 0.032])
+
+    def errors_of(values):
+        return lambda item: [values[item]]
+
+    entries = [("a", "", errors_of([0.5, math.nan])), ("b", "", errors_of([0.25, 0.125]))]
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+    rows = verify._rows(3, 1.0 - 1e-9, entries, ([0], [1]))
+    monkeypatch.undo()
+    assert [(r.check, r.max_error, r.passed) for r in rows] == [
+        ("a", math.inf, False),
+        ("b", 0.25, True),
+    ]
+    assert rows[0].runtime_ms == pytest.approx(1.0 + 7.0)
+    assert rows[1].runtime_ms == pytest.approx(3.0 + 2.0)
+
+
+# -- random words ---------------------------------------------------------------------
+
+
+def _choice_word(rng, generators, low, high, lengths):
+    """The word the collective rows drew with ``rng.choice``."""
+    return [
+        (str(rng.choice(list(generators))), int(rng.integers(low, high)))
+        for _ in range(rng.integers(*lengths))
+    ]
+
+
+@pytest.mark.parametrize(
+    "generators, low, high, lengths",
+    [(co.SINGLE_GENERATORS, -7, 8, (1, 4)), (co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))],
+)
+def test_integer_draws_give_the_choice_words(generators, low, high, lengths):
+    for seed in range(200):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(30):
+            word = verify._random_word(rng, generators, low, high, lengths)
+            assert word == _choice_word(oracle, generators, low, high, lengths)
+            assert all(type(name) is str for name, _ in word)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 def _shift_one_zc_exponent(maps):
