@@ -53,5 +53,9 @@ gen-mes --d 5 --b 1 --b-prime 0 --out /nonexistent/dir/x.json
 verify --d 7 --seed 12345 --format json
 verify --d 13 --suite collective --seed 99
 verify --d 13 --suite mes --seed 7 --format json
+lines --d 31 --format csv
+lines --d 7 --alt-realization --format csv
+verify --d 29 --d 31 --suite lines --format json
+verify --d 31 --suite mub
 COMMANDS
 exit $status

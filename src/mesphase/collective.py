@@ -134,12 +134,14 @@ SINGLE_GENERATORS = ("X", "Z")
 
 @lru_cache(maxsize=None)
 def _generator_maps(d: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read-only (src, e) maps of every generator, (G v)[i] = w^e[i] v[src[i]]:
-    Xc, Zc, Xr, Zr over the particle-flat index n1*d + n2, X and Z over n."""
+    """Read-only (src, e) power tables of every generator: Xc, Zc, Xr, Zr
+    over the particle-flat index n1*d + n2, X and Z over n.  Row k of a
+    generator's two (d, n) tables is the exact map of G^k,
+    (G^k v)[i] = w^e[k, i] v[src[k, i]]; row 1 is G itself."""
     nc, nr = _collective_index(d)
     flat, n = np.arange(d * d), np.arange(d)
     n1, n2 = np.divmod(flat, d)
-    maps = {
+    generators = {
         "Xc": ((n1 - 1) % d * d + (n2 - 1) % d, np.zeros_like(flat)),
         "Zc": (flat, nc),
         "Xr": ((n1 - 1) % d * d + (n2 + 1) % d, np.zeros_like(flat)),
@@ -147,10 +149,22 @@ def _generator_maps(d: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         "X": ((n - 1) % d, np.zeros_like(n)),
         "Z": (n, n),
     }
-    for arrays in maps.values():
-        for arr in arrays:
-            arr.setflags(write=False)
-    return maps
+    return {name: _power_tables(d, *generator) for name, generator in generators.items()}
+
+
+def _power_tables(d: int, g_src: np.ndarray, g_exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (d, n) tables of the maps of G^0..G^(d-1) for a generator
+    map G = (g_src, g_exp): row k is one more step of G than row k - 1, with
+    the exponents left unreduced."""
+    src = np.empty((d, len(g_src)), dtype=g_src.dtype)
+    exponents = np.empty_like(src)
+    src[0], exponents[0] = np.arange(len(g_src)), 0
+    for k in range(1, d):
+        exponents[k] = exponents[k - 1] + g_exp[src[k - 1]]
+        src[k] = g_src[src[k - 1]]
+    src.setflags(write=False)
+    exponents.setflags(write=False)
+    return src, exponents
 
 
 def _dense(d: int, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -178,7 +192,7 @@ class CollectiveOps:
 def collective_ops(d: int) -> CollectiveOps:
     maps = _generator_maps(d)
     return CollectiveOps(
-        *(UnitaryOp(_dense(d, *maps[name])) for name in COLLECTIVE_GENERATORS)
+        *(UnitaryOp(_dense(d, *(table[1] for table in maps[name]))) for name in COLLECTIVE_GENERATORS)
     )
 
 
@@ -256,14 +270,12 @@ def _word_map(
     unreduced integer exponents; the rightmost factor acts first."""
     factors = _factors(word, generators)
     maps = _generator_maps(d)
-    base = {name: maps[name] for name in generators}
     src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
     exponents = np.zeros_like(src)
     for name, power in factors:
-        g_src, g_exp = base[name]
-        for _ in range(power % d):
-            exponents += g_exp[src]
-            src = g_src[src]
+        p_src, p_exp = maps[name]
+        exponents += p_exp[power % d][src]
+        src = p_src[power % d][src]
     return src, exponents
 
 

@@ -25,13 +25,16 @@ d+1 unbiased-basis family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .collective import PhasePoint, point_basis
 from .errors import FactorizationFailed
-from .modring import ModInt, Prime
+from .mes import _BLOCK_VALUES
 from .schwinger import (
     CB,
     BasisLabel,
@@ -45,7 +48,6 @@ from .states import (
     DEFAULT_TOL,
     Ket,
     _omega_exponent,
-    _overlap_match,
     _phase_canonical,
     _worst,
     validate_tolerance,
@@ -115,47 +117,69 @@ def line_state(d: int, line: Line, realization: str = "standard") -> LineState:
 
 def _line_amplitudes(d: int, line: Line, realization: str = "standard") -> np.ndarray:
     """The amplitude array of :func:`line_state`."""
+    basis = _summed_basis(d, realization)
+    return _line_sums(basis, _line_tables(d)[0][_line_index(d, [line])])[0]
+
+
+def _summed_basis(d: int, realization: str) -> np.ndarray:
+    """The point basis whose rows a realization's line states sum."""
     if realization not in ("standard", "alt"):
         raise ValueError("realization must be 'standard' or 'alt'")
-    rows = _line_rows(d, line)
-    return point_basis(d, realization == "alt")[rows].sum(axis=0) / np.sqrt(d)
+    return point_basis(d, realization == "alt")
 
 
-def _line_rows(d: int, line: Line) -> np.ndarray:
-    """Point-basis rows q*d + p of :func:`line_points`, in the same order:
-    m*d + j for a vertical line, j*d + (b*j - m) mod d for orientation b."""
+def _line_index(d: int, lines: list[Line]) -> np.ndarray:
+    """Each line's position in :func:`all_lines`: (b + 1)*d + (m mod d) for
+    orientation b, m mod d for a vertical line."""
     validate_dimension(d)
-    m, b, j = line.m % d, _label_index(line.b, d), np.arange(d)
-    return m * d + j if b is None else j * d + (b * j - m) % d
+    return np.array(
+        [(0 if (b := _label_index(line.b, d)) is None else b + 1) * d + line.m % d for line in lines]
+    )
 
 
-def _factorize(d: int, amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular values of the d x d amplitude matrix and its leading factor
-    pair, each normalized and phase-canonical: the particle-1 factor (left
-    singular vector) and the particle-2 factor (right singular vector)."""
-    u, s, vh = np.linalg.svd(amplitudes.reshape(d, d))
-    return s, _canonical_factor(u[:, 0]), _canonical_factor(vh[0])
+@lru_cache(maxsize=None)
+def _line_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables over the lines of :func:`all_lines`, in its order.
+
+    The (d(d+1), d) point-basis rows q*d + p of :func:`line_points`: m*d + j
+    for a vertical line, j*d + (b*j - m) mod d for orientation b.  And each
+    line's predicted particle-2 label as its row k = basis*d + m of the flat
+    MUB stack: (cb, m) for a vertical line, else (b/4, m/2) mod d, by the
+    inverses of 4 and 2.
+    """
+    validate_dimension(d)
+    b, m = np.divmod(np.arange(d * (d + 1)), d)
+    b, m, j = b[:, None] - 1, m[:, None], np.arange(d)
+    rows = np.where(b < 0, m * d + j, j * d + (b * j - m) % d)
+    oriented = (b * pow(4, -1, d) % d + 1) * d + m * ((d + 1) // 2) % d
+    labels = np.where(b < 0, m, oriented).ravel()
+    rows.setflags(write=False)
+    labels.setflags(write=False)
+    return rows, labels
+
+
+def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The line states of an (n, d) array of rows of ``basis``, shape
+    (n, d*d): each the sum of its d rows, in order, over sqrt(d).
+
+    The rows are gathered a few lines at a time, so that each (lines, d, d*d)
+    block holds at most ``mes._BLOCK_VALUES`` values (512 KB): all of
+    :func:`all_lines` at once up to d=7, one line at a time from d=29.  From
+    d=17 on this is faster than a pencil per block or all lines at once
+    (timings in README)."""
+    d = rows.shape[1]
+    step = max(1, _BLOCK_VALUES // (d * basis.shape[1]))
+    sums = np.empty((len(rows), basis.shape[1]), dtype=basis.dtype)
+    for start in range(0, len(rows), step):
+        # take gathers faster than basis[rows] and gives the same array
+        basis.take(rows[start:start + step], axis=0).sum(axis=1, out=sums[start:start + step])
+    sums /= np.sqrt(d)
+    return sums
 
 
 def _canonical_factor(factor: np.ndarray) -> np.ndarray:
     """A singular vector normalized and made phase-canonical."""
     return _phase_canonical(factor / np.linalg.norm(factor))
-
-
-def _identify_label(
-    d: int, factor: np.ndarray, conjugate: bool
-) -> tuple[BasisLabel, int, float]:
-    """Best-matching (basis, index) for a single-particle factor array, by
-    :func:`mesphase.states._overlap_match` against the cached MUB stack.
-    With ``conjugate=True`` the search runs over the tilde partners of the
-    family instead.  A non-finite factor matches nothing: (cb, 0) with
-    fidelity 0.
-    """
-    stack = mub_stack(d).reshape(-1, d)
-    # |<conj(s)|f>| = |<s|conj(f)>|
-    k, _, fid = _overlap_match(stack, factor.conj() if conjugate else factor, d)
-    b, m = divmod(k, d)
-    return (CB if b == 0 else BasisLabel(b - 1)), m, fid
 
 
 @dataclass(frozen=True)
@@ -177,6 +201,92 @@ class LineFactorReport:
     max_error: float
 
 
+class _FactoredLines(NamedTuple):
+    """What :func:`_factor_lines` measures, one entry per line: the line
+    state, its second singular value, NaN for a line kept out of the SVD, and
+    its normalized, phase-canonical leading factor pair, zero for such a
+    line: particle 1 (left singular vector) and particle 2 (right)."""
+
+    amplitudes: np.ndarray
+    second: list[float]
+    factor1: np.ndarray
+    factor2: np.ndarray
+
+
+def _factor_lines(d: int, lines: list[Line], realization: str = "standard") -> _FactoredLines:
+    """Factor the line states in stacked passes: one gather and sum of the
+    point basis for all lines, then one ``np.linalg.svd`` call per block of
+    d lines (a pencil, for :func:`all_lines`).
+
+    A stacked SVD raises for the whole stack on one non-finite matrix, so a
+    non-finite line state is kept out: it is factored as the zero matrix and
+    its results are dropped.  The norm of each singular vector stays per
+    line, since a batched norm moves its last bit.
+    """
+    basis = _summed_basis(d, realization)
+    amplitudes = _line_sums(basis, _line_tables(d)[0][_line_index(d, lines)])
+    finite = np.isfinite(amplitudes).all(axis=1)
+    kept = finite.tolist()
+    safe = amplitudes if all(kept) else np.where(finite[:, None], amplitudes, 0)
+    second = [math.nan] * len(lines)
+    factor1, factor2 = np.zeros((2, len(lines), d), dtype=np.complex128)
+    for start in range(0, len(lines), d):
+        u, s, vh = np.linalg.svd(safe[start:start + d].reshape(-1, d, d))
+        for i, ok in enumerate(kept[start:start + d], start):
+            if ok:
+                second[i] = float(s[i - start, 1])
+                factor1[i] = _canonical_factor(u[i - start, :, 0])
+                factor2[i] = _canonical_factor(vh[i - start, 0])
+    return _FactoredLines(amplitudes, second, factor1, factor2)
+
+
+def _line_reports(
+    d: int, lines: list[Line], factored: _FactoredLines, tol: float = DEFAULT_TOL
+) -> tuple[list[LineFactorReport], np.ndarray]:
+    """The reports of factored lines and their matched particle-2 labels, as
+    rows k = basis*d + m of the flat MUB stack (compare
+    :func:`_line_tables`).
+
+    Each factor side is one matmul against the MUB stack.  The three
+    ``np.vdot`` overlaps and the phase exponent stay per line, since a
+    batched form moves their last bit.  A line kept out of the SVD matches
+    the label (cb, 0) with fidelity 0 and reports an infinite error.
+    """
+    amplitudes, second, factor1, factor2 = factored
+    stack = mub_stack(d).reshape(-1, d)
+    # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
+    # matches row 0, the label (cb, 0)
+    found1 = np.abs(factor1 @ stack.T).argmax(axis=1)
+    found2 = np.abs(factor2.conj() @ stack.T).argmax(axis=1)
+    conj1, w = factor1.conj(), omega_powers(d)
+    reports = []
+    for i, (line, s1, k1, k2) in enumerate(zip(lines, second, found1.tolist(), found2.tolist())):
+        fid1 = abs(np.vdot(stack[k1], conj1[i]))
+        fid2 = abs(np.vdot(stack[k2], factor2[i]))
+        overlap = np.vdot(np.outer(factor1[i], factor2[i]).ravel(), amplitudes[i])
+        exponent = 0 if math.isnan(s1) else _omega_exponent(overlap, d)
+        (b1, m1), (b2, m2) = _mub_label(d, k1), _mub_label(d, k2)
+        reports.append(
+            LineFactorReport(
+                d=d,
+                line=line,
+                second_singular_value=s1,
+                # False for a NaN singular value
+                schmidt_rank_ok=s1 < tol,
+                factor1_b=b1,
+                factor1_m=m1,
+                factor1_is_tilde=True,
+                factor1_fidelity=float(fid1),
+                factor2_b=b2,
+                factor2_m=m2,
+                factor2_fidelity=float(fid2),
+                global_phase_exponent=exponent,
+                max_error=float(_worst(s1, 1.0 - fid1, 1.0 - fid2, abs(overlap - w[exponent]))),
+            )
+        )
+    return reports, found2
+
+
 def schmidt_inversion_check(
     d: int, line: Line, tol: float = DEFAULT_TOL, realization: str = "standard"
 ) -> LineFactorReport:
@@ -185,43 +295,25 @@ def schmidt_inversion_check(
     Factor 2 is matched directly against the basis family, factor 1 against
     the tilde partners.  The reported global phase is the overlap phase of
     the line state with the canonicalized product of its factors, as an
-    exact exponent of w when it lies on the d-point circle.
+    exact exponent of w when it lies on the d-point circle.  A non-finite
+    line state fails: fidelities 0 and an infinite ``max_error``.
     """
     validate_tolerance(tol)
-    state = _line_amplitudes(d, line, realization)
-    s, factor1, factor2 = _factorize(d, state)
-    second = float(s[1])
-    b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
-    b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
-    overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
-    exponent = _omega_exponent(overlap, d)
-    phase_error = abs(overlap - omega_powers(d)[exponent])
-    max_error = float(_worst(second, 1.0 - fid1, 1.0 - fid2, phase_error))
-    return LineFactorReport(
-        d=d,
-        line=line,
-        second_singular_value=second,
-        schmidt_rank_ok=second < tol,
-        factor1_b=b1,
-        factor1_m=m1,
-        factor1_is_tilde=True,
-        factor1_fidelity=float(fid1),
-        factor2_b=b2,
-        factor2_m=m2,
-        factor2_fidelity=float(fid2),
-        global_phase_exponent=exponent,
-        max_error=max_error,
-    )
+    return _line_reports(d, [line], _factor_lines(d, [line], realization), tol)[0][0]
 
 
 def expected_factor2_label(d: int, line: Line) -> tuple[BasisLabel, int]:
     """Predicted particle-2 factor label: (cb, m) for vertical lines, else
-    (b/4 mod d, m/2 mod d)."""
-    prime = Prime(validate_dimension(d))
-    b = _label_index(line.b, d)
-    if b is None:
-        return CB, line.m % d
-    return BasisLabel(int(ModInt(b, prime).quarter())), int(ModInt(line.m, prime).half())
+    (b/4 mod d, m/2 mod d), as held by :func:`_line_tables`."""
+    index = _line_index(d, [line])[0]
+    return _mub_label(d, int(_line_tables(d)[1][index]))
+
+
+def _mub_label(d: int, k: int) -> tuple[BasisLabel, int]:
+    """The (basis, m) label of row k = basis*d + m of the flat MUB stack,
+    basis 0 being cb."""
+    b, m = divmod(k, d)
+    return (CB if b == 0 else BasisLabel(b - 1)), m
 
 
 def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
@@ -243,25 +335,18 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
 def _mub_stack_from_lines(d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The states of :func:`mub_from_lines` as a (d+1, d, d) array in the
     layout of :func:`mesphase.schwinger.mub_stack`."""
-    validate_dimension(d)
-    validate_tolerance(tol)
-    stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     lines = all_lines(d)
-    # one SVD call per pencil of d parallel lines: the stacked call factors
-    # each d x d matrix on its own, to the bits of a per-line _factorize
-    for start in range(0, len(lines), d):
-        pencil = lines[start:start + d]
-        amplitudes = np.stack([_line_amplitudes(d, line) for line in pencil])
-        _, s, vh = np.linalg.svd(amplitudes.reshape(d, d, d))
-        for line, values, row in zip(pencil, s, vh[:, 0]):
-            # not (s <= tol), so that a NaN singular value fails too
-            if not values[1] <= tol:
-                raise FactorizationFailed(
-                    f"line b={line.b} m={line.m} has Schmidt rank > 1 "
-                    f"(second singular value {values[1]:.3e})"
-                )
-            label, m = expected_factor2_label(d, line)
-            stack[0 if label.is_cb else label.index + 1, m] = _canonical_factor(row)
+    validate_tolerance(tol)
+    factored = _factor_lines(d, lines)
+    for line, second in zip(lines, factored.second):
+        # not (s <= tol), so that a NaN singular value fails too
+        if not second <= tol:
+            raise FactorizationFailed(
+                f"line b={line.b} m={line.m} has Schmidt rank > 1 "
+                f"(second singular value {second:.3e})"
+            )
+    stack = np.zeros((d + 1, d, d), dtype=np.complex128)
+    stack.reshape(-1, d)[_line_tables(d)[1]] = factored.factor2
     return stack
 
 
@@ -273,19 +358,18 @@ def line_factor_table(
     Rows carry the particle-2 labels (the un-conjugated factor); column
     order matches the CSV the command-line tool emits.
     """
-    rows = []
-    for line in all_lines(d):
-        rep = schmidt_inversion_check(d, line, tol, realization)
-        rows.append(
-            {
-                "d": d,
-                "b": str(line.b),
-                "m": line.m,
-                "schmidt_rank_ok": rep.schmidt_rank_ok,
-                "factor_label_b": str(rep.factor2_b),
-                "factor_label_m": rep.factor2_m,
-                "global_phase_exponent": rep.global_phase_exponent,
-                "max_error": rep.max_error,
-            }
-        )
-    return rows
+    lines = all_lines(d)
+    validate_tolerance(tol)
+    return [
+        {
+            "d": d,
+            "b": str(rep.line.b),
+            "m": rep.line.m,
+            "schmidt_rank_ok": rep.schmidt_rank_ok,
+            "factor_label_b": str(rep.factor2_b),
+            "factor_label_m": rep.factor2_m,
+            "global_phase_exponent": rep.global_phase_exponent,
+            "max_error": rep.max_error,
+        }
+        for rep in _line_reports(d, lines, _factor_lines(d, lines, realization), tol)[0]
+    ]

@@ -45,12 +45,22 @@ __all__ = [
 
 def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code.
-    A non-integer such as 7.0 is refused too."""
+    A non-integer such as 7.0 is refused too.  A plain ``int`` that passed
+    once is remembered, so the primality test runs once per dimension."""
+    if type(d) is int and d in _VALID_DIMENSIONS:
+        return d
     try:
         Prime(d)
     except (NotPrime, TypeError) as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
+    if type(d) is int:
+        _VALID_DIMENSIONS.add(d)
     return d
+
+
+# odd primes already validated; only plain ints enter, since 7.0 == 7 and
+# True == 1 would otherwise be found here
+_VALID_DIMENSIONS: set[int] = set()
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,6 @@ from .states import (
     _reduced_deviation,
     _worst,
     is_mes,
-    mes_deviation,
     reduced_operators,
     validate_tolerance,
 )
@@ -325,14 +324,15 @@ def suite_collective(
                 yield abs(np.vdot(minus[q * d + p], gen_minus) - 1.0)
 
     def local_action_shift():
-        universal = me.universal_state(d, CB)
-        shifted_1 = co.local_action(universal, 1, "X^2")
-        shifted_2 = co.local_action(universal, 2, "X^2")
+        # the array cores, so a non-finite state fails the row with inf
+        universal = me._universal_amplitudes(d, CB)
+        shifted_1 = co._local_action(universal, 1, "X^2")
+        shifted_2 = co._local_action(universal, 2, "X^2")
         return (
-            1.0 - abs(np.vdot(plus[1 * d + 0], shifted_1.amplitudes)),
-            1.0 - abs(np.vdot(plus[(d - 1) * d + 0], shifted_2.amplitudes)),
-            mes_deviation(shifted_1),
-            mes_deviation(shifted_2),
+            1.0 - abs(np.vdot(plus[1 * d + 0], shifted_1)),
+            1.0 - abs(np.vdot(plus[(d - 1) * d + 0], shifted_2)),
+            _reduced_deviation(shifted_1),
+            _reduced_deviation(shifted_2),
         )
 
     def local_action_random():
@@ -392,22 +392,26 @@ def suite_collective(
 
 
 def suite_lines(d: int, tol: float) -> list[VerificationReport]:
-    """One row per line: rank-1 factorization with the predicted labels."""
+    """One row per line: rank-1 factorization with the predicted labels.
 
-    def factorization(line):
-        rep = li.schmidt_inversion_check(d, line, tol)
-        expected_b, expected_m = li.expected_factor2_label(d, line)
-        label_ok = rep.factor2_b == expected_b and rep.factor2_m == expected_m
-        yield rep.max_error
-        yield 0.0 if label_ok else 1.0
+    Every line is factored up front by one stacked pass, part of the
+    suite's setup; each row reads and judges its line's results."""
+    lines = li.all_lines(d)
+    factored = li._factor_lines(d, lines)
+    reports, found = li._line_reports(d, lines, factored, tol)
+    label_ok = found == li._line_tables(d)[1]
+
+    def factorization(i, line):
+        yield reports[i].max_error
+        yield 0.0 if label_ok[i] else 1.0
         if line.b.is_cb:
             e = np.eye(d)[line.m]
             target = np.outer(e, e).ravel()
-            yield np.abs(li._line_amplitudes(d, line) - target).max()
+            yield np.abs(factored.amplitudes[i] - target).max()
 
     entries = [
-        ("line.factorization", f"b={line.b} m={line.m}", lambda line=line: factorization(line))
-        for line in li.all_lines(d)
+        ("line.factorization", f"b={line.b} m={line.m}", lambda i=i, line=line: factorization(i, line))
+        for i, line in enumerate(lines)
     ]
     return _rows(d, tol, entries)
 

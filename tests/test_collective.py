@@ -3,6 +3,9 @@ import pytest
 
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
+    SINGLE_GENERATORS,
+    _generator_maps,
+    _word_map,
     _hop_dense,
     HopResult,
     PhasePoint,
@@ -414,3 +417,40 @@ def test_hop_trajectory_matches_suffix_hops(d):
         ]
         point = (int(rng.integers(-d, 2 * d)), int(rng.integers(-d, 2 * d)))
         assert hop_trajectory(d, point, factors) == _suffix_hop_trajectory(d, point, factors)
+
+
+def word_map_oracle(d, factors, generators):
+    """``_word_map`` one generator step at a time: power % d gathers per factor."""
+    maps = _generator_maps(d)
+    src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
+    exponents = np.zeros_like(src)
+    for name, power in factors:
+        g_src, g_exp = (table[1] for table in maps[name])
+        for _ in range(power % d):
+            exponents += g_exp[src]
+            src = g_src[src]
+    return src, exponents
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_power_tables_give_the_step_by_step_word_maps(d):
+    for generators in (COLLECTIVE_GENERATORS, SINGLE_GENERATORS):
+        for name in generators:
+            for power in range(-d, 2 * d + 1):
+                got = _word_map(d, [(name, power)], generators)
+                expected = word_map_oracle(d, [(name, power)], generators)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            src_table, exp_table = _generator_maps(d)[name]
+            assert not src_table.flags.writeable and not exp_table.flags.writeable
+            # row 0 is the identity map
+            assert np.array_equal(src_table[0], np.arange(src_table.shape[1]))
+            assert not exp_table[0].any()
+        rng = np.random.default_rng(d)
+        for _ in range(200):
+            factors = [
+                (generators[int(rng.integers(0, len(generators)))], int(rng.integers(-3 * d, 3 * d)))
+                for _ in range(rng.integers(0, 7))
+            ]
+            got = _word_map(d, factors, generators)
+            expected = word_map_oracle(d, factors, generators)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))

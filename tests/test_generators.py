@@ -214,7 +214,7 @@ def test_generator_maps_are_read_only():
     for src, exponents in maps.values():
         for arr in (src, exponents):
             with pytest.raises(ValueError):
-                arr[0] = 1
+                arr[1, 0] = 1
 
 
 def test_local_action_matches_dense_kron():

@@ -1,16 +1,20 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from mesphase.collective import PhasePoint, point_basis, point_state_minus
 from mesphase.errors import InvalidDimension, InvalidLabel
+from mesphase import lines as li
 from mesphase.lines import (
     Line,
-    _factorize,
-    _identify_label,
+    LineFactorReport,
+    _factor_lines,
     _line_amplitudes,
-    _line_rows,
+    _line_index,
+    _line_reports,
+    _line_tables,
     _mub_stack_from_lines,
     all_lines,
     expected_factor2_label,
@@ -21,8 +25,18 @@ from mesphase.lines import (
     schmidt_inversion_check,
 )
 from mesphase.modring import ModInt, Prime
-from mesphase.schwinger import CB, BasisLabel, mub_family, mub_state
-from mesphase.states import Ket, _omega_exponent, phase_canonical, schmidt_decompose, tensor
+from mesphase.schwinger import CB, BasisLabel, mub_family, mub_stack, mub_state, omega_powers
+from mesphase.states import (
+    DEFAULT_TOL,
+    Ket,
+    _omega_exponent,
+    _overlap_match,
+    _phase_canonical,
+    _worst,
+    phase_canonical,
+    schmidt_decompose,
+    tensor,
+)
 
 ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -33,6 +47,14 @@ def half(x, d):
 
 def quarter(x, d):
     return int(ModInt(x, Prime(d)).quarter())
+
+
+def expected_factor2_label_oracle(d, line):
+    """``expected_factor2_label`` in ``ModInt`` arithmetic: (cb, m) for a
+    vertical line, else (b/4 mod d, m/2 mod d)."""
+    if line.b.is_cb:
+        return CB, line.m % d
+    return BasisLabel(quarter(line.b.index, d)), half(line.m, d)
 
 
 # -- geometry -----------------------------------------------------------------
@@ -105,6 +127,55 @@ def row_sum_oracle(d, line, realization):
     return total / np.sqrt(d)
 
 
+def _factorize(d, amplitudes):
+    """Singular values of the d x d amplitude matrix and its leading factor
+    pair, each normalized and phase-canonical, from one SVD of that matrix."""
+    u, s, vh = np.linalg.svd(amplitudes.reshape(d, d))
+    return s, _canonical_factor(u[:, 0]), _canonical_factor(vh[0])
+
+
+def _canonical_factor(factor):
+    return _phase_canonical(factor / np.linalg.norm(factor))
+
+
+def _identify_label(d, factor, conjugate):
+    """Best-matching (basis, index, fidelity) for one factor by
+    ``_overlap_match`` against the MUB stack, over the tilde partners with
+    ``conjugate=True``; a non-finite factor matches (cb, 0) with fidelity 0."""
+    stack = mub_stack(d).reshape(-1, d)
+    k, _, fid = _overlap_match(stack, factor.conj() if conjugate else factor, d)
+    b, m = divmod(k, d)
+    return (CB if b == 0 else BasisLabel(b - 1)), m, fid
+
+
+def schmidt_inversion_check_oracle(d, line, tol=DEFAULT_TOL, realization="standard"):
+    """``schmidt_inversion_check`` one line at a time: the state summed row by
+    row, one SVD, one label search per factor."""
+    state = row_sum_oracle(d, line, realization)
+    s, factor1, factor2 = _factorize(d, state)
+    second = float(s[1])
+    b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
+    b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
+    overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
+    exponent = _omega_exponent(overlap, d)
+    phase_error = abs(overlap - omega_powers(d)[exponent])
+    return LineFactorReport(
+        d=d,
+        line=line,
+        second_singular_value=second,
+        schmidt_rank_ok=second < tol,
+        factor1_b=b1,
+        factor1_m=m1,
+        factor1_is_tilde=True,
+        factor1_fidelity=float(fid1),
+        factor2_b=b2,
+        factor2_m=m2,
+        factor2_fidelity=float(fid2),
+        global_phase_exponent=exponent,
+        max_error=float(_worst(second, 1.0 - fid1, 1.0 - fid2, phase_error)),
+    )
+
+
 def max_error_oracle(d, line, realization):
     """``schmidt_inversion_check(...).max_error`` with the phase target w^k
     from a scalar ``np.exp`` and the errors reduced by builtin ``max``."""
@@ -128,9 +199,10 @@ def test_line_state_equals_row_by_row_sum_bytes(d):
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
 def test_closed_form_line_rows_equal_line_points(d):
-    for line in all_lines(d) + [Line(BasisLabel(2), -1), Line(CB, d + 3)]:
-        expected = [pt.q * d + pt.p for pt in line_points(d, line)]
-        assert _line_rows(d, line).tolist() == expected
+    lines = all_lines(d) + [Line(BasisLabel(2), -1), Line(CB, d + 3)]
+    expected = [[pt.q * d + pt.p for pt in line_points(d, line)] for line in lines]
+    assert _line_tables(d)[0][_line_index(d, lines)].tolist() == expected
+    assert _line_index(d, all_lines(d)).tolist() == list(range(d * (d + 1)))
 
 
 def mub_stack_from_lines_oracle(d):
@@ -139,7 +211,7 @@ def mub_stack_from_lines_oracle(d):
     for line in all_lines(d):
         s, _, factor2 = _factorize(d, _line_amplitudes(d, line))
         assert s[1] <= 1e-10
-        label, m = expected_factor2_label(d, line)
+        label, m = expected_factor2_label_oracle(d, line)
         stack[0 if label.is_cb else label.index + 1, m] = factor2
     return stack
 
@@ -147,6 +219,65 @@ def mub_stack_from_lines_oracle(d):
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
 def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
     assert _mub_stack_from_lines(d).tobytes() == mub_stack_from_lines_oracle(d).tobytes()
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_stacked_core_equals_the_per_line_oracle(d):
+    lines = all_lines(d)
+    for realization in ("standard", "alt"):
+        factored = _factor_lines(d, lines, realization)
+        reports, _ = _line_reports(d, lines, factored)
+        for i, line in enumerate(lines):
+            oracle = schmidt_inversion_check_oracle(d, line, realization=realization)
+            # dataclass equality: every field, floats exactly
+            assert reports[i] == oracle
+            assert schmidt_inversion_check(d, line, realization=realization) == oracle
+            state = row_sum_oracle(d, line, realization)
+            assert factored.amplitudes[i].tobytes() == state.tobytes()
+            s, factor1, factor2 = _factorize(d, state)
+            assert factored.second[i] == s[1]
+            assert factored.factor1[i].tobytes() == factor1.tobytes()
+            assert factored.factor2[i].tobytes() == factor2.tobytes()
+    rows = li.line_factor_table(d)
+    assert [(r["b"], r["m"], r["max_error"]) for r in rows] == [
+        (str(line.b), line.m, schmidt_inversion_check_oracle(d, line).max_error) for line in lines
+    ]
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_stacked_core_predicts_the_expected_factor2_labels(d):
+    lines = all_lines(d)
+    predicted = li._line_tables(d)[1]
+    _, matched = _line_reports(d, lines, _factor_lines(d, lines))
+    for line, k, found in zip(lines, predicted, matched):
+        label, m = expected_factor2_label_oracle(d, line)
+        assert expected_factor2_label(d, line) == (label, m)
+        assert k == (0 if label.is_cb else label.index + 1) * d + m
+        assert found == k
+
+
+def test_nan_line_fails_only_its_own_report(monkeypatch):
+    d = 7
+    lines = all_lines(d)
+    oracle = [schmidt_inversion_check_oracle(d, line) for line in lines]
+    poisoned = point_basis(d, False).copy()
+    poisoned[3 * d + 5, 4] = np.nan
+    monkeypatch.setattr(li, "point_basis", lambda d, plus: poisoned)
+    with np.errstate(invalid="ignore"):
+        reports, _ = _line_reports(d, lines, _factor_lines(d, lines))
+        single = schmidt_inversion_check(d, Line(CB, 3))
+    assert single.max_error == math.inf and not single.schmidt_rank_ok
+    through = {i for i, line in enumerate(lines) if PhasePoint(3, 5) in line_points(d, line)}
+    assert len(through) == d + 1
+    for i, (report, expected) in enumerate(zip(reports, oracle)):
+        if i in through:
+            assert report.max_error == math.inf
+            assert not report.schmidt_rank_ok
+            assert (report.factor1_b, report.factor1_m, report.factor1_fidelity) == (CB, 0, 0.0)
+            assert (report.factor2_b, report.factor2_m, report.factor2_fidelity) == (CB, 0, 0.0)
+        else:
+            # the other lines of each pencil keep their values
+            assert report == expected
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)

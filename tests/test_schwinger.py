@@ -62,6 +62,17 @@ def test_shift_and_eigenrelation_refuse_a_float_dimension_once_cached():
             call()
 
 
+def test_validate_dimension_refuses_every_non_int_once_an_int_is_remembered():
+    assert validate_dimension(7) == 7
+    for _ in range(2):
+        # 7.0 == 7 and True == 1: neither may be found among the valid ints
+        for bad in (7.0, True, 9, 2, np.float64(7.0)):
+            with pytest.raises(InvalidDimension):
+                validate_dimension(bad)
+        assert validate_dimension(7) == 7
+    assert validate_dimension(np.int64(11)) == 11
+
+
 def test_label_parse_and_count():
     labels = BasisLabel.all_labels(5)
     assert len(labels) == 6

@@ -180,10 +180,18 @@ def test_nan_word_matrix_fails_hop_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("conjugate", [False, True])
-def test_nan_factor_matches_no_label(conjugate):
+def test_nan_factor_matches_no_label(monkeypatch, conjugate):
+    # a NaN line state has no factors: the tilde-side (conjugate) and the
+    # direct-side search both match nothing
     d = 5
-    factor = np.full(d, np.nan, dtype=complex)
-    label, m, fidelity = li._identify_label(d, factor, conjugate)
+    monkeypatch.setattr(
+        li, "_line_sums", lambda basis, rows: np.full((len(rows), d * d), np.nan, dtype=complex)
+    )
+    rep = li.schmidt_inversion_check(d, li.Line(CB, 1))
+    if conjugate:
+        label, m, fidelity = rep.factor1_b, rep.factor1_m, rep.factor1_fidelity
+    else:
+        label, m, fidelity = rep.factor2_b, rep.factor2_m, rep.factor2_fidelity
     assert (label, m) == (CB, 0)
     assert fidelity <= 0.0
 

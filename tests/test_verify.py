@@ -153,6 +153,22 @@ def test_nan_in_the_cb_mes_stack_fails_the_collective_rows_closed(monkeypatch):
     assert all(rows[check].max_error == math.inf for check in failing)
 
 
+def test_nan_universal_amplitude_fails_only_the_local_action_shift_row(monkeypatch):
+    universal = me._universal_amplitudes
+
+    def poisoned(d, b):
+        amplitudes = universal(d, b).copy()
+        amplitudes[1] = np.nan
+        return amplitudes
+
+    monkeypatch.setattr(me, "_universal_amplitudes", poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = {row.check: row for row in run_suites([5], "collective")}
+    failing = {check for check, row in rows.items() if not row.passed}
+    assert failing == {"collective.local_action_shift"}
+    assert rows["collective.local_action_shift"].max_error == math.inf
+
+
 # -- the streamed MES suite against the whole-list one ---------------------------
 
 
@@ -309,22 +325,25 @@ def test_integer_draws_give_the_choice_words(generators, low, high, lengths):
 
 
 def _shift_one_zc_exponent(maps):
-    src, exponents = maps["Zc"]
+    src, exponents = (table[1] for table in maps["Zc"])
     exponents = exponents.copy()
     exponents[7] += 1
-    return {**maps, "Zc": (src, exponents)}
+    return "Zc", src, exponents
 
 
 def _swap_two_xr_sources(maps):
-    src, exponents = maps["Xr"]
+    src, exponents = (table[1] for table in maps["Xr"])
     src = src.copy()
     src[[2, 11]] = src[[11, 2]]
-    return {**maps, "Xr": (src, exponents)}
+    return "Xr", src, exponents
 
 
 @pytest.mark.parametrize("corrupt", [_shift_one_zc_exponent, _swap_two_xr_sources])
 def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corrupt):
-    corrupted = corrupt(co._generator_maps(5))
+    maps = co._generator_maps(5)
+    name, src, exponents = corrupt(maps)
+    # the corrupted generator row, with its powers rebuilt from it
+    corrupted = {**maps, name: co._power_tables(5, src, exponents)}
     monkeypatch.setattr(co, "_generator_maps", lambda d: corrupted)
     rows = {row.check: row for row in run_suites([5], "collective")}
     for check in ("collective.operator_algebra", "collective.operator_factorization"):
@@ -489,12 +508,21 @@ def test_validate_tolerance_has_one_definition():
     assert cli.validate_tolerance is states.validate_tolerance
 
 
+def test_a_wrong_predicted_label_fails_its_line_row(monkeypatch):
+    rows, labels = li._line_tables(5)
+    wrong = labels.copy()
+    wrong[[7, 22]] = wrong[[22, 7]]
+    monkeypatch.setattr(li, "_line_tables", lambda d: (rows, wrong))
+    failing = [row for row in run_suites([5], "lines") if not row.passed]
+    assert [(row.params, row.max_error) for row in failing] == [("b=0 m=2", 1.0), ("b=3 m=2", 1.0)]
+
+
 def test_rank_d_state_is_not_taken_for_a_line(monkeypatch):
     from mesphase import mes as me
     from mesphase.errors import FactorizationFailed
 
     mes = me._universal_amplitudes(5, sw.CB)
-    monkeypatch.setattr(li, "_line_amplitudes", lambda d, line, realization="standard": mes)
+    monkeypatch.setattr(li, "_line_sums", lambda basis, rows: np.tile(mes, (len(rows), 1)))
     with pytest.raises(FactorizationFailed):
         li.mub_from_lines(5)
     rep = li.schmidt_inversion_check(5, li.Line(sw.CB, 0))
