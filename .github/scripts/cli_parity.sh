@@ -57,5 +57,9 @@ lines --d 31 --format csv
 lines --d 7 --alt-realization --format csv
 verify --d 29 --d 31 --suite lines --format json
 verify --d 31 --suite mub
+verify --d 29 --d 31 --suite collective --seed 3
+verify --d 17 --d 19 --seed 8 --format json
+verify --d 13 --suite mub --format json
+hop --d 7 --q 3 --p 5 --word "Zc^3 Xr^-2 Xc^4"
 COMMANDS
 exit $status

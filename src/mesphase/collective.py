@@ -32,6 +32,7 @@ of the pair space and are mutually unbiased with overlap modulus 1/d.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +40,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import WordParseError
-from .modring import ModInt, Prime
 from .schwinger import mub_stack, omega_powers, validate_dimension
 from .states import Ket, UnitaryOp, _overlap_match, _split_dim
 
@@ -80,25 +80,28 @@ class CollectiveIndex:
 
 
 def _point(point: "PhasePoint | tuple[int, int]", d: int) -> tuple[int, int]:
-    """The point's (q, p) reduced mod d, once d is validated."""
+    """The point's (q, p) reduced mod d, once d is validated.  Each label
+    goes through ``operator.index``: a numpy integer counts as an int, a
+    float or a string raises TypeError."""
     validate_dimension(d)
-    if isinstance(point, PhasePoint):
-        return point.q % d, point.p % d
-    q, p = point
-    return int(q) % d, int(p) % d
+    q, p = (point.q, point.p) if isinstance(point, PhasePoint) else point
+    return operator.index(q) % d, operator.index(p) % d
 
 
 def particle_to_collective(d: int, n1: int, n2: int) -> CollectiveIndex:
-    """(n1, n2) -> (nc, nr) = ((n1+n2)/2, (n1-n2)/2) mod d."""
-    prime = Prime(validate_dimension(d))
-    nc = ModInt(n1 + n2, prime).half()
-    nr = ModInt(n1 - n2, prime).half()
-    return CollectiveIndex(int(nc), int(nr))
+    """(n1, n2) -> (nc, nr) = ((n1+n2)/2, (n1-n2)/2) mod d, the modular half
+    taken as multiplication by h = (d + 1) / 2.  Labels go through
+    ``operator.index``, as in :func:`_point`."""
+    validate_dimension(d)
+    n1, n2, h = operator.index(n1), operator.index(n2), (d + 1) // 2
+    return CollectiveIndex((n1 + n2) * h % d, (n1 - n2) * h % d)
 
 
 def collective_to_particle(d: int, nc: int, nr: int) -> tuple[int, int]:
-    """(nc, nr) -> (n1, n2) = (nc + nr, nc - nr) mod d."""
+    """(nc, nr) -> (n1, n2) = (nc + nr, nc - nr) mod d.  Labels go through
+    ``operator.index``, as in :func:`_point`."""
     validate_dimension(d)
+    nc, nr = operator.index(nc), operator.index(nr)
     return (nc + nr) % d, (nc - nr) % d
 
 

@@ -325,22 +325,24 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
     :func:`mesphase.schwinger.mub_family` and agrees with it state by state
     up to a phase.
     """
-    stack = _mub_stack_from_lines(d, tol)
+    lines = all_lines(d)
+    validate_tolerance(tol)
+    stack = _mub_stack_from_lines(d, _factor_lines(d, lines), tol)
     return [
         [MubState(label, m, Ket(stack[i, m])) for m in range(d)]
         for i, label in enumerate(BasisLabel.all_labels(d))
     ]
 
 
-def _mub_stack_from_lines(d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _mub_stack_from_lines(d: int, factored: _FactoredLines, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The states of :func:`mub_from_lines` as a (d+1, d, d) array in the
-    layout of :func:`mesphase.schwinger.mub_stack`."""
-    lines = all_lines(d)
-    validate_tolerance(tol)
-    factored = _factor_lines(d, lines)
-    for line, second in zip(lines, factored.second):
+    layout of :func:`mesphase.schwinger.mub_stack`, read from
+    :func:`_factor_lines` of :func:`all_lines`; FactorizationFailed if a line
+    is not of Schmidt rank 1 within ``tol``."""
+    for i, second in enumerate(factored.second):
         # not (s <= tol), so that a NaN singular value fails too
         if not second <= tol:
+            line = all_lines(d)[i]
             raise FactorizationFailed(
                 f"line b={line.b} m={line.m} has Schmidt rank > 1 "
                 f"(second singular value {second:.3e})"

@@ -277,7 +277,13 @@ def _overlap_match(stack: np.ndarray, vector: np.ndarray, d: int) -> tuple[int, 
     A non-finite overlap, as from a NaN vector, matches nothing: (0, 0, 0.0).
     """
     # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
-    k = int(np.argmax(np.abs(stack @ vector.conj())))
+    return _measured_overlap(stack, int(np.argmax(np.abs(stack @ vector.conj()))), vector, d)
+
+
+def _measured_overlap(stack: np.ndarray, k: int, vector: np.ndarray, d: int) -> tuple[int, int, float]:
+    """The end of :func:`_overlap_match` for a row k already found: the
+    overlap <s_k|v> by ``np.vdot``, its w-exponent and modulus, or (0, 0, 0.0)
+    if it is not finite."""
     overlap = np.vdot(stack[k], vector)
     if not np.isfinite(overlap):
         return 0, 0, 0.0

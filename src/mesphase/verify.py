@@ -31,6 +31,7 @@ from .states import (
     Ket,
     _gram_deviation,
     _identity_deviation,
+    _measured_overlap,
     _reduced_deviation,
     _worst,
     is_mes,
@@ -53,16 +54,33 @@ class VerificationReport:
     runtime_ms: float
 
 
-def _projections(rhos: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """<a|rho|a> for every rho of an (n, d, d) stack and every row a of
-    ``alphas``, shape (n, len(alphas)).
+def _outer_products(alphas: np.ndarray) -> np.ndarray:
+    """The flat outer products conj(a) a^T of the rows a of ``alphas``,
+    shape (len(alphas), d*d), entry i*d + j being conj(a_i) a_j."""
+    d = alphas.shape[1]
+    return (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
+
+
+def _projections(rhos: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """<a|rho|a> for every rho of an (n, d, d) stack and every state a of
+    the flat outer products ``outer`` (:func:`_outer_products`), shape
+    (n, len(outer)).
 
     Uses <a|rho|a> = sum_ij conj(a_i) a_j rho_ij, one matmul per stack, so
-    the only temporary that grows with n is the (n, len(alphas)) result.
+    the only temporary that grows with n is the (n, len(outer)) result.
     """
     n, d, _ = rhos.shape
-    outer = (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
     return rhos.reshape(n, d * d) @ outer.T
+
+
+def _stacked_images(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)).
+
+    The rows go in as a stack of (len(v), 1) columns, so numpy makes one
+    matrix-vector product per row and each image is bytes-equal to
+    ``matrix @ v``; a 2-D product over many columns need not be.
+    """
+    return (matrix @ states[..., None])[..., 0]
 
 
 def _rows(d: int, tol: float, entries, items=((),)) -> list[VerificationReport]:
@@ -106,7 +124,10 @@ def _random_word(rng: np.random.Generator, generators, low: int, high: int, leng
 # -- basis-family suite -------------------------------------------------------
 
 
-def suite_mub(d: int, tol: float) -> list[VerificationReport]:
+def suite_mub(d: int, tol: float, factored=None) -> list[VerificationReport]:
+    """``factored``, if given, is :func:`lines._factor_lines` of
+    :func:`lines.all_lines`, made once for this suite and the lines suite;
+    without it the lines_family_match row factors the lines itself."""
     stacks = sw.mub_stack(d)
 
     def count():
@@ -127,7 +148,7 @@ def suite_mub(d: int, tol: float) -> list[VerificationReport]:
     def lines_family_match():
         # the extraction keeps its own numerical rank gate; the configured
         # tolerance only judges the resulting fidelities
-        rebuilt = li._mub_stack_from_lines(d)
+        rebuilt = li._mub_stack_from_lines(d, factored or li._factor_lines(d, li.all_lines(d)))
         for direct, extracted in zip(stacks.reshape(-1, d), rebuilt.reshape(-1, d)):
             yield 1.0 - abs(np.vdot(direct, extracted))
 
@@ -164,6 +185,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     # draw them, so the rng stream of the later rows does not move
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
     alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    outer = _outer_products(alphas)
 
     def basis(label):
         v = me.mes_stack(d, label, label)
@@ -189,7 +211,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         (
             "mes.random_projection",
             "200 states",
-            lambda v, rhos: (np.abs(_projections(rho, alphas) - 1 / d).max() for rho in rhos),
+            lambda v, rhos: (np.abs(_projections(rho, outer) - 1 / d).max() for rho in rhos),
         ),
     ]
 
@@ -313,15 +335,22 @@ def suite_collective(
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
+        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p), composed as _word_map
+        # does, for the d points of one q at a time, gathered from the power
+        # tables; the products and the vdots stay per point
+        maps = co._generator_maps(d)
+        powers = -np.arange(d) % d
+        zc_src, zc_exp = (table[powers] for table in maps["Zc"])
         for q in range(d):
+            xr_src, xr_exp = (table[q] for table in maps["Xr"])
+            xc_src, xc_exp = (table[q] for table in maps["Xc"])
+            zr_src, zr_exp = (table[powers[:, None], xc_src] for table in maps["Zr"])
+            phases_plus, gathered_plus = w[(zc_exp + xr_exp[zc_src]) % d], plus[0][xr_src[zc_src]]
+            phases_minus, gathered_minus = w[(xc_exp + zr_exp) % d], minus[0][zr_src]
             for p in range(d):
-                src, e = co._word_map(d, [("Zc", d - p), ("Xr", q)])
-                gen_plus = w[e % d] * plus[0][src]
-                src, e = co._word_map(d, [("Xc", q), ("Zr", d - p)])
-                gen_minus = w[e % d] * minus[0][src]
                 # measured phases are exactly 1 for both generator routes
-                yield abs(np.vdot(plus[q * d + p], gen_plus) - 1.0)
-                yield abs(np.vdot(minus[q * d + p], gen_minus) - 1.0)
+                yield abs(np.vdot(plus[q * d + p], phases_plus[p] * gathered_plus[p]) - 1.0)
+                yield abs(np.vdot(minus[q * d + p], phases_minus[p] * gathered_minus[p]) - 1.0)
 
     def local_action_shift():
         # the array cores, so a non-finite state fails the row with inf
@@ -336,23 +365,31 @@ def suite_collective(
         )
 
     def local_action_random():
+        images = []
         for _ in range(50):
             word = _random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
             state = cb_elements[rng.integers(0, d * d)]
-            # the array core, so a non-finite state fails the row with inf
-            yield _reduced_deviation(co._local_action(state, int(rng.integers(1, 3)), word))
+            images.append(co._local_action(state, int(rng.integers(1, 3)), word))
+        # the array cores, one pass over the stack: its worst deviation is
+        # the worst image's, and a non-finite image fails the row with inf
+        return [_reduced_deviation(np.array(images))]
 
     def hop_example():
-        # one dense matrix serves all d^2 points
+        # one dense matrix serves all d^2 points, applied to the d points of
+        # one q at a time; each image is then matched as co._hop_dense does,
+        # the label search for the d images in one matmul
         matrix = co.word_matrix(d, "Xc^2 Xr^6")
         for q in range(d):
-            for p in range(d):
+            images = _stacked_images(matrix, minus[q * d:(q + 1) * d])
+            found = np.abs(images.conj() @ minus.T).argmax(axis=1)
+            for p, k in enumerate(found.tolist()):
                 sym = co.hop(d, (q, p), "Xc^2 Xr^6")
                 expected = (
                     sym.point == co.PhasePoint((q + 2) % d, p)
                     and sym.phase_exponent == (6 * p) % d
                 )
-                dense, fid = co._hop_dense(d, matrix, q, p)
+                k, exponent, fid = _measured_overlap(minus, k, images[p], d)
+                dense = co.HopResult(co.PhasePoint(*divmod(k, d)), exponent)
                 yield 0.0 if expected else 1.0
                 yield 0.0 if dense == sym else 1.0
                 yield 1.0 - fid
@@ -391,27 +428,35 @@ def suite_collective(
 # -- line-state suite -----------------------------------------------------------
 
 
-def suite_lines(d: int, tol: float) -> list[VerificationReport]:
-    """One row per line: rank-1 factorization with the predicted labels.
-
-    Every line is factored up front by one stacked pass, part of the
-    suite's setup; each row reads and judges its line's results."""
+def _line_errors(d: int, tol: float, factored) -> list[list[float]]:
+    """The errors each line.factorization row yields, one list per line of
+    :func:`lines.all_lines`, from its :func:`lines._factor_lines`: the
+    line's reported error, 1.0 unless its matched particle-2 label is the
+    predicted one, and for a vertical line the largest deviation of its
+    state from |m>|m>.  Nothing of size d^4 is kept."""
     lines = li.all_lines(d)
-    factored = li._factor_lines(d, lines)
     reports, found = li._line_reports(d, lines, factored, tol)
-    label_ok = found == li._line_tables(d)[1]
-
-    def factorization(i, line):
-        yield reports[i].max_error
-        yield 0.0 if label_ok[i] else 1.0
+    label_ok = (found == li._line_tables(d)[1]).tolist()
+    errors = []
+    for i, (line, report) in enumerate(zip(lines, reports)):
+        errors.append([report.max_error, 0.0 if label_ok[i] else 1.0])
         if line.b.is_cb:
             e = np.eye(d)[line.m]
-            target = np.outer(e, e).ravel()
-            yield np.abs(factored.amplitudes[i] - target).max()
+            errors[i].append(np.abs(factored.amplitudes[i] - np.outer(e, e).ravel()).max())
+    return errors
 
+
+def suite_lines(d: int, tol: float, errors=None) -> list[VerificationReport]:
+    """One row per line: rank-1 factorization with the predicted labels.
+
+    Every line is factored and judged up front, by one stacked pass and
+    :func:`_line_errors`, as the suite's setup, unless ``errors`` hands in
+    those made before; each row reports its line's errors."""
+    lines = li.all_lines(d)
+    errors = errors or _line_errors(d, tol, li._factor_lines(d, lines))
     entries = [
-        ("line.factorization", f"b={line.b} m={line.m}", lambda i=i, line=line: factorization(i, line))
-        for i, line in enumerate(lines)
+        ("line.factorization", f"b={line.b} m={line.m}", lambda line_errors=line_errors: line_errors)
+        for line, line_errors in zip(lines, errors)
     ]
     return _rows(d, tol, entries)
 
@@ -433,12 +478,18 @@ def run_suites(
     rows: list[VerificationReport] = []
     for d in dims:
         rng = np.random.default_rng(seed)
+        # under "all" the lines are factored once, as setup outside every
+        # row, for both the mub and the lines suite; only what the lines
+        # suite reads of it is held through the mes and collective suites
+        factored = li._factor_lines(d, li.all_lines(d)) if suite == "all" else None
         if suite in ("all", "mub"):
-            rows += suite_mub(d, tol)
+            rows += suite_mub(d, tol, factored)
+        line_errors = _line_errors(d, tol, factored) if factored else None
+        del factored
         if suite in ("all", "mes"):
             rows += suite_mes(d, tol, rng)
         if suite in ("all", "collective"):
             rows += suite_collective(d, tol, rng)
         if suite in ("all", "lines"):
-            rows += suite_lines(d, tol)
+            rows += suite_lines(d, tol, line_errors)
     return rows

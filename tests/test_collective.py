@@ -24,6 +24,7 @@ from mesphase.collective import (
     word_matrix,
 )
 from mesphase.errors import InvalidDimension, WordParseError
+from mesphase.modring import ModInt, Prime
 from mesphase.mes import mes_basis, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
 from mesphase.states import Ket, _overlap_match, is_mes, partial_trace, tensor
@@ -56,6 +57,45 @@ def test_index_roundtrip_exhaustive(d):
             assert collective_to_particle(d, idx.nc, idx.nr) == (n1, n2)
             assert (idx.nc + idx.nr) % d == n1
             assert (idx.nc - idx.nr) % d == n2
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_index_map_equals_the_modint_halves(d):
+    prime = Prime(d)
+    for n1 in range(d):
+        for n2 in range(d):
+            idx = particle_to_collective(d, n1, n2)
+            expected = int(ModInt(n1 + n2, prime).half()), int(ModInt(n1 - n2, prime).half())
+            assert (idx.nc, idx.nr) == expected
+            assert type(idx.nc) is int and type(idx.nr) is int
+
+
+def test_index_maps_take_integer_labels_only():
+    assert particle_to_collective(7, np.int64(3), np.int32(2)) == particle_to_collective(7, 3, 2)
+    assert particle_to_collective(7, -4, 9) == particle_to_collective(7, 3, 2)
+    assert collective_to_particle(7, np.int64(1), np.uint8(5)) == (6, 3)
+    for bad in ((1.5, 0), (0, 2.0), ("1", 2)):
+        with pytest.raises(TypeError):
+            particle_to_collective(7, *bad)
+        with pytest.raises(TypeError):
+            collective_to_particle(7, *bad)
+
+
+def test_lattice_points_take_integer_labels_only():
+    assert hop(7, (np.int64(1), np.int32(2)), "Xc^1") == hop(7, (1, 2), "Xc^1")
+    assert hop(7, PhasePoint(np.int64(8), 2), "Xc^1") == HopResult(PhasePoint(2, 2), 0)
+    same = point_state_minus(7, (np.int64(9), 0)).amplitudes, point_state_minus(7, (2, 0)).amplitudes
+    assert np.array_equal(*same)
+    for bad in ((1.5, 2), PhasePoint(1.5, 2), (2.9, 0), ("1", 2), PhasePoint(1, 2.0)):
+        for call in (
+            lambda: hop(7, bad, "Xc^1"),
+            lambda: hop_dense(7, bad, "Xc^1"),
+            lambda: hop_trajectory(7, bad, "Xc^1"),
+            lambda: point_state_minus(7, bad),
+            lambda: point_state_plus(7, bad),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 9, -3, 7.0])

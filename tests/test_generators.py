@@ -27,7 +27,7 @@ from mesphase.collective import (
 from mesphase.errors import WordParseError
 from mesphase.schwinger import CB, BasisLabel, clock_z, mub_basis, omega_powers, shift_x
 from mesphase.states import Ket, mes_deviation, reduced_operators, schmidt_decompose
-from mesphase.verify import _projections, _worst, run_suites
+from mesphase.verify import _outer_products, _projections, _worst, run_suites
 
 DIMS = [3, 5, 7, 11, 13]
 
@@ -289,7 +289,7 @@ def test_projections_match_einsum(d):
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
     alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
     rhos = np.concatenate(reduced_operators(mes_stacks(d)[2].reshape(-1, d, d)))
-    got = _projections(rhos, alphas)
+    got = _projections(rhos, _outer_products(alphas))
     assert got.shape == (len(rhos), 200)
     for rho, probs in zip(rhos, got):
         expected = np.einsum("ai,ij,aj->a", alphas.conj(), rho, alphas)

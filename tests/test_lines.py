@@ -218,7 +218,8 @@ def mub_stack_from_lines_oracle(d):
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
 def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
-    assert _mub_stack_from_lines(d).tobytes() == mub_stack_from_lines_oracle(d).tobytes()
+    stack = _mub_stack_from_lines(d, _factor_lines(d, all_lines(d)))
+    assert stack.tobytes() == mub_stack_from_lines_oracle(d).tobytes()
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)

@@ -127,6 +127,7 @@ def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch)
     with np.errstate(invalid="ignore"):
         lines_rows = run_suites([5], "lines")
         mub_rows = {row.check: row for row in run_suites([5], "mub")}
+        all_rows = run_suites([5], "all")
     failing = [row for row in lines_rows if not row.passed]
     # the poisoned point lies on d+1 = 6 of the 30 lines
     assert len(lines_rows) == 30 and len(failing) == 6
@@ -135,6 +136,11 @@ def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch)
     assert all(
         row.max_error == math.inf for row in mub_rows.values() if not row.passed
     )
+    # one factoring shared by both suites fails the same rows
+    failing_all = [(row.check, row.params, row.max_error) for row in all_rows if not row.passed]
+    assert failing_all == [("mub.lines_family_match", "", math.inf)] + [
+        (row.check, row.params, math.inf) for row in failing
+    ]
 
 
 def test_nan_in_the_cb_mes_stack_fails_the_collective_rows_closed(monkeypatch):
@@ -196,7 +202,9 @@ def suite_mes_oracle(d, tol, rng):
         alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
         for v in stacks:
             for rhos in states.reduced_operators(v.reshape(-1, d, d)):
-                yield np.abs(verify._projections(rhos, alphas) - 1 / d).max()
+                # the outer products built again for every stack
+                outer = (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
+                yield np.abs(rhos.reshape(-1, d * d) @ outer.T - 1 / d).max()
 
     def negative_controls():
         accepted = 0
@@ -242,7 +250,7 @@ def _compared(rows):
     return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17])
 @pytest.mark.parametrize("seed", [0, 5, 12345])
 def test_streamed_mes_suite_equals_whole_list_oracle(d, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -279,6 +287,132 @@ def test_nan_in_one_streamed_basis_fails_the_rows_the_oracle_fails(monkeypatch, 
         "mes.random_projection",
     }
     assert all(row.max_error == math.inf for row in rows if not row.passed)
+
+
+# -- the collective suite's array passes against the per-point loops --------------
+
+
+def collective_rows_oracle(d, tol, rng):
+    """The per-point loops of point_translation, local_action_random and
+    hop_example, then hop_random, which draws from the same stream after
+    local_action_random: the four rows in suite order."""
+    w = sw.omega_powers(d)
+    plus, minus = co.point_basis(d, True), co.point_basis(d, False)
+    cb_elements = me.mes_stack(d, sw.CB, sw.CB)
+
+    def point_translation():
+        for q in range(d):
+            for p in range(d):
+                src, e = co._word_map(d, [("Zc", d - p), ("Xr", q)])
+                gen_plus = w[e % d] * plus[0][src]
+                src, e = co._word_map(d, [("Xc", q), ("Zr", d - p)])
+                gen_minus = w[e % d] * minus[0][src]
+                yield abs(np.vdot(plus[q * d + p], gen_plus) - 1.0)
+                yield abs(np.vdot(minus[q * d + p], gen_minus) - 1.0)
+
+    def local_action_random():
+        for _ in range(50):
+            word = verify._random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
+            state = cb_elements[rng.integers(0, d * d)]
+            yield states._reduced_deviation(co._local_action(state, int(rng.integers(1, 3)), word))
+
+    def hop_example():
+        matrix = co.word_matrix(d, "Xc^2 Xr^6")
+        for q in range(d):
+            for p in range(d):
+                sym = co.hop(d, (q, p), "Xc^2 Xr^6")
+                expected = (
+                    sym.point == co.PhasePoint((q + 2) % d, p)
+                    and sym.phase_exponent == (6 * p) % d
+                )
+                dense, fid = co._hop_dense(d, matrix, q, p)
+                yield 0.0 if expected else 1.0
+                yield 0.0 if dense == sym else 1.0
+                yield 1.0 - fid
+
+    def hop_random():
+        for _ in range(100):
+            word = verify._random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))
+            q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
+            sym = co.hop(d, (q, p), word)
+            dense, fid = co.hop_dense(d, (q, p), word)
+            yield 0.0 if dense == sym else 1.0
+            yield 1.0 - fid
+
+    return rows_oracle(
+        d,
+        tol,
+        [
+            ("collective.point_translation", "", point_translation),
+            ("collective.local_action_random", "50 words", local_action_random),
+            ("collective.hop_example", "Xc^2 Xr^6", hop_example),
+            ("collective.hop_random", "100 words", hop_random),
+        ],
+    )
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_collective_array_passes_equal_the_per_point_oracle(d, seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = collective_rows_oracle(d, states.DEFAULT_TOL, oracle_rng)
+    checks = {row.check for row in expected}
+    rows = [row for row in verify.suite_collective(d, states.DEFAULT_TOL, rng) if row.check in checks]
+    assert _compared(rows) == _compared(expected)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
+    local_action = co._local_action
+    calls = []
+
+    def poisoned(amplitudes, particle, word):
+        image = local_action(amplitudes, particle, word)
+        calls.append(None)
+        if len(calls) == 17:
+            image = image.copy()
+            image[3] = np.nan
+        return image
+
+    monkeypatch.setattr(co, "_local_action", poisoned)
+    with np.errstate(invalid="ignore"):
+        rows = {row.check: row for row in run_suites([5], "collective")}
+    failing = {check for check, row in rows.items() if not row.passed}
+    assert failing == {"collective.local_action_random"}
+    assert rows["collective.local_action_random"].max_error == math.inf
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_stacked_hop_images_are_the_matrix_vector_products_bytes(d):
+    matrix, minus = co.word_matrix(d, "Xc^2 Xr^6"), co.point_basis(d, False)
+    for q in range(d):
+        images = verify._stacked_images(matrix, minus[q * d:(q + 1) * d])
+        assert images.shape == (d, d * d)
+        for p in range(d):
+            assert images[p].tobytes() == (matrix @ minus[q * d + p]).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 7, 13])
+def test_stacked_images_of_a_dense_matrix_are_the_matrix_vector_products_bytes(d):
+    rng = np.random.default_rng(d)
+    matrix = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    states_ = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
+    images = verify._stacked_images(matrix, states_)
+    for image, v in zip(images, states_):
+        assert image.tobytes() == (matrix @ v).tobytes()
+
+
+def test_all_factors_the_lines_once_per_dimension(monkeypatch):
+    factor_lines, calls = li._factor_lines, []
+    monkeypatch.setattr(li, "_factor_lines", lambda d, *args: calls.append(d) or factor_lines(d, *args))
+    rows = run_suites([3, 5], "all")
+    assert calls == [3, 5]
+    calls.clear()
+    mub_rows, lines_rows = run_suites([3, 5], "mub"), run_suites([3, 5], "lines")
+    # each suite run on its own factors the lines itself
+    assert calls == [3, 5, 3, 5]
+    assert _compared(row for row in rows if row.check.startswith("mub.")) == _compared(mub_rows)
+    assert _compared(row for row in rows if row.check.startswith("line.")) == _compared(lines_rows)
 
 
 def test_rows_sum_time_and_keep_the_worst_error_over_items(monkeypatch):
