@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import WordParseError
 from .schwinger import mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp, _overlap_match, _split_dim
+from .states import Ket, UnitaryOp, _omega_exponent, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -271,14 +271,24 @@ def _word_map(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (src, e) map of a word, factors composed in written order with
     unreduced integer exponents; the rightmost factor acts first."""
-    factors = _factors(word, generators)
+    size = d * d if generators == COLLECTIVE_GENERATORS else d
+    return _composed_map(d, _factors(word, generators), size)
+
+
+def _composed_map(d: int, factors, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_word_map` of parsed (generator, power) factors over an index
+    of ``size``.  A power may be an integer array, as of shape (m, 1): the
+    maps of the words its entries give come out stacked, broadcast as numpy
+    broadcasts the power against the index."""
     maps = _generator_maps(d)
-    src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
+    src = np.arange(size)
     exponents = np.zeros_like(src)
     for name, power in factors:
         p_src, p_exp = maps[name]
-        exponents += p_exp[power % d][src]
-        src = p_src[power % d][src]
+        # the entry at src of row power % d, in the flat (d, size) tables
+        flat = power % d * size + src
+        exponents = exponents + p_exp.ravel()[flat]
+        src = p_src.ravel()[flat]
     return src, exponents
 
 
@@ -355,24 +365,45 @@ def hop_dense(
     word: "str | list[tuple[str, int]]",
 ) -> tuple[HopResult, float]:
     """Oracle for :func:`hop`: apply the dense word matrix to the lattice
-    state and re-identify the image against the cached point basis with
-    :func:`mesphase.states._overlap_match`.
+    state and re-identify the image against the cached point basis: the row
+    of the largest overlap modulus, and that overlap's w-exponent.
 
     Returns the identified (point, phase exponent) and the overlap modulus,
     which is 1 exactly when the image is again a lattice state.  A
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
-    return _hop_dense(d, word_matrix(d, word), q, p)
+    return _hop_dense(d, word_matrix(d, word), slice(q * d + p, q * d + p + 1))[0]
 
 
-def _hop_dense(d: int, matrix: np.ndarray, q: int, p: int) -> tuple[HopResult, float]:
-    """:func:`hop_dense` of the lattice state (q, p), reduced mod d, under a
-    word already made dense by :func:`word_matrix`."""
+def _hop_dense(d: int, matrix: np.ndarray, rows: slice) -> list[tuple[HopResult, float]]:
+    """:func:`hop_dense` of the lattice states in ``rows`` of the minus
+    point basis (row q*d + p for (q, p)) under a word already made dense by
+    :func:`word_matrix`.  The images come from one stacked product and their
+    rows from one label search; each overlap is then measured on its own."""
     stack = point_basis(d, False)
-    applied = matrix @ stack[q * d + p]
-    k, exponent, fidelity = _overlap_match(stack, applied, d)
-    return HopResult(PhasePoint(*divmod(k, d)), exponent), fidelity
+    images = _stacked_images(matrix, stack[rows])
+    # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
+    found = np.abs(images.conj() @ stack.T).argmax(axis=1)
+    matched = []
+    for k, image in zip(found.tolist(), images):
+        overlap = np.vdot(stack[k], image)
+        if not np.isfinite(overlap):
+            # a non-finite image matches no point: (0, 0) with fidelity 0
+            k, overlap = 0, 0j
+        result = HopResult(PhasePoint(*divmod(k, d)), _omega_exponent(overlap, d))
+        matched.append((result, float(abs(overlap))))
+    return matched
+
+
+def _stacked_images(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)).
+
+    The rows go in as a stack of (len(v), 1) columns, so numpy makes one
+    matrix-vector product per row and each image is bytes-equal to
+    ``matrix @ v``; a 2-D product over many columns need not be.
+    """
+    return (matrix @ states[..., None])[..., 0]
 
 
 def hop_trajectory(

@@ -268,23 +268,3 @@ def _omega_exponent(z: complex, d: int) -> int:
     """The exponent k in 0..d-1 of the d-th root of unity w^k nearest in
     phase to z."""
     return int(round(np.angle(z) / (2 * np.pi / d))) % d
-
-
-def _overlap_match(stack: np.ndarray, vector: np.ndarray, d: int) -> tuple[int, int, float]:
-    """The row k of ``stack`` with the largest |<s_k|v>|, the w-exponent of
-    that overlap's phase, and its modulus re-measured with ``np.vdot``.
-
-    A non-finite overlap, as from a NaN vector, matches nothing: (0, 0, 0.0).
-    """
-    # |<s_k|v>| = |s_k . conj(v)|, which spares a conjugate copy of the stack
-    return _measured_overlap(stack, int(np.argmax(np.abs(stack @ vector.conj()))), vector, d)
-
-
-def _measured_overlap(stack: np.ndarray, k: int, vector: np.ndarray, d: int) -> tuple[int, int, float]:
-    """The end of :func:`_overlap_match` for a row k already found: the
-    overlap <s_k|v> by ``np.vdot``, its w-exponent and modulus, or (0, 0, 0.0)
-    if it is not finite."""
-    overlap = np.vdot(stack[k], vector)
-    if not np.isfinite(overlap):
-        return 0, 0, 0.0
-    return k, _omega_exponent(overlap, d), float(abs(overlap))

@@ -31,7 +31,6 @@ from .states import (
     Ket,
     _gram_deviation,
     _identity_deviation,
-    _measured_overlap,
     _reduced_deviation,
     _worst,
     is_mes,
@@ -71,16 +70,6 @@ def _projections(rhos: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """
     n, d, _ = rhos.shape
     return rhos.reshape(n, d * d) @ outer.T
-
-
-def _stacked_images(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)).
-
-    The rows go in as a stack of (len(v), 1) columns, so numpy makes one
-    matrix-vector product per row and each image is bytes-equal to
-    ``matrix @ v``; a 2-D product over many columns need not be.
-    """
-    return (matrix @ states[..., None])[..., 0]
 
 
 def _rows(d: int, tol: float, entries, items=((),)) -> list[VerificationReport]:
@@ -124,10 +113,9 @@ def _random_word(rng: np.random.Generator, generators, low: int, high: int, leng
 # -- basis-family suite -------------------------------------------------------
 
 
-def suite_mub(d: int, tol: float, factored=None) -> list[VerificationReport]:
-    """``factored``, if given, is :func:`lines._factor_lines` of
-    :func:`lines.all_lines`, made once for this suite and the lines suite;
-    without it the lines_family_match row factors the lines itself."""
+def suite_mub(d: int, tol: float, factored) -> list[VerificationReport]:
+    """``factored`` is :func:`lines._factor_lines` of :func:`lines.all_lines`,
+    made by :func:`run_suites` as setup outside every row."""
     stacks = sw.mub_stack(d)
 
     def count():
@@ -148,7 +136,7 @@ def suite_mub(d: int, tol: float, factored=None) -> list[VerificationReport]:
     def lines_family_match():
         # the extraction keeps its own numerical rank gate; the configured
         # tolerance only judges the resulting fidelities
-        rebuilt = li._mub_stack_from_lines(d, factored or li._factor_lines(d, li.all_lines(d)))
+        rebuilt = li._mub_stack_from_lines(d, factored)
         for direct, extracted in zip(stacks.reshape(-1, d), rebuilt.reshape(-1, d)):
             yield 1.0 - abs(np.vdot(direct, extracted))
 
@@ -335,18 +323,15 @@ def suite_collective(
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
-        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p), composed as _word_map
-        # does, for the d points of one q at a time, gathered from the power
-        # tables; the products and the vdots stay per point
-        maps = co._generator_maps(d)
-        powers = -np.arange(d) % d
-        zc_src, zc_exp = (table[powers] for table in maps["Zc"])
+        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p) for the d points of
+        # one q at a time, each word's d maps in one stack; the products and
+        # the vdots stay per point
+        powers = (d - np.arange(d))[:, None]
         for q in range(d):
-            xr_src, xr_exp = (table[q] for table in maps["Xr"])
-            xc_src, xc_exp = (table[q] for table in maps["Xc"])
-            zr_src, zr_exp = (table[powers[:, None], xc_src] for table in maps["Zr"])
-            phases_plus, gathered_plus = w[(zc_exp + xr_exp[zc_src]) % d], plus[0][xr_src[zc_src]]
-            phases_minus, gathered_minus = w[(xc_exp + zr_exp) % d], minus[0][zr_src]
+            src, e = co._composed_map(d, [("Zc", powers), ("Xr", q)], d * d)
+            phases_plus, gathered_plus = w[e % d], plus[0][src]
+            src, e = co._composed_map(d, [("Xc", q), ("Zr", powers)], d * d)
+            phases_minus, gathered_minus = w[e % d], minus[0][src]
             for p in range(d):
                 # measured phases are exactly 1 for both generator routes
                 yield abs(np.vdot(plus[q * d + p], phases_plus[p] * gathered_plus[p]) - 1.0)
@@ -376,20 +361,16 @@ def suite_collective(
 
     def hop_example():
         # one dense matrix serves all d^2 points, applied to the d points of
-        # one q at a time; each image is then matched as co._hop_dense does,
-        # the label search for the d images in one matmul
+        # one q at a time
         matrix = co.word_matrix(d, "Xc^2 Xr^6")
         for q in range(d):
-            images = _stacked_images(matrix, minus[q * d:(q + 1) * d])
-            found = np.abs(images.conj() @ minus.T).argmax(axis=1)
-            for p, k in enumerate(found.tolist()):
+            matched = co._hop_dense(d, matrix, slice(q * d, (q + 1) * d))
+            for p, (dense, fid) in enumerate(matched):
                 sym = co.hop(d, (q, p), "Xc^2 Xr^6")
                 expected = (
                     sym.point == co.PhasePoint((q + 2) % d, p)
                     and sym.phase_exponent == (6 * p) % d
                 )
-                k, exponent, fid = _measured_overlap(minus, k, images[p], d)
-                dense = co.HopResult(co.PhasePoint(*divmod(k, d)), exponent)
                 yield 0.0 if expected else 1.0
                 yield 0.0 if dense == sym else 1.0
                 yield 1.0 - fid
@@ -446,17 +427,15 @@ def _line_errors(d: int, tol: float, factored) -> list[list[float]]:
     return errors
 
 
-def suite_lines(d: int, tol: float, errors=None) -> list[VerificationReport]:
+def suite_lines(d: int, tol: float, errors: list[list[float]]) -> list[VerificationReport]:
     """One row per line: rank-1 factorization with the predicted labels.
 
-    Every line is factored and judged up front, by one stacked pass and
-    :func:`_line_errors`, as the suite's setup, unless ``errors`` hands in
-    those made before; each row reports its line's errors."""
-    lines = li.all_lines(d)
-    errors = errors or _line_errors(d, tol, li._factor_lines(d, lines))
+    Every line is factored and judged up front, as setup outside every row:
+    ``errors`` is :func:`_line_errors` of the lines' one stacked
+    factorization; each row reports its line's errors."""
     entries = [
         ("line.factorization", f"b={line.b} m={line.m}", lambda line_errors=line_errors: line_errors)
-        for line, line_errors in zip(lines, errors)
+        for line, line_errors in zip(li.all_lines(d), errors)
     ]
     return _rows(d, tol, entries)
 
@@ -478,13 +457,15 @@ def run_suites(
     rows: list[VerificationReport] = []
     for d in dims:
         rng = np.random.default_rng(seed)
-        # under "all" the lines are factored once, as setup outside every
-        # row, for both the mub and the lines suite; only what the lines
-        # suite reads of it is held through the mes and collective suites
-        factored = li._factor_lines(d, li.all_lines(d)) if suite == "all" else None
+        # the lines are factored once, as setup outside every row, for both
+        # the mub and the lines suite; only what the lines suite reads of it
+        # is held through the mes and collective suites
+        factored = None
+        if suite in ("all", "mub", "lines"):
+            factored = li._factor_lines(d, li.all_lines(d))
         if suite in ("all", "mub"):
             rows += suite_mub(d, tol, factored)
-        line_errors = _line_errors(d, tol, factored) if factored else None
+        line_errors = _line_errors(d, tol, factored) if suite in ("all", "lines") else None
         del factored
         if suite in ("all", "mes"):
             rows += suite_mes(d, tol, rng)

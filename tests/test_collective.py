@@ -5,6 +5,7 @@ from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
     _generator_maps,
+    _composed_map,
     _word_map,
     _hop_dense,
     HopResult,
@@ -27,7 +28,7 @@ from mesphase.errors import InvalidDimension, WordParseError
 from mesphase.modring import ModInt, Prime
 from mesphase.mes import mes_basis, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
-from mesphase.states import Ket, _overlap_match, is_mes, partial_trace, tensor
+from mesphase.states import Ket, _omega_exponent, is_mes, partial_trace, tensor
 
 rng = np.random.default_rng(42)
 
@@ -410,8 +411,11 @@ def hop_dense_oracle(d, point, word):
     to the public lattice state, matched against the minus point states."""
     stack = np.array([point_state_minus(d, (q, p)).amplitudes for q in range(d) for p in range(d)])
     applied = word_matrix(d, word) @ point_state_minus(d, point).amplitudes
-    k, exponent, fidelity = _overlap_match(stack, applied, d)
-    return HopResult(PhasePoint(*divmod(k, d)), exponent), fidelity
+    k = int(np.argmax(np.abs(stack @ applied.conj())))
+    overlap = np.vdot(stack[k], applied)
+    if not np.isfinite(overlap):
+        return HopResult(PhasePoint(0, 0), 0), 0.0
+    return HopResult(PhasePoint(*divmod(k, d)), _omega_exponent(overlap, d)), float(abs(overlap))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
@@ -419,8 +423,10 @@ def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
     for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", ""):
         matrix = word_matrix(d, word)
         for q in range(d):
-            for p in range(d):
-                point, fidelity = _hop_dense(d, matrix, q, p)
+            # the d points of one q in one call, as the verify suite makes it
+            matched = _hop_dense(d, matrix, slice(q * d, (q + 1) * d))
+            assert len(matched) == d
+            for p, (point, fidelity) in enumerate(matched):
                 for expected, expected_fidelity in (
                     hop_dense(d, (q, p), word),
                     hop_dense_oracle(d, (q, p), word),
@@ -494,3 +500,23 @@ def test_power_tables_give_the_step_by_step_word_maps(d):
             got = _word_map(d, factors, generators)
             expected = word_map_oracle(d, factors, generators)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_array_powers_give_the_stacked_word_maps(d):
+    rng = np.random.default_rng(d)
+    for generators, size in ((COLLECTIVE_GENERATORS, d * d), (SINGLE_GENERATORS, d)):
+        for _ in range(100):
+            m = int(rng.integers(1, d + 1))
+            factors = []
+            for _ in range(rng.integers(0, 6)):
+                name = generators[int(rng.integers(0, len(generators)))]
+                # an array power of shape (m, 1) or an integer, at random
+                powers = rng.integers(-3 * d, 3 * d, size=(m, 1))
+                factors.append((name, powers if rng.integers(0, 2) else int(powers[0, 0])))
+            src, exponents = _composed_map(d, factors, size)
+            for j in range(m):
+                word = [(name, int(power[j, 0]) if np.ndim(power) else power) for name, power in factors]
+                expected_src, expected_exp = _word_map(d, word, generators)
+                assert np.array_equal(np.broadcast_to(src, (m, size))[j], expected_src)
+                assert np.array_equal(np.broadcast_to(exponents, (m, size))[j], expected_exp)

@@ -30,7 +30,6 @@ from mesphase.states import (
     DEFAULT_TOL,
     Ket,
     _omega_exponent,
-    _overlap_match,
     _phase_canonical,
     _worst,
     phase_canonical,
@@ -139,13 +138,18 @@ def _canonical_factor(factor):
 
 
 def _identify_label(d, factor, conjugate):
-    """Best-matching (basis, index, fidelity) for one factor by
-    ``_overlap_match`` against the MUB stack, over the tilde partners with
-    ``conjugate=True``; a non-finite factor matches (cb, 0) with fidelity 0."""
+    """Best-matching (basis, index, fidelity) for one factor by the largest
+    overlap modulus against the MUB stack, re-measured with ``np.vdot``,
+    over the tilde partners with ``conjugate=True``; a non-finite factor
+    matches (cb, 0) with fidelity 0."""
     stack = mub_stack(d).reshape(-1, d)
-    k, _, fid = _overlap_match(stack, factor.conj() if conjugate else factor, d)
+    vector = factor.conj() if conjugate else factor
+    k = int(np.argmax(np.abs(stack @ vector.conj())))
+    overlap = np.vdot(stack[k], vector)
+    if not np.isfinite(overlap):
+        return CB, 0, 0.0
     b, m = divmod(k, d)
-    return (CB if b == 0 else BasisLabel(b - 1)), m, fid
+    return (CB if b == 0 else BasisLabel(b - 1)), m, float(abs(overlap))
 
 
 def schmidt_inversion_check_oracle(d, line, tol=DEFAULT_TOL, realization="standard"):
