@@ -61,5 +61,9 @@ verify --d 29 --d 31 --suite collective --seed 3
 verify --d 17 --d 19 --seed 8 --format json
 verify --d 13 --suite mub --format json
 hop --d 7 --q 3 --p 5 --word "Zc^3 Xr^-2 Xc^4"
+lines --d 13 --tol 1e-16
+verify --d 5 --d 7 --suite lines --tol 1e-16
+verify --d 5 --d 7 --suite mub --tol 1e-16
+lines --d 31 --alt-realization --format json
 COMMANDS
 exit $status

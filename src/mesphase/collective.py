@@ -270,8 +270,13 @@ def _word_map(
     d: int, word: "str | list[tuple[str, int]]", generators: tuple[str, ...] = COLLECTIVE_GENERATORS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact (src, e) map of a word, factors composed in written order with
-    unreduced integer exponents; the rightmost factor acts first."""
-    size = d * d if generators == COLLECTIVE_GENERATORS else d
+    unreduced integer exponents; the rightmost factor acts first.  The map
+    acts on the d^2 pair index for collective generators, on the d single-
+    particle index for single-particle ones; a mixed set raises ValueError."""
+    names = set(generators)
+    if not (names <= set(COLLECTIVE_GENERATORS) or names <= set(SINGLE_GENERATORS)):
+        raise ValueError(f"generators {generators} are neither all collective nor all single-particle")
+    size = d * d if names <= set(COLLECTIVE_GENERATORS) else d
     return _composed_map(d, _factors(word, generators), size)
 
 

@@ -26,6 +26,7 @@ d+1 unbiased-basis family.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -97,7 +98,7 @@ def line_points(d: int, line: Line) -> list[PhasePoint]:
     An orientation outside 0..d-1 raises InvalidLabel; m is reduced mod d.
     """
     validate_dimension(d)
-    m = line.m % d
+    m = operator.index(line.m) % d
     b = _label_index(line.b, d)
     if b is None:
         return [PhasePoint(m, p) for p in range(d)]
@@ -130,10 +131,14 @@ def _summed_basis(d: int, realization: str) -> np.ndarray:
 
 def _line_index(d: int, lines: list[Line]) -> np.ndarray:
     """Each line's position in :func:`all_lines`: (b + 1)*d + (m mod d) for
-    orientation b, m mod d for a vertical line."""
+    orientation b, m mod d for a vertical line; m goes through
+    ``operator.index``, as b does in :func:`_label_index`."""
     validate_dimension(d)
     return np.array(
-        [(0 if (b := _label_index(line.b, d)) is None else b + 1) * d + line.m % d for line in lines]
+        [
+            (0 if (b := _label_index(line.b, d)) is None else b + 1) * d + operator.index(line.m) % d
+            for line in lines
+        ]
     )
 
 
@@ -202,89 +207,81 @@ class LineFactorReport:
 
 
 class _FactoredLines(NamedTuple):
-    """What :func:`_factor_lines` measures, one entry per line: the line
-    state, its second singular value, NaN for a line kept out of the SVD, and
-    its normalized, phase-canonical leading factor pair, zero for such a
-    line: particle 1 (left singular vector) and particle 2 (right)."""
+    """What :func:`_factor_lines` measures, one entry per line: its report,
+    its matched particle-2 label as row k = basis*d + m of the flat MUB stack
+    (compare :func:`_line_tables`), and its normalized, phase-canonical
+    particle-2 factor (right singular vector), zero for a line kept out of
+    the SVD."""
 
-    amplitudes: np.ndarray
-    second: list[float]
-    factor1: np.ndarray
+    reports: list[LineFactorReport]
+    found: np.ndarray
     factor2: np.ndarray
 
 
-def _factor_lines(d: int, lines: list[Line], realization: str = "standard") -> _FactoredLines:
-    """Factor the line states in stacked passes: one gather and sum of the
-    point basis for all lines, then one ``np.linalg.svd`` call per block of
-    d lines (a pencil, for :func:`all_lines`).
+def _factor_lines(
+    d: int, lines: list[Line], tol: float = DEFAULT_TOL, realization: str = "standard"
+) -> _FactoredLines:
+    """Factor and judge the line states one block of d lines at a time (a
+    pencil, for :func:`all_lines`): one gather and sum of the point basis,
+    one ``np.linalg.svd`` call and one label search per factor side, a
+    matmul against the MUB stack.  No line state outlives its block.
 
     A stacked SVD raises for the whole stack on one non-finite matrix, so a
     non-finite line state is kept out: it is factored as the zero matrix and
-    its results are dropped.  The norm of each singular vector stays per
-    line, since a batched norm moves its last bit.
+    reports a NaN second singular value, the label (cb, 0) with fidelity 0
+    on both sides and an infinite error.  The norm of each singular vector,
+    the three ``np.vdot`` overlaps and the phase exponent stay per line,
+    since a batched form moves their last bit.
     """
     basis = _summed_basis(d, realization)
-    amplitudes = _line_sums(basis, _line_tables(d)[0][_line_index(d, lines)])
-    finite = np.isfinite(amplitudes).all(axis=1)
-    kept = finite.tolist()
-    safe = amplitudes if all(kept) else np.where(finite[:, None], amplitudes, 0)
-    second = [math.nan] * len(lines)
-    factor1, factor2 = np.zeros((2, len(lines), d), dtype=np.complex128)
+    rows = _line_tables(d)[0][_line_index(d, lines)]
+    stack, w = mub_stack(d).reshape(-1, d), omega_powers(d)
+    reports, found = [], np.empty(len(lines), dtype=np.intp)
+    factor2 = np.zeros((len(lines), d), dtype=np.complex128)
     for start in range(0, len(lines), d):
-        u, s, vh = np.linalg.svd(safe[start:start + d].reshape(-1, d, d))
-        for i, ok in enumerate(kept[start:start + d], start):
+        amplitudes = _line_sums(basis, rows[start:start + d])
+        finite = np.isfinite(amplitudes).all(axis=1)
+        kept = finite.tolist()
+        safe = amplitudes if all(kept) else np.where(finite[:, None], amplitudes, 0)
+        u, s, vh = np.linalg.svd(safe.reshape(-1, d, d))
+        factor1, block2 = np.zeros((len(kept), d), dtype=np.complex128), factor2[start:start + d]
+        for i, ok in enumerate(kept):
             if ok:
-                second[i] = float(s[i - start, 1])
-                factor1[i] = _canonical_factor(u[i - start, :, 0])
-                factor2[i] = _canonical_factor(vh[i - start, 0])
-    return _FactoredLines(amplitudes, second, factor1, factor2)
-
-
-def _line_reports(
-    d: int, lines: list[Line], factored: _FactoredLines, tol: float = DEFAULT_TOL
-) -> tuple[list[LineFactorReport], np.ndarray]:
-    """The reports of factored lines and their matched particle-2 labels, as
-    rows k = basis*d + m of the flat MUB stack (compare
-    :func:`_line_tables`).
-
-    Each factor side is one matmul against the MUB stack.  The three
-    ``np.vdot`` overlaps and the phase exponent stay per line, since a
-    batched form moves their last bit.  A line kept out of the SVD matches
-    the label (cb, 0) with fidelity 0 and reports an infinite error.
-    """
-    amplitudes, second, factor1, factor2 = factored
-    stack = mub_stack(d).reshape(-1, d)
-    # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
-    # matches row 0, the label (cb, 0)
-    found1 = np.abs(factor1 @ stack.T).argmax(axis=1)
-    found2 = np.abs(factor2.conj() @ stack.T).argmax(axis=1)
-    conj1, w = factor1.conj(), omega_powers(d)
-    reports = []
-    for i, (line, s1, k1, k2) in enumerate(zip(lines, second, found1.tolist(), found2.tolist())):
-        fid1 = abs(np.vdot(stack[k1], conj1[i]))
-        fid2 = abs(np.vdot(stack[k2], factor2[i]))
-        overlap = np.vdot(np.outer(factor1[i], factor2[i]).ravel(), amplitudes[i])
-        exponent = 0 if math.isnan(s1) else _omega_exponent(overlap, d)
-        (b1, m1), (b2, m2) = _mub_label(d, k1), _mub_label(d, k2)
-        reports.append(
-            LineFactorReport(
-                d=d,
-                line=line,
-                second_singular_value=s1,
-                # False for a NaN singular value
-                schmidt_rank_ok=s1 < tol,
-                factor1_b=b1,
-                factor1_m=m1,
-                factor1_is_tilde=True,
-                factor1_fidelity=float(fid1),
-                factor2_b=b2,
-                factor2_m=m2,
-                factor2_fidelity=float(fid2),
-                global_phase_exponent=exponent,
-                max_error=float(_worst(s1, 1.0 - fid1, 1.0 - fid2, abs(overlap - w[exponent]))),
+                factor1[i] = _canonical_factor(u[i, :, 0])
+                block2[i] = _canonical_factor(vh[i, 0])
+        # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
+        # matches row 0, the label (cb, 0)
+        found1 = np.abs(factor1 @ stack.T).argmax(axis=1).tolist()
+        found[start:start + d] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
+        conj1 = factor1.conj()
+        for i, (line, ok, k1, k2) in enumerate(
+            zip(lines[start:start + d], kept, found1, found[start:start + d].tolist())
+        ):
+            s1 = float(s[i, 1]) if ok else math.nan
+            fid1 = abs(np.vdot(stack[k1], conj1[i]))
+            fid2 = abs(np.vdot(stack[k2], block2[i]))
+            overlap = np.vdot(np.outer(factor1[i], block2[i]).ravel(), amplitudes[i])
+            exponent = _omega_exponent(overlap, d) if ok else 0
+            (b1, m1), (b2, m2) = _mub_label(d, k1), _mub_label(d, k2)
+            reports.append(
+                LineFactorReport(
+                    d=d,
+                    line=line,
+                    second_singular_value=s1,
+                    # False for a NaN singular value
+                    schmidt_rank_ok=s1 < tol,
+                    factor1_b=b1,
+                    factor1_m=m1,
+                    factor1_is_tilde=True,
+                    factor1_fidelity=float(fid1),
+                    factor2_b=b2,
+                    factor2_m=m2,
+                    factor2_fidelity=float(fid2),
+                    global_phase_exponent=exponent,
+                    max_error=float(_worst(s1, 1.0 - fid1, 1.0 - fid2, abs(overlap - w[exponent]))),
+                )
             )
-        )
-    return reports, found2
+    return _FactoredLines(reports, found, factor2)
 
 
 def schmidt_inversion_check(
@@ -299,7 +296,7 @@ def schmidt_inversion_check(
     line state fails: fidelities 0 and an infinite ``max_error``.
     """
     validate_tolerance(tol)
-    return _line_reports(d, [line], _factor_lines(d, [line], realization), tol)[0][0]
+    return _factor_lines(d, [line], tol, realization).reports[0]
 
 
 def expected_factor2_label(d: int, line: Line) -> tuple[BasisLabel, int]:
@@ -339,12 +336,12 @@ def _mub_stack_from_lines(d: int, factored: _FactoredLines, tol: float = DEFAULT
     layout of :func:`mesphase.schwinger.mub_stack`, read from
     :func:`_factor_lines` of :func:`all_lines`; FactorizationFailed if a line
     is not of Schmidt rank 1 within ``tol``."""
-    for i, second in enumerate(factored.second):
+    for report in factored.reports:
+        second = report.second_singular_value
         # not (s <= tol), so that a NaN singular value fails too
         if not second <= tol:
-            line = all_lines(d)[i]
             raise FactorizationFailed(
-                f"line b={line.b} m={line.m} has Schmidt rank > 1 "
+                f"line b={report.line.b} m={report.line.m} has Schmidt rank > 1 "
                 f"(second singular value {second:.3e})"
             )
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
@@ -373,5 +370,5 @@ def line_factor_table(
             "global_phase_exponent": rep.global_phase_exponent,
             "max_error": rep.max_error,
         }
-        for rep in _line_reports(d, lines, _factor_lines(d, lines, realization), tol)[0]
+        for rep in _factor_lines(d, lines, tol, realization).reports
     ]

@@ -13,6 +13,7 @@ Hilbert space indexed by the lattice (q, p).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def mes_state(
     """The (q, p) element of the MES basis built from bases b and b'."""
     label1, rows1 = basis_rows(d, b)
     label2, rows2 = basis_rows(d, b_prime)
-    q, p = q % d, p % d
+    q, p = operator.index(q) % d, operator.index(p) % d
     vec = _mes_amplitudes(d, rows1, rows2, np.array([q]), np.array([p]))[0, 0]
     return MesBasisElement(q, p, label1, label2, Ket(vec))
 

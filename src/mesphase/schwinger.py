@@ -18,6 +18,7 @@ unit circle, so the amplitudes sit exactly on the d-point circle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,13 +110,16 @@ CB = BasisLabel(None)
 
 
 def _label_index(b: "BasisLabel | int | None", d: int) -> int | None:
-    """Normalize a label argument to None (cb) or an integer in 0..d-1."""
+    """Normalize a label argument to None (cb) or an integer in 0..d-1.  An
+    integer label goes through ``operator.index``: a numpy integer counts as
+    an int, a float or a string raises TypeError."""
     idx = b.index if isinstance(b, BasisLabel) else b
     if idx is None:
         return None
-    if not 0 <= int(idx) < d:
+    idx = operator.index(idx)
+    if not 0 <= idx < d:
         raise InvalidLabel(f"basis label {idx} out of range 0..{d - 1}")
-    return int(idx)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def basis_rows(d: int, b: "BasisLabel | int | None") -> tuple[BasisLabel, np.nda
 def mub_state(d: int, b: "BasisLabel | int | None", m: int) -> MubState:
     """State m of basis b; the computational basis returns e_m."""
     label, rows = basis_rows(d, b)
-    m = m % d
+    m = operator.index(m) % d
     return MubState(label, m, Ket(rows[m]))
 
 
@@ -195,12 +199,12 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     label, rows = basis_rows(d, b)
     if label.is_cb:
         raise InvalidLabel("the computational basis has no shift-clock eigenrelation")
-    idx = label.index
-    state = rows[m % d]
+    idx, m = label.index, operator.index(m) % d
+    state = rows[m]
     pows = omega_powers(d)
     z2b = np.diag(pows[[(2 * idx * n) % d for n in range(d)]])
     applied = pows[idx] * (_shift_matrix(d) @ (z2b @ state))
-    return float(np.abs(applied - pows[m % d] * state).max())
+    return float(np.abs(applied - pows[m] * state).max())
 
 
 def mub_eigen_check(

@@ -409,34 +409,25 @@ def suite_collective(
 # -- line-state suite -----------------------------------------------------------
 
 
-def _line_errors(d: int, tol: float, factored) -> list[list[float]]:
-    """The errors each line.factorization row yields, one list per line of
-    :func:`lines.all_lines`, from its :func:`lines._factor_lines`: the
-    line's reported error, 1.0 unless its matched particle-2 label is the
-    predicted one, and for a vertical line the largest deviation of its
-    state from |m>|m>.  Nothing of size d^4 is kept."""
-    lines = li.all_lines(d)
-    reports, found = li._line_reports(d, lines, factored, tol)
-    label_ok = (found == li._line_tables(d)[1]).tolist()
-    errors = []
-    for i, (line, report) in enumerate(zip(lines, reports)):
-        errors.append([report.max_error, 0.0 if label_ok[i] else 1.0])
-        if line.b.is_cb:
-            e = np.eye(d)[line.m]
-            errors[i].append(np.abs(factored.amplitudes[i] - np.outer(e, e).ravel()).max())
-    return errors
-
-
-def suite_lines(d: int, tol: float, errors: list[list[float]]) -> list[VerificationReport]:
+def suite_lines(d: int, tol: float, factored) -> list[VerificationReport]:
     """One row per line: rank-1 factorization with the predicted labels.
 
-    Every line is factored and judged up front, as setup outside every row:
-    ``errors`` is :func:`_line_errors` of the lines' one stacked
-    factorization; each row reports its line's errors."""
-    entries = [
-        ("line.factorization", f"b={line.b} m={line.m}", lambda line_errors=line_errors: line_errors)
-        for line, line_errors in zip(li.all_lines(d), errors)
-    ]
+    ``factored`` is :func:`lines._factor_lines` of :func:`lines.all_lines`,
+    made by :func:`run_suites` as setup outside every row.  Each row reports
+    its line's error, 1.0 unless its matched particle-2 label is the
+    predicted one, and for a vertical line the largest deviation of its
+    state from |m>|m>."""
+    rows, labels = li._line_tables(d)
+    label_ok = (factored.found == labels).tolist()
+    # the cb pencil, the first d lines, is the d vertical lines
+    vertical = li._line_sums(li._summed_basis(d, "standard"), rows[:d])
+    entries = []
+    for i, (line, report) in enumerate(zip(li.all_lines(d), factored.reports)):
+        errors = [report.max_error, 0.0 if label_ok[i] else 1.0]
+        if line.b.is_cb:
+            e = np.eye(d)[line.m]
+            errors.append(np.abs(vertical[i] - np.outer(e, e).ravel()).max())
+        entries.append(("line.factorization", f"b={line.b} m={line.m}", lambda errors=errors: errors))
     return _rows(d, tol, entries)
 
 
@@ -458,19 +449,14 @@ def run_suites(
     for d in dims:
         rng = np.random.default_rng(seed)
         # the lines are factored once, as setup outside every row, for both
-        # the mub and the lines suite; only what the lines suite reads of it
-        # is held through the mes and collective suites
-        factored = None
-        if suite in ("all", "mub", "lines"):
-            factored = li._factor_lines(d, li.all_lines(d))
+        # the mub and the lines suite
+        factored = li._factor_lines(d, li.all_lines(d), tol) if suite in ("all", "mub", "lines") else None
         if suite in ("all", "mub"):
             rows += suite_mub(d, tol, factored)
-        line_errors = _line_errors(d, tol, factored) if suite in ("all", "lines") else None
-        del factored
         if suite in ("all", "mes"):
             rows += suite_mes(d, tol, rng)
         if suite in ("all", "collective"):
             rows += suite_collective(d, tol, rng)
         if suite in ("all", "lines"):
-            rows += suite_lines(d, tol, line_errors)
+            rows += suite_lines(d, tol, factored)
     return rows

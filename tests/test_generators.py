@@ -208,6 +208,16 @@ def test_word_matrix_rejects_generators_of_the_other_set():
         word_matrix(5, [("X", 1)])
 
 
+def test_word_maps_take_one_generator_set_of_any_size():
+    # any subset of one set maps its own index: d^2 pair states or d states
+    assert np.array_equal(word_matrix(5, "Xc^1", ("Xc",)), word_matrix(5, "Xc^1"))
+    assert np.array_equal(word_matrix(5, "Z^2", ("Z",)), word_matrix(5, "Z^2", SINGLE_GENERATORS))
+    for mixed in (("X", "Xc"), COLLECTIVE_GENERATORS + SINGLE_GENERATORS):
+        for word in ("X^1", "Xc^1"):
+            with pytest.raises(ValueError, match="neither all collective nor all single-particle"):
+                word_matrix(5, word, mixed)
+
+
 def test_generator_maps_are_read_only():
     maps = co._generator_maps(5)
     assert sorted(maps) == sorted(COLLECTIVE_GENERATORS + SINGLE_GENERATORS)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mesphase.lines import (
     _factor_lines,
     _line_amplitudes,
     _line_index,
-    _line_reports,
     _line_tables,
     _mub_stack_from_lines,
     all_lines,
@@ -230,18 +230,16 @@ def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
 def test_stacked_core_equals_the_per_line_oracle(d):
     lines = all_lines(d)
     for realization in ("standard", "alt"):
-        factored = _factor_lines(d, lines, realization)
-        reports, _ = _line_reports(d, lines, factored)
+        factored = _factor_lines(d, lines, DEFAULT_TOL, realization)
         for i, line in enumerate(lines):
             oracle = schmidt_inversion_check_oracle(d, line, realization=realization)
             # dataclass equality: every field, floats exactly
-            assert reports[i] == oracle
+            assert factored.reports[i] == oracle
             assert schmidt_inversion_check(d, line, realization=realization) == oracle
             state = row_sum_oracle(d, line, realization)
-            assert factored.amplitudes[i].tobytes() == state.tobytes()
-            s, factor1, factor2 = _factorize(d, state)
-            assert factored.second[i] == s[1]
-            assert factored.factor1[i].tobytes() == factor1.tobytes()
+            assert _line_amplitudes(d, line, realization).tobytes() == state.tobytes()
+            s, _, factor2 = _factorize(d, state)
+            assert factored.reports[i].second_singular_value == s[1]
             assert factored.factor2[i].tobytes() == factor2.tobytes()
     rows = li.line_factor_table(d)
     assert [(r["b"], r["m"], r["max_error"]) for r in rows] == [
@@ -253,7 +251,8 @@ def test_stacked_core_equals_the_per_line_oracle(d):
 def test_stacked_core_predicts_the_expected_factor2_labels(d):
     lines = all_lines(d)
     predicted = li._line_tables(d)[1]
-    _, matched = _line_reports(d, lines, _factor_lines(d, lines))
+    matched = _factor_lines(d, lines).found
+    assert np.array_equal(matched, predicted)
     for line, k, found in zip(lines, predicted, matched):
         label, m = expected_factor2_label_oracle(d, line)
         assert expected_factor2_label(d, line) == (label, m)
@@ -269,7 +268,7 @@ def test_nan_line_fails_only_its_own_report(monkeypatch):
     poisoned[3 * d + 5, 4] = np.nan
     monkeypatch.setattr(li, "point_basis", lambda d, plus: poisoned)
     with np.errstate(invalid="ignore"):
-        reports, _ = _line_reports(d, lines, _factor_lines(d, lines))
+        reports = _factor_lines(d, lines).reports
         single = schmidt_inversion_check(d, Line(CB, 3))
     assert single.max_error == math.inf and not single.schmidt_rank_ok
     through = {i for i, line in enumerate(lines) if PhasePoint(3, 5) in line_points(d, line)}
@@ -283,6 +282,21 @@ def test_nan_line_fails_only_its_own_report(monkeypatch):
         else:
             # the other lines of each pencil keep their values
             assert report == expected
+
+
+def test_factoring_holds_no_line_state_beyond_its_pencil():
+    d = 31
+    lines = all_lines(d)
+    # warm the point basis, line tables and MUB stack, which stay cached
+    _factor_lines(d, lines)
+    tracemalloc.start()
+    try:
+        _factor_lines(d, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all d(d+1) line states at once, d^2 amplitudes each: 14.5 MiB at d=31
+    assert peak < d * (d + 1) * d * d * np.dtype(np.complex128).itemsize
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
@@ -368,23 +382,33 @@ def test_expected_labels_use_half_and_quarter():
     assert m2 == half(5, d)
 
 
-@pytest.mark.parametrize("b", [5, -1, 7])
+@pytest.mark.parametrize("b", [5, -1, 7, 2.5, "3"])
 def test_out_of_range_orientations_rejected(b):
     d = 5
-    line = Line(BasisLabel(b), 0)
-    for call in (
-        lambda: line_points(d, line),
-        lambda: line_state(d, line),
-        lambda: schmidt_inversion_check(d, line),
-        lambda: expected_factor2_label(d, line),
-    ):
-        with pytest.raises(InvalidLabel):
+    error = InvalidLabel if isinstance(b, int) else TypeError
+
+    def calls(line):
+        return (
+            lambda: line_points(d, line),
+            lambda: line_state(d, line),
+            lambda: schmidt_inversion_check(d, line),
+            lambda: expected_factor2_label(d, line),
+        )
+
+    for call in calls(Line(BasisLabel(b), 0)):
+        with pytest.raises(error):
             call()
-    # the offset stays reduced mod d
+    # the offset stays reduced mod d and must be an integer: 1.5 is no grid offset
     shifted = Line(BasisLabel(2), d + 3)
     assert line_points(d, shifted) == line_points(d, Line(BasisLabel(2), 3))
+    assert line_points(d, Line(BasisLabel(np.int64(2)), np.int32(d + 3))) == line_points(d, shifted)
     assert expected_factor2_label(d, shifted) == expected_factor2_label(d, Line(BasisLabel(2), 3))
     assert expected_factor2_label(d, Line(CB, -1)) == (CB, d - 1)
+    assert expected_factor2_label(d, Line(CB, np.int64(-1))) == (CB, d - 1)
+    for line in (Line(CB, 1.5), Line(BasisLabel(2), 1.5), Line(CB, "1")):
+        for call in calls(line):
+            with pytest.raises(TypeError):
+                call()
 
 
 @pytest.mark.parametrize("d", [0, 2, 9])

@@ -346,9 +346,10 @@ def test_worked_relabeling_equals_outer_product_loops_exactly():
     assert np.array_equal(f, diagonalizer_oracle(vecs, spectrum))
 
 
-@pytest.mark.parametrize("bad", [-1, 5])
+@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3"])
 def test_out_of_range_integer_labels_rejected(bad):
     d = 5
+    error = InvalidLabel if isinstance(bad, int) else TypeError
     for call in (
         lambda: mes_state(d, bad, CB, 0, 0),
         lambda: mes_state(d, CB, bad, 0, 0),
@@ -356,11 +357,16 @@ def test_out_of_range_integer_labels_rejected(bad):
         lambda: mes_basis(d, 0, bad),
         lambda: universal_state(d, bad),
     ):
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(error):
             call()
-    # lattice labels stay reduced mod d
+    # lattice labels stay reduced mod d and must be integers too
     element = mes_state(d, 1, 2, -1, d + 3)
     assert (element.q, element.p) == (d - 1, 3)
+    element = mes_state(d, np.int64(1), 2, np.int32(-1), np.int64(d + 3))
+    assert (element.b, element.q, element.p) == (BasisLabel(1), d - 1, 3)
+    for q, p in ((1.5, 0), (0, 2.0), ("1", 0)):
+        with pytest.raises(TypeError):
+            mes_state(d, CB, CB, q, p)
 
 
 def test_mes_basis_json(capsys):

@@ -85,19 +85,27 @@ def test_label_parse_and_count():
         BasisLabel.parse("xyz", 5)
 
 
-@pytest.mark.parametrize("bad", [-1, 7])
+@pytest.mark.parametrize("bad", [-1, 7, 2.7, "3"])
 def test_out_of_range_integer_labels_rejected(bad):
     d = 7
+    # a label that is not an integer fails closed instead of being truncated
+    error = InvalidLabel if isinstance(bad, int) else TypeError
     for call in (
         lambda: mub_state(d, bad, 0),
         lambda: mub_state(d, BasisLabel(bad), 0),
         lambda: mub_basis(d, bad),
         lambda: mub_eigen_residual(d, bad, 0),
     ):
-        with pytest.raises(InvalidLabel):
+        with pytest.raises(error):
             call()
-    # the state index stays reduced mod d
+    # the state index stays reduced mod d and must be an integer too
     assert mub_state(d, 3, -1).m == d - 1
+    state = mub_state(d, np.int64(3), np.int32(-1))
+    assert (state.b, state.m, type(state.m)) == (BasisLabel(3), d - 1, int)
+    assert mub_eigen_residual(d, np.int64(2), np.int32(8)) == mub_eigen_residual(d, 2, 1)
+    for call in (lambda: mub_state(d, 2, 1.5), lambda: mub_eigen_residual(d, 2, 1.5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_mub_state_known_vectors():
