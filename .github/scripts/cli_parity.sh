@@ -65,5 +65,11 @@ lines --d 13 --tol 1e-16
 verify --d 5 --d 7 --suite lines --tol 1e-16
 verify --d 5 --d 7 --suite mub --tol 1e-16
 lines --d 31 --alt-realization --format json
+gen-mub --d 2
+verify --d 1
+lines --d -7
+hop --d 15 --q 0 --p 0
+gen-mes --d 4 --b 0
+verify --d 7 --d 0 --suite mub
 COMMANDS
 exit $status

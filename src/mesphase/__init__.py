@@ -36,9 +36,7 @@ from .errors import (
     MesphaseError,
     NotBijective,
     NotOrthonormal,
-    NotPrime,
     WordParseError,
-    ZeroInverse,
 )
 from .lines import (
     Line,
@@ -60,7 +58,6 @@ from .mes import (
     mes_state,
     universal_state,
 )
-from .modring import ModInt, Prime, half, is_prime, mod_inverse, quarter
 from .schwinger import (
     CB,
     BasisLabel,
@@ -91,8 +88,6 @@ __all__ = [
     "__version__",
     # errors
     "MesphaseError",
-    "NotPrime",
-    "ZeroInverse",
     "DimMismatch",
     "NotOrthonormal",
     "NotBijective",
@@ -101,13 +96,6 @@ __all__ = [
     "InvalidDimension",
     "InvalidLabel",
     "InvalidTolerance",
-    # residue arithmetic
-    "Prime",
-    "ModInt",
-    "is_prime",
-    "mod_inverse",
-    "half",
-    "quarter",
     # states
     "DEFAULT_TOL",
     "Ket",

@@ -5,14 +5,6 @@ class MesphaseError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPrime(MesphaseError, ValueError):
-    """Modulus is composite, or is the excluded even prime 2."""
-
-
-class ZeroInverse(MesphaseError, ZeroDivisionError):
-    """Attempted to invert the zero residue."""
-
-
 class DimMismatch(MesphaseError, ValueError):
     """Operands live in incompatible Hilbert spaces."""
 

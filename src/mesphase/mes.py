@@ -155,13 +155,14 @@ def _check_orthonormal(vectors: np.ndarray, tol: float) -> None:
 def build_relabeling(
     sources: list[Ket], targets: list[int], tol: float = DEFAULT_TOL
 ) -> RelabelingMap:
-    """Unitary relabeling source k -> |targets[k]>."""
+    """Unitary relabeling source k -> |targets[k]>.  Targets go through
+    ``operator.index``, so a float or a string raises TypeError."""
     vecs = np.array([s.amplitudes for s in sources])
     d = vecs.shape[1]
     _check_orthonormal(vecs, tol)
-    if sorted(int(t) % d for t in targets) != list(range(d)):
+    targets_mod = [operator.index(t) % d for t in targets]
+    if sorted(targets_mod) != list(range(d)):
         raise NotBijective(f"targets {targets} are not a bijection onto 0..{d - 1}")
-    targets_mod = [int(t) % d for t in targets]
     # row t of u is the conjugate of the source with target t
     u = np.zeros((d, d), dtype=np.complex128)
     u[targets_mod] = vecs.conj()

@@ -24,8 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidLabel, NotPrime
-from .modring import Prime
+from .errors import InvalidDimension, InvalidLabel
 from .states import DEFAULT_TOL, Ket, UnitaryOp, validate_tolerance
 
 __all__ = [
@@ -46,17 +45,35 @@ __all__ = [
 
 def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code.
-    A non-integer such as 7.0 is refused too.  A plain ``int`` that passed
-    once is remembered, so the primality test runs once per dimension."""
+    A non-integer such as 7.0 is refused too, and so is 2: the line labels
+    halve and quarter exponents, so 2 and 4 must be invertible mod d.  A
+    plain ``int`` that passed once is remembered, so the primality test runs
+    once per dimension."""
     if type(d) is int and d in _VALID_DIMENSIONS:
         return d
     try:
-        Prime(d)
-    except (NotPrime, TypeError) as exc:
+        n = operator.index(d)
+    except TypeError as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
+    if n == 2 or not _is_prime(n):
+        raise InvalidDimension(f"d={d} must be an odd prime")
     if type(d) is int:
         _VALID_DIMENSIONS.add(d)
     return d
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic 6k +- 1 trial division (dimensions here are small)."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
 
 
 # odd primes already validated; only plain ints enter, since 7.0 == 7 and

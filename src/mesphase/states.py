@@ -15,6 +15,7 @@ modules that sit on top of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,10 @@ class Ket:
 
     @classmethod
     def basis(cls, dim: int, n: int) -> "Ket":
+        """|n mod dim>; n goes through ``operator.index``, so a float or a
+        string raises TypeError."""
         v = np.zeros(dim, dtype=np.complex128)
-        v[n % dim] = 1.0
+        v[operator.index(n) % dim] = 1.0
         return cls(v)
 
     @classmethod
@@ -253,7 +256,7 @@ def phase_canonical(ket: Ket, tol: float = DEFAULT_TOL) -> Ket:
     Used for deterministic printing and factor matching only; equality tests
     always go through inner products.
     """
-    return Ket(_phase_canonical(ket.amplitudes, tol))
+    return Ket(_phase_canonical(ket.amplitudes, validate_tolerance(tol)))
 
 
 def _phase_canonical(amplitudes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

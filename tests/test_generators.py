@@ -38,7 +38,7 @@ DIMS = [3, 5, 7, 11, 13]
 @lru_cache(maxsize=None)
 def permutation_oracle(d):
     """Read-only d^2 x d^2 permutation with a 1 at (nc*d + nr, n1*d + n2),
-    one ModInt halving per pair (n1, n2)."""
+    one ``particle_to_collective`` call per pair (n1, n2)."""
     perm = np.zeros((d * d, d * d), dtype=np.complex128)
     for n1 in range(d):
         for n2 in range(d):

@@ -24,7 +24,6 @@ from mesphase.lines import (
     mub_from_lines,
     schmidt_inversion_check,
 )
-from mesphase.modring import ModInt, Prime
 from mesphase.schwinger import CB, BasisLabel, mub_family, mub_stack, mub_state, omega_powers
 from mesphase.states import (
     DEFAULT_TOL,
@@ -41,15 +40,17 @@ ODD_PRIMES_TO_31 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def half(x, d):
-    return int(ModInt(x, Prime(d)).half())
+    """Oracle: the residue y with 2y = x mod d, by exhaustive search."""
+    return next(y for y in range(d) if (2 * y - x) % d == 0)
 
 
 def quarter(x, d):
-    return int(ModInt(x, Prime(d)).quarter())
+    """Oracle: the residue y with 4y = x mod d, by exhaustive search."""
+    return next(y for y in range(d) if (4 * y - x) % d == 0)
 
 
 def expected_factor2_label_oracle(d, line):
-    """``expected_factor2_label`` in ``ModInt`` arithmetic: (cb, m) for a
+    """``expected_factor2_label`` by exhaustive residue search: (cb, m) for a
     vertical line, else (b/4 mod d, m/2 mod d)."""
     if line.b.is_cb:
         return CB, line.m % d

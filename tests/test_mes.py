@@ -247,6 +247,12 @@ def test_relabeling_rejects_bad_input():
         build_relabeling([Ket.basis(3, 0), Ket.basis(3, 1)], [0, 1])
     with pytest.raises(NotBijective):
         build_relabeling([Ket.basis(3, n) for n in range(3)], [0, 0, 2])
+    # a target that is not an integer fails closed instead of being truncated
+    for targets in ([0.9, 1.2, 2.7], [0, "1", 2], [0, 1, 2.0]):
+        with pytest.raises(TypeError):
+            build_relabeling([Ket.basis(3, n) for n in range(3)], targets)
+    rel = build_relabeling([Ket.basis(3, n) for n in range(3)], np.array([2, 0, -2]))
+    assert rel.targets == (2, 0, 1) and all(type(t) is int for t in rel.targets)
 
 
 def test_diagonalizer_worked_example():

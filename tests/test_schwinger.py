@@ -53,6 +53,32 @@ def test_invalid_dimensions_rejected():
             validate_dimension(bad)
 
 
+def test_validate_dimension_accepts_odd_primes():
+    for d in (3, 5, 7, 7919):
+        assert validate_dimension(d) == d
+    assert validate_dimension(np.int64(7)) == 7
+
+
+def test_validate_dimension_refuses_two_composites_and_non_positives():
+    for bad in (2, 9, 1, 0, -7, 7917):
+        with pytest.raises(InvalidDimension, match=f"d={bad} must be an odd prime"):
+            validate_dimension(bad)
+    # oracle: the odd primes by exhaustive trial division
+    for n in range(-5, 600):
+        if n > 2 and all(n % k for k in range(2, n)):
+            assert validate_dimension(n) == n
+        else:
+            with pytest.raises(InvalidDimension):
+                validate_dimension(n)
+
+
+@pytest.mark.parametrize("bad", [7.0, 3.5, "7", None])
+def test_validate_dimension_refuses_non_integers(bad):
+    with pytest.raises(InvalidDimension) as info:
+        validate_dimension(bad)
+    assert isinstance(info.value.__cause__, TypeError)
+
+
 def test_shift_and_eigenrelation_refuse_a_float_dimension_once_cached():
     # 7.0 == 7, so a cache keyed by d must not let it through
     assert mub_eigen_residual(7, 1, 0) < 1e-12

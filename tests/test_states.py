@@ -44,6 +44,14 @@ def test_ket_is_immutable():
         k.amplitudes[0] = 0.0
 
 
+def test_ket_basis_takes_integer_labels_only():
+    assert np.array_equal(Ket.basis(3, 4).amplitudes, [0, 1, 0])
+    assert np.array_equal(Ket.basis(3, np.int64(-1)).amplitudes, [0, 0, 1])
+    for bad in (1.5, "1", 1.0):
+        with pytest.raises(TypeError):
+            Ket.basis(3, bad)
+
+
 def test_tensor_flat_index_convention():
     # particle 1 is the high digit: |0>|1> sits at flat index 0*3 + 1
     prod = tensor(Ket.basis(3, 0), Ket.basis(3, 1))

@@ -626,6 +626,7 @@ def _tolerance_callers():
             basis[0], basis[0], tol
         ),
         "build_relabeling": lambda tol: me.build_relabeling(basis, [0, 1, 2], tol),
+        "phase_canonical": lambda tol: states.phase_canonical(basis[1], tol),
         "diagonalizer_for": lambda tol: me.diagonalizer_for(basis, [1, 1, 1], tol),
         "UnitaryOp": lambda tol: states.UnitaryOp(np.eye(3), tol),
         "DensityOp": lambda tol: states.DensityOp(np.eye(3) / 3, tol),
