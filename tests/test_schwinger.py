@@ -60,9 +60,17 @@ def test_validate_dimension_accepts_odd_primes():
 
 
 def test_validate_dimension_refuses_two_composites_and_non_positives():
-    for bad in (2, 9, 1, 0, -7, 7917):
+    for bad in (2, 9, 1, 0, -7):
         with pytest.raises(InvalidDimension, match=f"d={bad} must be an odd prime"):
             validate_dimension(bad)
+    assert validate_dimension(3) == 3
+
+
+def test_validate_dimension_agrees_with_trial_division():
+    assert validate_dimension(7) == 7
+    assert validate_dimension(7919) == 7919
+    with pytest.raises(InvalidDimension, match="d=7917 must be an odd prime"):
+        validate_dimension(7917)
     # oracle: the odd primes by exhaustive trial division
     for n in range(-5, 600):
         if n > 2 and all(n % k for k in range(2, n)):
