@@ -31,8 +31,8 @@ from .errors import (
 from .lines import line_factor_table
 from .mes import mes_stack
 from .schwinger import BasisLabel, mub_stack, validate_dimension
-from .states import DEFAULT_TOL, _check_unit_rows
-from .verify import SUITES, run_suites, validate_tolerance
+from .states import DEFAULT_TOL, _check_unit_rows, validate_tolerance
+from .verify import SUITES, run_suites
 
 TOL_ENV_VAR = "MESPHASE_TOL"
 DEFAULT_DIMS = [3, 5, 7]

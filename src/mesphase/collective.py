@@ -259,11 +259,23 @@ def format_word(factors: list[tuple[str, int]]) -> str:
 
 def _factors(word: "str | list[tuple[str, int]]", generators=COLLECTIVE_GENERATORS) -> list[tuple[str, int]]:
     """The (generator, power) factors of a word given as text or as a factor
-    list; each listed factor is checked on its own as ``name^power`` text, so
-    both forms raise WordParseError."""
+    list; each listed factor is checked on its own as ``name^power`` text,
+    its power an integer by ``operator.index`` first, so both forms raise
+    WordParseError."""
     if isinstance(word, str):
         return parse_word(word, generators)
-    return [_factor(f"{name}^{power}", generators) for name, power in word]
+    return [_factor(f"{name}^{_listed_power(power)}", generators) for name, power in word]
+
+
+def _listed_power(power) -> int:
+    """A listed factor's power: a numpy integer counts as an int; a bool, a
+    float or a digit string raises WordParseError."""
+    try:
+        if isinstance(power, bool):
+            raise TypeError("a bool is not a power")
+        return operator.index(power)
+    except TypeError as exc:
+        raise WordParseError(f"power {power!r} must be an integer") from exc
 
 
 def _word_map(

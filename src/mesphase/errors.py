@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MesphaseError",
+    "DimMismatch",
+    "NotOrthonormal",
+    "NotBijective",
+    "WordParseError",
+    "FactorizationFailed",
+    "InvalidDimension",
+    "InvalidLabel",
+    "InvalidTolerance",
+]
+
 
 class MesphaseError(Exception):
     """Base class for all package-specific errors."""

@@ -167,11 +167,11 @@ def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The line states of an (n, d) array of rows of ``basis``, shape
     (n, d*d): each the sum of its d rows, in order, over sqrt(d).
 
-    The rows are gathered a few lines at a time, so that each (lines, d, d*d)
-    block holds at most ``mes._BLOCK_VALUES`` values (512 KB): all of
-    :func:`all_lines` at once up to d=7, one line at a time from d=29.  From
-    d=17 on this is faster than a pencil per block or all lines at once
-    (timings in README)."""
+    Every caller passes at most one pencil.  Its rows are gathered a few
+    lines at a time, so that each (lines, d, d*d) block holds at most
+    ``mes._BLOCK_VALUES`` values (512 KB): the whole pencil at once up to
+    d=13, one line at a time from d=29.  From d=17 on this is faster than
+    one block per pencil (timings in README)."""
     d = rows.shape[1]
     step = max(1, _BLOCK_VALUES // (d * basis.shape[1]))
     sums = np.empty((len(rows), basis.shape[1]), dtype=basis.dtype)
@@ -338,8 +338,8 @@ def _mub_stack_from_lines(d: int, factored: _FactoredLines, tol: float = DEFAULT
     is not of Schmidt rank 1 within ``tol``."""
     for report in factored.reports:
         second = report.second_singular_value
-        # not (s <= tol), so that a NaN singular value fails too
-        if not second <= tol:
+        # not (s < tol), as schmidt_rank_ok, so that a NaN singular value fails too
+        if not second < tol:
             raise FactorizationFailed(
                 f"line b={report.line.b} m={report.line.m} has Schmidt rank > 1 "
                 f"(second singular value {second:.3e})"

@@ -40,25 +40,20 @@ __all__ = [
     "mub_family",
     "mub_eigen_residual",
     "mub_eigen_check",
+    "validate_dimension",
 ]
 
 
 def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code.
     A non-integer such as 7.0 is refused too, and so is 2: the line labels
-    halve and quarter exponents, so 2 and 4 must be invertible mod d.  A
-    plain ``int`` that passed once is remembered, so the primality test runs
-    once per dimension."""
-    if type(d) is int and d in _VALID_DIMENSIONS:
-        return d
+    halve and quarter exponents, so 2 and 4 must be invertible mod d."""
     try:
         n = operator.index(d)
     except TypeError as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
     if n == 2 or not _is_prime(n):
         raise InvalidDimension(f"d={d} must be an odd prime")
-    if type(d) is int:
-        _VALID_DIMENSIONS.add(d)
     return d
 
 
@@ -74,11 +69,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 6
     return True
-
-
-# odd primes already validated; only plain ints enter, since 7.0 == 7 and
-# True == 1 would otherwise be found here
-_VALID_DIMENSIONS: set[int] = set()
 
 
 @lru_cache(maxsize=None)

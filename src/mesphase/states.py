@@ -36,6 +36,7 @@ __all__ = [
     "mes_deviation",
     "equal_up_to_global_phase",
     "phase_canonical",
+    "validate_tolerance",
 ]
 
 DEFAULT_TOL = 1e-10

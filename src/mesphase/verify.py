@@ -38,7 +38,7 @@ from .states import (
     validate_tolerance,
 )
 
-__all__ = ["VerificationReport", "run_suites", "validate_tolerance", "SUITES"]
+__all__ = ["VerificationReport", "run_suites", "SUITES"]
 
 SUITES = ("all", "mub", "mes", "collective", "lines")
 

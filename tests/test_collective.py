@@ -271,6 +271,7 @@ def test_parse_word_rejects_bad_factors():
         ([("Xc^2", 1)], [("X^2", 1)]),
         ([("Xc Zc", 1)], [("X Z", 1)]),
         ([("Xc", "1\n")], [("X", " 1")]),
+        ([("Xc", "2")], [("X", "2")]),
     ],
 )
 def test_factor_lists_are_checked_like_text(word, single):

@@ -163,12 +163,12 @@ def collective_rows_oracle(d):
 
 
 @pytest.mark.parametrize("d", DIMS)
-def test_collective_permutation_equals_modint_loop(d):
+def test_collective_permutation_equals_pairwise_loop(d):
     assert np.array_equal(co.collective_permutation(d).matrix, permutation_oracle(d))
 
 
 @pytest.mark.parametrize("d", DIMS)
-def test_collective_index_equals_modint_halving(d):
+def test_collective_index_equals_particle_to_collective(d):
     nc, nr = co._collective_index(d)
     for n1 in range(d):
         for n2 in range(d):

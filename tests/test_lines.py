@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mesphase.collective import PhasePoint, point_basis, point_state_minus
-from mesphase.errors import InvalidDimension, InvalidLabel
+from mesphase.errors import FactorizationFailed, InvalidDimension, InvalidLabel
 from mesphase import lines as li
 from mesphase.lines import (
     Line,
@@ -225,6 +226,17 @@ def mub_stack_from_lines_oracle(d):
 def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
     stack = _mub_stack_from_lines(d, _factor_lines(d, all_lines(d)))
     assert stack.tobytes() == mub_stack_from_lines_oracle(d).tobytes()
+
+
+def test_rank_gate_agrees_with_schmidt_rank_ok_at_tol():
+    # a second singular value of exactly tol fails schmidt_rank_ok (s1 < tol),
+    # so the line must not be filed either
+    d, tol = 5, DEFAULT_TOL
+    factored = _factor_lines(d, all_lines(d))
+    report = dataclasses.replace(factored.reports[7], second_singular_value=tol, schmidt_rank_ok=False)
+    factored.reports[7] = report
+    with pytest.raises(FactorizationFailed):
+        _mub_stack_from_lines(d, factored, tol)
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)

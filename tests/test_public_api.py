@@ -41,3 +41,30 @@ def test_exported_and_traced_names_resolve():
             assert hasattr(owner, part), f"{metric}: {module_name}.{dotted}"
             owner = getattr(owner, part)
         assert callable(owner), metric
+
+
+def package_modules():
+    """The package's modules, each with its ``__all__``."""
+    modules = [
+        importlib.import_module(f"mesphase.{info.name}")
+        for info in pkgutil.iter_modules(mesphase.__path__)
+    ]
+    return [module for module in modules if hasattr(module, "__all__")]
+
+
+def test_no_name_is_public_in_two_modules():
+    # the package star-imports each module in turn, so a name in two
+    # modules' __all__ would silently take the later module's object
+    homes = {}
+    for module in package_modules():
+        for name in module.__all__:
+            homes.setdefault(name, []).append(module.__name__)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+
+
+def test_package_names_are_their_home_module_objects():
+    homes = {name: module for module in package_modules() for name in module.__all__}
+    assert sorted(mesphase.__all__) == sorted(set(homes) | {"__version__"})
+    for name in mesphase.__all__:
+        if name != "__version__":
+            assert getattr(mesphase, name) is getattr(homes[name], name), name
