@@ -71,5 +71,9 @@ lines --d -7
 hop --d 15 --q 0 --p 0
 gen-mes --d 4 --b 0
 verify --d 7 --d 0 --suite mub
+verify --d 7 --suite collective --seed 4 --format json
+verify --d 3 --d 5 --suite mes --seed 11
+verify --d 7 --d 11 --suite mub --seed 6 --format json
+hop --d 5 --q 2 --p 4 --word "Zr^3 Xc^-8 Zc^2 Xr^1"
 COMMANDS
 exit $status

@@ -170,10 +170,12 @@ def _power_tables(d: int, g_src: np.ndarray, g_exp: np.ndarray) -> tuple[np.ndar
     return src, exponents
 
 
-def _dense(d: int, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """The matrix with entry w^exponents[i] at (i, src[i]) and zeros elsewhere."""
-    mat = np.zeros((len(src), len(src)), dtype=np.complex128)
-    mat[np.arange(len(src)), src] = omega_powers(d)[exponents % d]
+def _dense(d: int, src: np.ndarray, exponents) -> np.ndarray:
+    """The matrix with entry w^exponents[i] at (i, src[i]) and zeros
+    elsewhere, or the stack of them for stacked (..., n) maps."""
+    mat = np.zeros(src.shape + src.shape[-1:], dtype=np.complex128)
+    phases = np.broadcast_to(omega_powers(d)[exponents % d], src.shape)
+    np.put_along_axis(mat, src[..., None], phases[..., None], axis=-1)
     return mat
 
 
@@ -294,19 +296,42 @@ def _word_map(
 
 def _composed_map(d: int, factors, size: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_word_map` of parsed (generator, power) factors over an index
-    of ``size``.  A power may be an integer array, as of shape (m, 1): the
-    maps of the words its entries give come out stacked, broadcast as numpy
-    broadcasts the power against the index."""
+    of ``size``.  A power, and a name given as its position in the generator
+    set, may be an integer array, as of shape (m, 1): the maps of the words
+    its entries give come out stacked, broadcast against the index."""
+    generators = COLLECTIVE_GENERATORS if size == d * d else SINGLE_GENERATORS
     maps = _generator_maps(d)
+    stacked = None
     src = np.arange(size)
     exponents = np.zeros_like(src)
     for name, power in factors:
-        p_src, p_exp = maps[name]
-        # the entry at src of row power % d, in the flat (d, size) tables
-        flat = power % d * size + src
-        exponents = exponents + p_exp.ravel()[flat]
-        src = p_src.ravel()[flat]
+        if isinstance(name, str):
+            tables, row = maps[name], power % d
+        else:
+            # the (generators, d, size) tables of the set, stacked once
+            stacked = stacked or tuple(np.stack([maps[g][i] for g in generators]) for i in (0, 1))
+            tables, row = stacked, name * d + power % d
+        # the entry at src of that row, in the flat tables
+        flat = row * size + src
+        exponents = exponents + tables[1].ravel()[flat]
+        src = tables[0].ravel()[flat]
     return src, exponents
+
+
+def _word_maps(d: int, words, generators: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(words), size) maps of parsed words over one generator set,
+    composed at once: each word is padded with power-0 factors, the
+    identity, and every factor position is one :func:`_composed_map` step."""
+    size = d * d if generators == COLLECTIVE_GENERATORS else d
+    lengths = np.array([len(word) for word in words], dtype=np.intp)
+    # the factor slots of each word, row-major, so they fill in written order
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    position = {name: g for g, name in enumerate(generators)}
+    names, powers = np.zeros(filled.shape, dtype=np.intp), np.zeros(filled.shape, dtype=np.intp)
+    names[filled] = [position[name] for word in words for name, _ in word]
+    powers[filled] = [power % d for word in words for _, power in word]
+    src, exponents = _composed_map(d, zip(names.T[:, :, None], powers.T[:, :, None]), size)
+    return np.broadcast_to(src, (len(words), size)), np.broadcast_to(exponents, (len(words), size))
 
 
 def word_matrix(
@@ -328,14 +353,23 @@ def _local_action(
     amplitudes: np.ndarray, particle: int, word: "str | list[tuple[str, int]]"
 ) -> np.ndarray:
     """The amplitude array of :func:`local_action` for a flat pair array."""
-    d = _split_dim(len(amplitudes))
-    src, exponents = _word_map(d, word, SINGLE_GENERATORS)
-    phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(d, d)
-    if particle == 1:
-        return (phases[:, None] * amps[src]).ravel()
-    if particle == 2:
-        return (amps[:, src] * phases).ravel()
-    raise ValueError("particle must be 1 or 2")
+    src, exponents = _word_map(_split_dim(len(amplitudes)), word, SINGLE_GENERATORS)
+    return _local_images(amplitudes[None], [particle], src[None], exponents[None])[0]
+
+
+def _local_images(amplitudes: np.ndarray, particles, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """The images of the rows of an (n, d*d) stack of flat pair arrays, row
+    i under the single-particle map (src[i], exponents[i]) on particle
+    ``particles[i]``: both gathers over the stack, then one pick per row."""
+    d = _split_dim(amplitudes.shape[-1])
+    if not all(particle in (1, 2) for particle in particles):
+        raise ValueError("particle must be 1 or 2")
+    phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(-1, d, d)
+    n = np.arange(len(amps))[:, None]
+    # particle 1 permutes the rows of each d x d amplitude matrix, particle 2 its columns
+    rows = phases[:, :, None] * amps[n, src]
+    columns = amps[n[:, :, None], np.arange(d)[:, None], src[:, None, :]] * phases[:, None, :]
+    return np.where(np.equal(particles, 1)[:, None, None], rows, columns).reshape(len(amps), d * d)
 
 
 # -- lattice hopping ---------------------------------------------------------
@@ -361,8 +395,11 @@ def hop(
     p by -k;  Zc^k and Xr^k are diagonal and add k*q resp. k*p to the phase
     exponent, evaluated at the current labels.
     """
-    q, p = _point(point, d)
-    factors = _factors(word)
+    return _hop(d, *_point(point, d), _factors(word))
+
+
+def _hop(d: int, q: int, p: int, factors) -> HopResult:
+    """:func:`hop` of parsed factors from the reduced labels (q, p)."""
     phase = 0
     for name, power in reversed(factors):
         if name == "Xc":
@@ -390,37 +427,39 @@ def hop_dense(
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
-    return _hop_dense(d, word_matrix(d, word), slice(q * d + p, q * d + p + 1))[0]
+    return _hop_dense(d, word_matrix(d, word), [q * d + p])[0]
 
 
-def _hop_dense(d: int, matrix: np.ndarray, rows: slice) -> list[tuple[HopResult, float]]:
-    """:func:`hop_dense` of the lattice states in ``rows`` of the minus
-    point basis (row q*d + p for (q, p)) under a word already made dense by
-    :func:`word_matrix`.  The images come from one stacked product and their
-    rows from one label search; each overlap is then measured on its own."""
+def _hop_dense(d: int, matrices: np.ndarray, rows) -> list[tuple[HopResult, float]]:
+    """:func:`hop_dense` of the minus point-basis states in ``rows`` (a slice
+    or index array of q*d + p) under one dense word matrix or a stack of one
+    per row, as :func:`_dense` makes them.  One stacked product, one
+    label search and one pass for the w-exponents, a non-finite overlap
+    masked first; each overlap and its modulus stay per row, since a batched
+    ``np.abs`` of complex values may move the last bit."""
     stack = point_basis(d, False)
-    images = _stacked_images(matrix, stack[rows])
+    images = _stacked_images(matrices, stack[rows])
     # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
     found = np.abs(images.conj() @ stack.T).argmax(axis=1)
-    matched = []
-    for k, image in zip(found.tolist(), images):
-        overlap = np.vdot(stack[k], image)
-        if not np.isfinite(overlap):
-            # a non-finite image matches no point: (0, 0) with fidelity 0
-            k, overlap = 0, 0j
-        result = HopResult(PhasePoint(*divmod(k, d)), _omega_exponent(overlap, d))
-        matched.append((result, float(abs(overlap))))
-    return matched
+    overlaps = np.array([np.vdot(stack[k], image) for k, image in zip(found.tolist(), images)])
+    # a non-finite image matches no point: (0, 0) with fidelity 0
+    finite = np.isfinite(overlaps)
+    found, overlaps = np.where(finite, found, 0), np.where(finite, overlaps, 0)
+    return [
+        (HopResult(PhasePoint(*divmod(k, d)), e), float(abs(overlap)))
+        for k, e, overlap in zip(found.tolist(), _omega_exponent(overlaps, d), overlaps)
+    ]
 
 
-def _stacked_images(matrix: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)).
+def _stacked_images(matrices: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)); a
+    stack of matrices gives one per row.
 
     The rows go in as a stack of (len(v), 1) columns, so numpy makes one
     matrix-vector product per row and each image is bytes-equal to
     ``matrix @ v``; a 2-D product over many columns need not be.
     """
-    return (matrix @ states[..., None])[..., 0]
+    return (matrices @ states[..., None])[..., 0]
 
 
 def hop_trajectory(
@@ -438,7 +477,7 @@ def hop_trajectory(
     factors = _factors(word)
     steps = [("", step)]
     for factor in reversed(factors):
-        moved = hop(d, step.point, [factor])
+        moved = _hop(d, step.point.q, step.point.p, [factor])
         step = HopResult(moved.point, (step.phase_exponent + moved.phase_exponent) % d)
         steps.append((format_word([factor]), step))
     return steps

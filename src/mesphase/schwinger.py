@@ -214,6 +214,17 @@ def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     return float(np.abs(applied - pows[m] * state).max())
 
 
+def _eigen_residuals(d: int) -> np.ndarray:
+    """:func:`mub_eigen_residual` of every (b, m), entry b*d + m, as one
+    stacked pass of the same products on each state |m; b> as a column."""
+    pows, n = omega_powers(d), np.arange(d)
+    states = mub_stack(d)[1:, :, :, None]
+    z2b = np.zeros((d, 1, d, d), dtype=np.complex128)
+    z2b[:, 0, n, n] = pows[2 * n[:, None] * n % d]
+    applied = pows[:, None, None, None] * (_shift_matrix(d) @ (z2b @ states))
+    return np.abs(applied - pows[:, None, None] * states).max(axis=(2, 3)).ravel()
+
+
 def mub_eigen_check(
     d: int, b: "BasisLabel | int", m: int, tol: float = DEFAULT_TOL
 ) -> bool:

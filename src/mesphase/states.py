@@ -268,7 +268,7 @@ def _phase_canonical(amplitudes: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     return amplitudes
 
 
-def _omega_exponent(z: complex, d: int) -> int:
+def _omega_exponent(z, d: int):
     """The exponent k in 0..d-1 of the d-th root of unity w^k nearest in
-    phase to z."""
-    return int(round(np.angle(z) / (2 * np.pi / d))) % d
+    phase to z, an int; or the list of them for an array of finite z."""
+    return (np.rint(np.angle(z) / (2 * np.pi / d)).astype(int) % d).tolist()

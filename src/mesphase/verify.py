@@ -33,7 +33,6 @@ from .states import (
     _identity_deviation,
     _reduced_deviation,
     _worst,
-    is_mes,
     reduced_operators,
     validate_tolerance,
 )
@@ -151,11 +150,7 @@ def suite_mub(d: int, tol: float, factored) -> list[VerificationReport]:
                 for a, b in combinations(stacks, 2)
             ),
         ),
-        (
-            "mub.eigenrelation",
-            "",
-            lambda: (sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d)),
-        ),
+        ("mub.eigenrelation", "", lambda: sw._eigen_residuals(d)),
         ("mub.clock_shift_algebra", "", clock_shift_algebra),
         ("mub.lines_family_match", "", lines_family_match),
     ]
@@ -204,11 +199,12 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     ]
 
     def negative_controls():
-        accepted = 0
-        for _ in range(20):
-            vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-            accepted += is_mes(Ket.normalized(vec), tol)
-        return [accepted / 20.0]
+        # one draw, the stream of 20 pairs of d*d draws; a NaN is not accepted
+        draws = rng.normal(size=(20, 2, d * d))
+        vecs = draws[:, 0] + 1j * draws[:, 1]
+        rhos = reduced_operators((vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).reshape(-1, d, d))
+        dev = np.maximum(*(np.abs(rho - np.eye(d) / d).max(axis=(1, 2)) for rho in rhos))
+        return [np.count_nonzero(dev < tol) / 20.0]
 
     def universal():
         states = [me._universal_amplitudes(d, label) for label in BasisLabel.all_labels(d)]
@@ -350,23 +346,25 @@ def suite_collective(
         )
 
     def local_action_random():
-        images = []
+        words, rows, particles = [], [], []
         for _ in range(50):
-            word = _random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
-            state = cb_elements[rng.integers(0, d * d)]
-            images.append(co._local_action(state, int(rng.integers(1, 3)), word))
+            words.append(_random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4)))
+            rows.append(rng.integers(0, d * d))
+            particles.append(int(rng.integers(1, 3)))
         # the array cores, one pass over the stack: its worst deviation is
         # the worst image's, and a non-finite image fails the row with inf
-        return [_reduced_deviation(np.array(images))]
+        maps = co._word_maps(d, words, co.SINGLE_GENERATORS)
+        return [_reduced_deviation(co._local_images(cb_elements[rows], particles, *maps))]
 
     def hop_example():
-        # one dense matrix serves all d^2 points, applied to the d points of
-        # one q at a time
-        matrix = co.word_matrix(d, "Xc^2 Xr^6")
-        for q in range(d):
-            matched = co._hop_dense(d, matrix, slice(q * d, (q + 1) * d))
-            for p, (dense, fid) in enumerate(matched):
-                sym = co.hop(d, (q, p), "Xc^2 Xr^6")
+        # one dense matrix serves all d^2 points, applied to the points of a
+        # few q at a time, whose images hold at most mes._BLOCK_VALUES values
+        word = co.parse_word("Xc^2 Xr^6")
+        matrix, block = co.word_matrix(d, word), d * max(1, me._BLOCK_VALUES // d**3)
+        for start in range(0, d * d, block):
+            for row, (dense, fid) in enumerate(co._hop_dense(d, matrix, slice(start, start + block)), start):
+                q, p = divmod(row, d)
+                sym = co._hop(d, q, p, word)
                 expected = (
                     sym.point == co.PhasePoint((q + 2) % d, p)
                     and sym.phase_exponent == (6 * p) % d
@@ -376,13 +374,19 @@ def suite_collective(
                 yield 1.0 - fid
 
     def hop_random():
+        words, rows = [], []
         for _ in range(100):
-            word = _random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))
-            q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
-            sym = co.hop(d, (q, p), word)
-            dense, fid = co.hop_dense(d, (q, p), word)
-            yield 0.0 if dense == sym else 1.0
-            yield 1.0 - fid
+            words.append(_random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5)))
+            rows.append(int(rng.integers(0, d)) * d + int(rng.integers(0, d)))
+        src, exponents = co._word_maps(d, words, co.COLLECTIVE_GENERATORS)
+        # the dense matrices a block of at most mes._BLOCK_VALUES values at a time
+        block = max(1, me._BLOCK_VALUES // d**4)
+        for start in range(0, len(words), block):
+            chunk = slice(start, start + block)
+            matched = co._hop_dense(d, co._dense(d, src[chunk], exponents[chunk]), rows[chunk])
+            for word, row, (dense, fid) in zip(words[chunk], rows[chunk], matched):
+                yield 0.0 if dense == co._hop(d, *divmod(row, d), word) else 1.0
+                yield 1.0 - fid
 
     entries = [
         ("collective.index_maps", "exhaustive", index_maps),

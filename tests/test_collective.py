@@ -8,6 +8,10 @@ from mesphase.collective import (
     _composed_map,
     _word_map,
     _hop_dense,
+    _dense,
+    _local_action,
+    _local_images,
+    _word_maps,
     HopResult,
     PhasePoint,
     collective_ops,
@@ -25,7 +29,7 @@ from mesphase.collective import (
     word_matrix,
 )
 from mesphase.errors import InvalidDimension, WordParseError
-from mesphase.mes import mes_basis, mes_state, universal_state
+from mesphase.mes import _BLOCK_VALUES, mes_basis, mes_stack, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
 from mesphase.states import Ket, _omega_exponent, is_mes, partial_trace, tensor
 
@@ -437,6 +441,67 @@ def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
                 ):
                     assert point == expected
                     assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+
+
+def _random_words(rng, generators, d, count, longest):
+    return [
+        [(generators[int(rng.integers(0, len(generators)))], int(rng.integers(-2 * d, 2 * d + 1)))
+         for _ in range(rng.integers(0, longest + 1))]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_stacked_hop_dense_equals_per_word_hop_dense(d):
+    rng = np.random.default_rng(500 + d)
+    words = _random_words(rng, COLLECTIVE_GENERATORS, d, 200, 5)
+    rows = rng.integers(0, d * d, size=200).tolist()
+    # blocks of at most _BLOCK_VALUES matrix values, as the verify suite makes them
+    block = max(1, _BLOCK_VALUES // d**4)
+    matched = []
+    for start in range(0, len(words), block):
+        chunk = slice(start, start + block)
+        matched += _hop_dense(d, _dense(d, *_word_maps(d, words[chunk], COLLECTIVE_GENERATORS)), rows[chunk])
+    assert len(matched) == len(words)
+    for word, row, (point, fidelity) in zip(words, rows, matched):
+        for expected, expected_fidelity in (
+            hop_dense(d, divmod(row, d), word),
+            hop_dense_oracle(d, divmod(row, d), word),
+        ):
+            assert point == expected
+            assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+
+
+def test_nan_matrix_in_a_block_fails_only_its_word():
+    d = 7
+    rng = np.random.default_rng(77)
+    words = _random_words(rng, COLLECTIVE_GENERATORS, d, 13, 4)
+    rows = rng.integers(0, d * d, size=13).tolist()
+    matrices = _dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS))
+    matrices[5] = np.nan
+    with np.errstate(invalid="ignore"):
+        matched = _hop_dense(d, matrices, rows)
+    for i, (word, row, result) in enumerate(zip(words, rows, matched)):
+        if i == 5:
+            assert result == (HopResult(PhasePoint(0, 0), 0), 0.0)
+        else:
+            assert result == hop_dense(d, divmod(row, d), word)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_stacked_local_images_equal_the_per_word_gathers_bytes(d):
+    rng = np.random.default_rng(900 + d)
+    words = _random_words(rng, SINGLE_GENERATORS, d, 60, 4)
+    particles = rng.integers(1, 3, size=60).tolist()
+    states_ = mes_stack(d, CB, CB)[rng.integers(0, d * d, size=60)]
+    images = _local_images(states_, particles, *_word_maps(d, words, SINGLE_GENERATORS))
+    for image, amplitudes, particle, word in zip(images, states_, particles, words):
+        # one word at a time: gather the rows (particle 1) or columns of the amplitude matrix
+        src, exponents = _word_map(d, word, SINGLE_GENERATORS)
+        phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(d, d)
+        expected = phases[:, None] * amps[src] if particle == 1 else amps[:, src] * phases
+        assert image.tobytes() == expected.ravel().tobytes()
+        assert image.tobytes() == _local_action(amplitudes, particle, word).tobytes()
 
 
 def test_hop_trajectory_steps():

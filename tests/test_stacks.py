@@ -164,13 +164,12 @@ def test_cached_stacks_are_read_only():
 
 
 def test_nan_word_matrix_fails_hop_rows(monkeypatch):
-    original = co.word_matrix
+    original = co._dense
 
-    def nan_matrix(d, word, generators=COLLECTIVE_GENERATORS):
-        mat = original(d, word, generators)
-        return np.full_like(mat, np.nan) if generators == COLLECTIVE_GENERATORS else mat
+    def nan_dense(d, src, exponents):
+        return np.full_like(original(d, src, exponents), np.nan)
 
-    monkeypatch.setattr(co, "word_matrix", nan_matrix)
+    monkeypatch.setattr(co, "_dense", nan_dense)
     _, fidelity = hop_dense(5, (1, 2), "Xc^2 Xr^6")
     assert fidelity <= 0.0
     rows = run_suites([5], "collective")

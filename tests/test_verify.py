@@ -246,8 +246,23 @@ def suite_mes_oracle(d, tol, rng):
     return rows_oracle(d, tol, entries)
 
 
+def mub_eigenrelation_oracle(d, tol):
+    """The mub.eigenrelation row as d^2 calls of the public
+    ``mub_eigen_residual``, one per (b, m)."""
+    residuals = lambda: (sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d))
+    return rows_oracle(d, tol, [("mub.eigenrelation", "", residuals)])
+
+
 def _compared(rows):
     return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_stacked_eigenrelation_equals_the_per_state_oracle(d):
+    loop = [sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d)]
+    assert np.array_equal(sw._eigen_residuals(d), loop)
+    rows = [row for row in run_suites([d], "mub") if row.check == "mub.eigenrelation"]
+    assert _compared(rows) == _compared(mub_eigenrelation_oracle(d, states.DEFAULT_TOL))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17])
@@ -367,18 +382,15 @@ def test_collective_array_passes_equal_the_per_point_oracle(d, seed):
 
 
 def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
-    local_action = co._local_action
-    calls = []
+    local_images = co._local_images
 
-    def poisoned(amplitudes, particle, word):
-        image = local_action(amplitudes, particle, word)
-        calls.append(None)
-        if len(calls) == 17:
-            image = image.copy()
-            image[3] = np.nan
-        return image
+    def poisoned(amplitudes, particles, src, exponents):
+        images = local_images(amplitudes, particles, src, exponents)
+        if len(images) > 16:
+            images[16, 3] = np.nan
+        return images
 
-    monkeypatch.setattr(co, "_local_action", poisoned)
+    monkeypatch.setattr(co, "_local_images", poisoned)
     with np.errstate(invalid="ignore"):
         rows = {row.check: row for row in run_suites([5], "collective")}
     failing = {check for check, row in rows.items() if not row.passed}
