@@ -75,5 +75,8 @@ verify --d 7 --suite collective --seed 4 --format json
 verify --d 3 --d 5 --suite mes --seed 11
 verify --d 7 --d 11 --suite mub --seed 6 --format json
 hop --d 5 --q 2 --p 4 --word "Zr^3 Xc^-8 Zc^2 Xr^1"
+verify --d 3 --suite collective --seed 21 --format json
+verify --d 19 --suite collective --seed 2
+hop --d 3 --q 2 --p 1 --word "Zr^-7 Xc^11 Zc^0 Xr^4"
 COMMANDS
 exit $status

@@ -135,36 +135,38 @@ COLLECTIVE_GENERATORS = ("Xc", "Zc", "Xr", "Zr")
 SINGLE_GENERATORS = ("X", "Z")
 
 
+def _family(generators: tuple[str, ...]) -> tuple[str, ...]:
+    """The generator family, collective or single-particle, that holds every
+    name of ``generators``, and whose tables fix the index its maps act on;
+    a mixed set raises ValueError."""
+    for family in (COLLECTIVE_GENERATORS, SINGLE_GENERATORS):
+        if set(generators) <= set(family):
+            return family
+    raise ValueError(f"generators {generators} are neither all collective nor all single-particle")
+
+
 @lru_cache(maxsize=None)
-def _generator_maps(d: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Read-only (src, e) power tables of every generator: Xc, Zc, Xr, Zr
-    over the particle-flat index n1*d + n2, X and Z over n.  Row k of a
-    generator's two (d, n) tables is the exact map of G^k,
-    (G^k v)[i] = w^e[k, i] v[src[k, i]]; row 1 is G itself."""
-    nc, nr = _collective_index(d)
-    flat, n = np.arange(d * d), np.arange(d)
-    n1, n2 = np.divmod(flat, d)
-    generators = {
-        "Xc": ((n1 - 1) % d * d + (n2 - 1) % d, np.zeros_like(flat)),
-        "Zc": (flat, nc),
-        "Xr": ((n1 - 1) % d * d + (n2 + 1) % d, np.zeros_like(flat)),
-        "Zr": (flat, nr),
-        "X": ((n - 1) % d, np.zeros_like(n)),
-        "Z": (n, n),
-    }
-    return {name: _power_tables(d, *generator) for name, generator in generators.items()}
+def _family_tables(d: int, family: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (src, e) power tables of a generator family, each of shape
+    (len(family), d, n): entry [g, k] is the exact map of G^k for the g-th
+    generator, (G^k v)[i] = w^e[g, k, i] v[src[g, k, i]], over the
+    particle-flat index n1*d + n2 (collective) or n (single-particle).
 
-
-def _power_tables(d: int, g_src: np.ndarray, g_exp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (d, n) tables of the maps of G^0..G^(d-1) for a generator
-    map G = (g_src, g_exp): row k is one more step of G than row k - 1, with
-    the exponents left unreduced."""
-    src = np.empty((d, len(g_src)), dtype=g_src.dtype)
-    exponents = np.empty_like(src)
-    src[0], exponents[0] = np.arange(len(g_src)), 0
-    for k in range(1, d):
-        exponents[k] = exponents[k - 1] + g_exp[src[k - 1]]
-        src[k] = g_src[src[k - 1]]
+    In closed form: Xc^k sends (n1, n2) to (n1 + k, n2 + k), Xr^k to
+    (n1 + k, n2 - k) and X^k sends n to n + k; Zc^k, Zr^k and Z^k multiply
+    by w^(k nc), w^(k nr) and w^(k n), the exponents left unreduced."""
+    k = np.arange(d)[:, None]
+    if family == COLLECTIVE_GENERATORS:
+        n1, n2 = np.divmod(np.arange(d * d), d)
+        nc, nr = _collective_index(d)
+        # (shift of n1, shift of n2, phase label) per generator
+        steps = ((1, 1, 0), (0, 0, nc), (1, -1, 0), (0, 0, nr))
+    else:
+        # a single-particle index is n2 with n1 = 0
+        n1, n2 = np.zeros(d, dtype=np.int64), np.arange(d)
+        steps = ((0, 1, 0), (0, 0, n2))
+    src = np.stack([(n1 - a * k) % d * d + (n2 - b * k) % d for a, b, _ in steps])
+    exponents = np.stack([np.broadcast_to(k * label, src.shape[1:]) for *_, label in steps])
     src.setflags(write=False)
     exponents.setflags(write=False)
     return src, exponents
@@ -195,10 +197,8 @@ class CollectiveOps:
 
 
 def collective_ops(d: int) -> CollectiveOps:
-    maps = _generator_maps(d)
-    return CollectiveOps(
-        *(UnitaryOp(_dense(d, *(table[1] for table in maps[name]))) for name in COLLECTIVE_GENERATORS)
-    )
+    words = [[(name, 1)] for name in COLLECTIVE_GENERATORS]
+    return CollectiveOps(*map(UnitaryOp, _dense(d, *_word_maps(d, words))))
 
 
 @lru_cache(maxsize=None)
@@ -283,55 +283,38 @@ def _listed_power(power) -> int:
 def _word_map(
     d: int, word: "str | list[tuple[str, int]]", generators: tuple[str, ...] = COLLECTIVE_GENERATORS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (src, e) map of a word, factors composed in written order with
-    unreduced integer exponents; the rightmost factor acts first.  The map
-    acts on the d^2 pair index for collective generators, on the d single-
-    particle index for single-particle ones; a mixed set raises ValueError."""
-    names = set(generators)
-    if not (names <= set(COLLECTIVE_GENERATORS) or names <= set(SINGLE_GENERATORS)):
-        raise ValueError(f"generators {generators} are neither all collective nor all single-particle")
-    size = d * d if names <= set(COLLECTIVE_GENERATORS) else d
-    return _composed_map(d, _factors(word, generators), size)
+    """Exact (src, e) map of one word: row 0 of :func:`_word_maps`, the
+    generator set checked before the word is parsed."""
+    _family(generators)
+    src, exponents = _word_maps(d, [_factors(word, generators)], generators)
+    return src[0], exponents[0]
 
 
-def _composed_map(d: int, factors, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_word_map` of parsed (generator, power) factors over an index
-    of ``size``.  A power, and a name given as its position in the generator
-    set, may be an integer array, as of shape (m, 1): the maps of the words
-    its entries give come out stacked, broadcast against the index."""
-    generators = COLLECTIVE_GENERATORS if size == d * d else SINGLE_GENERATORS
-    maps = _generator_maps(d)
-    stacked = None
-    src = np.arange(size)
-    exponents = np.zeros_like(src)
-    for name, power in factors:
-        if isinstance(name, str):
-            tables, row = maps[name], power % d
-        else:
-            # the (generators, d, size) tables of the set, stacked once
-            stacked = stacked or tuple(np.stack([maps[g][i] for g in generators]) for i in (0, 1))
-            tables, row = stacked, name * d + power % d
-        # the entry at src of that row, in the flat tables
-        flat = row * size + src
-        exponents = exponents + tables[1].ravel()[flat]
-        src = tables[0].ravel()[flat]
-    return src, exponents
-
-
-def _word_maps(d: int, words, generators: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (len(words), size) maps of parsed words over one generator set,
-    composed at once: each word is padded with power-0 factors, the
-    identity, and every factor position is one :func:`_composed_map` step."""
-    size = d * d if generators == COLLECTIVE_GENERATORS else d
+def _word_maps(
+    d: int, words, generators: tuple[str, ...] = COLLECTIVE_GENERATORS
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(words), n) exact maps of parsed words, factors composed in
+    written order with unreduced integer exponents, the rightmost acting
+    first: over the d^2 pair index for collective generators, the d single-
+    particle index for single-particle ones; a mixed set raises ValueError.
+    Each word is padded with power-0 factors, the identity, and every factor
+    position is one gather from the family's power tables."""
+    family = _family(generators)
+    src_table, exp_table = _family_tables(d, family)
+    size = src_table.shape[-1]
     lengths = np.array([len(word) for word in words], dtype=np.intp)
     # the factor slots of each word, row-major, so they fill in written order
     filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    position = {name: g for g, name in enumerate(generators)}
-    names, powers = np.zeros(filled.shape, dtype=np.intp), np.zeros(filled.shape, dtype=np.intp)
-    names[filled] = [position[name] for word in words for name, _ in word]
-    powers[filled] = [power % d for word in words for _, power in word]
-    src, exponents = _composed_map(d, zip(names.T[:, :, None], powers.T[:, :, None]), size)
-    return np.broadcast_to(src, (len(words), size)), np.broadcast_to(exponents, (len(words), size))
+    # each slot's row of G^(power mod d) in the flat (len(family) * d, n) tables
+    rows = np.zeros(filled.shape, dtype=np.intp)
+    rows[filled] = [family.index(name) * d + power % d for word in words for name, power in word]
+    src = np.tile(np.arange(size), (len(words), 1))
+    exponents = np.zeros_like(src)
+    for row in rows.T:
+        flat = row[:, None] * size + src
+        exponents = exponents + exp_table.ravel()[flat]
+        src = src_table.ravel()[flat]
+    return src, exponents
 
 
 def word_matrix(
@@ -360,8 +343,11 @@ def _local_action(
 def _local_images(amplitudes: np.ndarray, particles, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """The images of the rows of an (n, d*d) stack of flat pair arrays, row
     i under the single-particle map (src[i], exponents[i]) on particle
-    ``particles[i]``: both gathers over the stack, then one pick per row."""
+    ``particles[i]``: both gathers over the stack, then one pick per row.
+    Each particle label goes through ``operator.index``, as in
+    :func:`_point`."""
     d = _split_dim(amplitudes.shape[-1])
+    particles = [operator.index(particle) for particle in particles]
     if not all(particle in (1, 2) for particle in particles):
         raise ValueError("particle must be 1 or 2")
     phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(-1, d, d)

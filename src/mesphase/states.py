@@ -174,8 +174,10 @@ def reduced_operators(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def partial_trace(state: Ket, keep: int) -> DensityOp:
-    """Reduced density operator of particle ``keep`` (1 or 2)."""
+    """Reduced density operator of particle ``keep`` (1 or 2), which goes
+    through ``operator.index``: a float or a string raises TypeError."""
     d = _split_dim(state.dim)
+    keep = operator.index(keep)
     if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
     rho = reduced_operators(state.amplitudes.reshape(d, d))[keep - 1]

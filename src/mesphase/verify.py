@@ -320,13 +320,12 @@ def suite_collective(
 
     def point_translation():
         # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p) for the d points of
-        # one q at a time, each word's d maps in one stack; the products and
-        # the vdots stay per point
-        powers = (d - np.arange(d))[:, None]
+        # one q at a time, each word form's d maps in one stack; the
+        # products and the vdots stay per point
         for q in range(d):
-            src, e = co._composed_map(d, [("Zc", powers), ("Xr", q)], d * d)
+            src, e = co._word_maps(d, [[("Zc", d - p), ("Xr", q)] for p in range(d)])
             phases_plus, gathered_plus = w[e % d], plus[0][src]
-            src, e = co._composed_map(d, [("Xc", q), ("Zr", powers)], d * d)
+            src, e = co._word_maps(d, [[("Xc", q), ("Zr", d - p)] for p in range(d)])
             phases_minus, gathered_minus = w[e % d], minus[0][src]
             for p in range(d):
                 # measured phases are exactly 1 for both generator routes
@@ -378,7 +377,7 @@ def suite_collective(
         for _ in range(100):
             words.append(_random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5)))
             rows.append(int(rng.integers(0, d)) * d + int(rng.integers(0, d)))
-        src, exponents = co._word_maps(d, words, co.COLLECTIVE_GENERATORS)
+        src, exponents = co._word_maps(d, words)
         # the dense matrices a block of at most mes._BLOCK_VALUES values at a time
         block = max(1, me._BLOCK_VALUES // d**4)
         for start in range(0, len(words), block):

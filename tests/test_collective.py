@@ -4,8 +4,7 @@ import pytest
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
-    _generator_maps,
-    _composed_map,
+    _family_tables,
     _word_map,
     _hop_dense,
     _dense,
@@ -324,6 +323,19 @@ def test_local_action_identity_word():
     assert np.abs(local_action(state, 1, "").amplitudes - state.amplitudes).max() == 0.0
 
 
+def test_local_action_takes_the_particle_through_operator_index():
+    state = universal_state(5, CB)
+    for particle in (1, 2):
+        expected = local_action(state, particle, "X^2").amplitudes
+        assert np.array_equal(local_action(state, np.int64(particle), "X^2").amplitudes, expected)
+    for particle in (1.0, 2.0, 1.5, "1"):
+        with pytest.raises(TypeError, match="integer"):
+            local_action(state, particle, "X^2")
+    for particle in (0, 3):
+        with pytest.raises(ValueError, match="particle must be 1 or 2"):
+            local_action(state, particle, "X^2")
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_doubled_shift_moves_relative_label(d):
     universal = universal_state(d, CB)
@@ -534,13 +546,41 @@ def test_hop_trajectory_matches_suffix_hops(d):
         assert hop_trajectory(d, point, factors) == _suffix_hop_trajectory(d, point, factors)
 
 
+def one_step_maps(d):
+    """Every generator's exact (src, e) map, G v = w^e v[src], from its
+    definition: X|n> = |n+1> and Z|n> = w^n |n> on one particle; Xc and Xr
+    move |n1, n2> to |n1+1, n2+1> and |n1+1, n2-1>; Zc and Zr multiply by
+    w^nc and w^nr of ``particle_to_collective``."""
+    pairs = [(n1, n2) for n1 in range(d) for n2 in range(d)]
+
+    def shift(images):
+        # (G v)[image of j] = v[j]
+        src = np.empty(len(images), dtype=np.int64)
+        for j, image in enumerate(images):
+            src[image] = j
+        return src, np.zeros(len(images), dtype=np.int64)
+
+    def phase(labels):
+        return np.arange(len(labels)), np.array(labels, dtype=np.int64)
+
+    return {
+        "Xc": shift([(n1 + 1) % d * d + (n2 + 1) % d for n1, n2 in pairs]),
+        "Xr": shift([(n1 + 1) % d * d + (n2 - 1) % d for n1, n2 in pairs]),
+        "Zc": phase([particle_to_collective(d, n1, n2).nc for n1, n2 in pairs]),
+        "Zr": phase([particle_to_collective(d, n1, n2).nr for n1, n2 in pairs]),
+        "X": shift([(n + 1) % d for n in range(d)]),
+        "Z": phase(list(range(d))),
+    }
+
+
 def word_map_oracle(d, factors, generators):
-    """``_word_map`` one generator step at a time: power % d gathers per factor."""
-    maps = _generator_maps(d)
-    src = np.arange(d * d if generators == COLLECTIVE_GENERATORS else d)
+    """``_word_map`` one generator step at a time: power % d steps of the
+    defining map per factor, rightmost factor first in action."""
+    maps = one_step_maps(d)
+    src = np.arange(d * d if set(generators) <= set(COLLECTIVE_GENERATORS) else d)
     exponents = np.zeros_like(src)
     for name, power in factors:
-        g_src, g_exp = (table[1] for table in maps[name])
+        g_src, g_exp = maps[name]
         for _ in range(power % d):
             exponents += g_exp[src]
             src = g_src[src]
@@ -550,16 +590,19 @@ def word_map_oracle(d, factors, generators):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_power_tables_give_the_step_by_step_word_maps(d):
     for generators in (COLLECTIVE_GENERATORS, SINGLE_GENERATORS):
-        for name in generators:
+        src_table, exp_table = _family_tables(d, generators)
+        assert not src_table.flags.writeable and not exp_table.flags.writeable
+        for g, name in enumerate(generators):
             for power in range(-d, 2 * d + 1):
                 got = _word_map(d, [(name, power)], generators)
                 expected = word_map_oracle(d, [(name, power)], generators)
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-            src_table, exp_table = _generator_maps(d)[name]
-            assert not src_table.flags.writeable and not exp_table.flags.writeable
+                # the table row of the reduced power, exponents unreduced
+                assert np.array_equal(src_table[g, power % d], expected[0])
+                assert np.array_equal(exp_table[g, power % d], expected[1])
             # row 0 is the identity map
-            assert np.array_equal(src_table[0], np.arange(src_table.shape[1]))
-            assert not exp_table[0].any()
+            assert np.array_equal(src_table[g, 0], np.arange(src_table.shape[-1]))
+            assert not exp_table[g, 0].any()
         rng = np.random.default_rng(d)
         for _ in range(200):
             factors = [
@@ -573,19 +616,45 @@ def test_power_tables_give_the_step_by_step_word_maps(d):
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_array_powers_give_the_stacked_word_maps(d):
+    # a batch of words composed at once equals one word at a time
     rng = np.random.default_rng(d)
     for generators, size in ((COLLECTIVE_GENERATORS, d * d), (SINGLE_GENERATORS, d)):
-        for _ in range(100):
-            m = int(rng.integers(1, d + 1))
-            factors = []
-            for _ in range(rng.integers(0, 6)):
-                name = generators[int(rng.integers(0, len(generators)))]
-                # an array power of shape (m, 1) or an integer, at random
-                powers = rng.integers(-3 * d, 3 * d, size=(m, 1))
-                factors.append((name, powers if rng.integers(0, 2) else int(powers[0, 0])))
-            src, exponents = _composed_map(d, factors, size)
-            for j in range(m):
-                word = [(name, int(power[j, 0]) if np.ndim(power) else power) for name, power in factors]
+        for _ in range(20):
+            words = _random_words(rng, generators, d, int(rng.integers(1, d + 1)), 5)
+            src, exponents = _word_maps(d, words, generators)
+            assert src.shape == exponents.shape == (len(words), size)
+            for j, word in enumerate(words):
                 expected_src, expected_exp = _word_map(d, word, generators)
-                assert np.array_equal(np.broadcast_to(src, (m, size))[j], expected_src)
-                assert np.array_equal(np.broadcast_to(exponents, (m, size))[j], expected_exp)
+                assert np.array_equal(src[j], expected_src)
+                assert np.array_equal(exponents[j], expected_exp)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("generators", [("Z", "X"), ("Xc",), ("Zr", "Xc"), ("Xr", "Zc", "Zr", "Xc")])
+def test_word_maps_of_a_subset_or_reordered_set_equal_the_per_word_maps(d, generators):
+    size = d * d if set(generators) <= set(COLLECTIVE_GENERATORS) else d
+    rng = np.random.default_rng(d)
+    words = [[]] + _random_words(rng, generators, d, 30, 4) + [[]]
+    src, exponents = _word_maps(d, words, generators)
+    assert src.shape == exponents.shape == (len(words), size)
+    for j, word in enumerate(words):
+        expected_src, expected_exp = word_map_oracle(d, word, generators)
+        assert np.array_equal(src[j], expected_src)
+        assert np.array_equal(exponents[j], expected_exp)
+        assert all(np.array_equal(a, b) for a, b in zip(_word_map(d, word, generators), (src[j], exponents[j])))
+    for batch in ([], [[]]):
+        src, exponents = _word_maps(d, batch, generators)
+        assert src.shape == exponents.shape == (len(batch), size)
+        assert np.array_equal(src, np.tile(np.arange(size), (len(batch), 1))) and not exponents.any()
+
+
+def test_a_mixed_generator_set_raises_before_the_word_is_parsed():
+    for mixed in (("X", "Xc"), ("Zr", "Z"), COLLECTIVE_GENERATORS + SINGLE_GENERATORS):
+        for word in ("Q^1", "X^x", [("Q", 1)], [("X", 1.5)]):
+            with pytest.raises(ValueError, match="neither all collective") as raised:
+                _word_map(5, word, mixed)
+            assert not isinstance(raised.value, WordParseError)
+        with pytest.raises(ValueError, match="neither all collective"):
+            _word_maps(5, [[("X", 1)]], mixed)
+        with pytest.raises(ValueError, match="neither all collective"):
+            _word_maps(5, [], mixed)

@@ -108,6 +108,17 @@ def test_partial_trace_rejects_non_square_dims():
         partial_trace(random_ket(6), keep=1)
 
 
+def test_partial_trace_takes_keep_through_operator_index():
+    state = random_ket(9)
+    assert np.array_equal(partial_trace(state, np.int64(2)).matrix, partial_trace(state, 2).matrix)
+    for keep in (1.0, 2.0, 1.5, "1"):
+        with pytest.raises(TypeError, match="integer"):
+            partial_trace(state, keep)
+    for keep in (0, 3, -1):
+        with pytest.raises(ValueError, match="keep must be 1 or 2"):
+            partial_trace(state, keep)
+
+
 def test_schmidt_product_state():
     decomp = schmidt_decompose(tensor(random_ket(4), random_ket(4)))
     assert abs(decomp.coefficients[0] - 1) < 1e-12

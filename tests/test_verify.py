@@ -474,27 +474,32 @@ def test_integer_draws_give_the_choice_words(generators, low, high, lengths):
         assert rng.bit_generator.state == oracle.bit_generator.state
 
 
-def _shift_one_zc_exponent(maps):
-    src, exponents = (table[1] for table in maps["Zc"])
-    exponents = exponents.copy()
+def _shift_one_zc_exponent(src_table, exp_table):
+    g = co.COLLECTIVE_GENERATORS.index("Zc")
+    exponents = exp_table[g, 1].copy()
     exponents[7] += 1
-    return "Zc", src, exponents
+    return g, src_table[g, 1], exponents
 
 
-def _swap_two_xr_sources(maps):
-    src, exponents = (table[1] for table in maps["Xr"])
-    src = src.copy()
+def _swap_two_xr_sources(src_table, exp_table):
+    g = co.COLLECTIVE_GENERATORS.index("Xr")
+    src = src_table[g, 1].copy()
     src[[2, 11]] = src[[11, 2]]
-    return "Xr", src, exponents
+    return g, src, exp_table[g, 1]
 
 
 @pytest.mark.parametrize("corrupt", [_shift_one_zc_exponent, _swap_two_xr_sources])
 def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corrupt):
-    maps = co._generator_maps(5)
-    name, src, exponents = corrupt(maps)
-    # the corrupted generator row, with its powers rebuilt from it
-    corrupted = {**maps, name: co._power_tables(5, src, exponents)}
-    monkeypatch.setattr(co, "_generator_maps", lambda d: corrupted)
+    family, tables = co.COLLECTIVE_GENERATORS, co._family_tables
+    src_table, exp_table = (table.copy() for table in tables(5, family))
+    g, src, exponents = corrupt(src_table, exp_table)
+    # the corrupted generator row, with its powers rebuilt from it one step at a time
+    for k in range(1, 5):
+        exp_table[g, k] = exp_table[g, k - 1] + exponents[src_table[g, k - 1]]
+        src_table[g, k] = src[src_table[g, k - 1]]
+    monkeypatch.setattr(
+        co, "_family_tables", lambda d, f: (src_table, exp_table) if f == family else tables(d, f)
+    )
     rows = {row.check: row for row in run_suites([5], "collective")}
     for check in ("collective.operator_algebra", "collective.operator_factorization"):
         assert not rows[check].passed
