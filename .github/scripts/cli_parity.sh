@@ -78,5 +78,7 @@ hop --d 5 --q 2 --p 4 --word "Zr^3 Xc^-8 Zc^2 Xr^1"
 verify --d 3 --suite collective --seed 21 --format json
 verify --d 19 --suite collective --seed 2
 hop --d 3 --q 2 --p 1 --word "Zr^-7 Xc^11 Zc^0 Xr^4"
+verify --d 23 --suite collective --seed 8 --format json
+hop --d 31 --q 30 --p 1 --word "Xr^5 Zc^-2 Xc^33" --format json
 COMMANDS
 exit $status

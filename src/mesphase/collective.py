@@ -40,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import WordParseError
+from .mes import _BLOCK_VALUES
 from .schwinger import mub_stack, omega_powers, validate_dimension
 from .states import Ket, UnitaryOp, _omega_exponent, _split_dim
 
@@ -328,16 +329,10 @@ def word_matrix(
 def local_action(state: Ket, particle: int, word: "str | list[tuple[str, int]]") -> Ket:
     """Apply a single-particle word (generators X, Z) to one side of a pair by
     a gather on the rows (particle 1) or columns (particle 2) of the d x d
-    amplitude matrix."""
-    return Ket(_local_action(state.amplitudes, particle, word))
-
-
-def _local_action(
-    amplitudes: np.ndarray, particle: int, word: "str | list[tuple[str, int]]"
-) -> np.ndarray:
-    """The amplitude array of :func:`local_action` for a flat pair array."""
-    src, exponents = _word_map(_split_dim(len(amplitudes)), word, SINGLE_GENERATORS)
-    return _local_images(amplitudes[None], [particle], src[None], exponents[None])[0]
+    amplitude matrix: one :func:`_local_images` row."""
+    d = _split_dim(len(state.amplitudes))
+    maps = _word_maps(d, [_factors(word, SINGLE_GENERATORS)], SINGLE_GENERATORS)
+    return Ket(_local_images(state.amplitudes[None], [particle], *maps)[0])
 
 
 def _local_images(amplitudes: np.ndarray, particles, src: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -413,22 +408,34 @@ def hop_dense(
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
-    return _hop_dense(d, word_matrix(d, word), [q * d + p])[0]
+    return _hop_dense(d, *_word_map(d, word), [q * d + p])[0]
 
 
-def _hop_dense(d: int, matrices: np.ndarray, rows) -> list[tuple[HopResult, float]]:
+def _hop_dense(d: int, src: np.ndarray, exponents: np.ndarray, rows) -> list[tuple[HopResult, float]]:
     """:func:`hop_dense` of the minus point-basis states in ``rows`` (a slice
-    or index array of q*d + p) under one dense word matrix or a stack of one
-    per row, as :func:`_dense` makes them.  One stacked product, one
-    label search and one pass for the w-exponents, a non-finite overlap
-    masked first; each overlap and its modulus stay per row, since a batched
-    ``np.abs`` of complex values may move the last bit."""
-    stack = point_basis(d, False)
-    images = _stacked_images(matrices, stack[rows])
-    # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
-    found = np.abs(images.conj() @ stack.T).argmax(axis=1)
-    overlaps = np.array([np.vdot(stack[k], image) for k, image in zip(found.tolist(), images)])
+    or index list of q*d + p) under one exact word map (src, exponents) of
+    shape (n,), or a stack of one map per row.
+
+    :func:`_dense` makes the matrices a block of rows at a time, a block
+    holding at most ``mes._BLOCK_VALUES`` values: _BLOCK_VALUES // d^2 image
+    rows under one map, _BLOCK_VALUES // d^4 matrices for a stack.  Each
+    image is one matrix-vector product and each overlap one ``np.vdot``, its
+    modulus taken per row (a batched ``np.abs`` of complex values may move
+    the last bit), so no row depends on the block size."""
+    stack, rows, stacked = point_basis(d, False), np.arange(d * d)[rows], src.ndim == 2
+    block = max(1, _BLOCK_VALUES // d ** (4 if stacked else 2))
+    matrix = None if stacked else _dense(d, src, exponents)
+    found, overlaps = [], []
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        matrices = _dense(d, src[part], exponents[part]) if stacked else matrix
+        images = _stacked_images(matrices, stack[rows[part]])
+        # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
+        found += np.abs(images.conj() @ stack.T).argmax(axis=1).tolist()
+        overlaps += [np.vdot(stack[k], image) for k, image in zip(found[start:], images)]
+        del matrices, images  # so the next block is made with this one gone
     # a non-finite image matches no point: (0, 0) with fidelity 0
+    overlaps = np.array(overlaps, dtype=np.complex128)
     finite = np.isfinite(overlaps)
     found, overlaps = np.where(finite, found, 0), np.where(finite, overlaps, 0)
     return [

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimension, InvalidLabel
-from .states import DEFAULT_TOL, Ket, UnitaryOp, validate_tolerance
+from .states import Ket, UnitaryOp
 
 __all__ = [
     "BasisLabel",
@@ -39,7 +39,6 @@ __all__ = [
     "mub_basis",
     "mub_family",
     "mub_eigen_residual",
-    "mub_eigen_check",
     "validate_dimension",
 ]
 
@@ -223,9 +222,3 @@ def _eigen_residuals(d: int) -> np.ndarray:
     z2b[:, 0, n, n] = pows[2 * n[:, None] * n % d]
     applied = pows[:, None, None, None] * (_shift_matrix(d) @ (z2b @ states))
     return np.abs(applied - pows[:, None, None] * states).max(axis=(2, 3)).ravel()
-
-
-def mub_eigen_check(
-    d: int, b: "BasisLabel | int", m: int, tol: float = DEFAULT_TOL
-) -> bool:
-    return mub_eigen_residual(d, b, m) < validate_tolerance(tol)

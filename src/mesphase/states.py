@@ -32,7 +32,6 @@ __all__ = [
     "partial_trace",
     "reduced_operators",
     "schmidt_decompose",
-    "is_mes",
     "mes_deviation",
     "equal_up_to_global_phase",
     "phase_canonical",
@@ -232,11 +231,6 @@ def _gram_deviation(rows: np.ndarray) -> float:
     """Largest deviation of the Gram matrix of ``rows`` from identity; a NaN
     deviation counts as +inf."""
     return float(_worst(np.abs(rows.conj() @ rows.T - np.eye(len(rows))).max()))
-
-
-def is_mes(state: Ket, tol: float = DEFAULT_TOL) -> bool:
-    """True iff both reduced density operators equal identity/d within tol."""
-    return mes_deviation(state) < validate_tolerance(tol)
 
 
 def mes_deviation(state: Ket) -> float:

@@ -286,31 +286,28 @@ def suite_collective(
         ok = np.array_equal(forward[inverse], flat) and np.array_equal(inverse[forward], flat)
         return [0.0 if ok else 1.0]
 
-    def flag(word, src, exponents, power=0):
-        """0.0 iff the word's exact map is (src, exponents) times w^power."""
-        got_src, got_exp = co._word_map(d, word)
-        ok = np.array_equal(got_src, src) and np.all((got_exp - exponents - power) % d == 0)
-        return 0.0 if ok else 1.0
+    def map_errors(words, src, exponents, powers=0):
+        """Per word, 0.0 iff its exact map is (src, exponents) times w^power."""
+        got_src, got_exp = co._word_maps(d, words)
+        same = (got_src == src).all(axis=1)
+        phased = ((got_exp - exponents - np.reshape(powers, (-1, 1))) % d == 0).all(axis=1)
+        return np.where(same & phased, 0.0, 1.0)
 
     def operator_factorization():
         # Z|n> = w^n |n> and X|n> = |n+1> on one particle, the other untouched
         n1, n2 = np.divmod(np.arange(d * d), d)
-        return (
-            flag([("Zr", 1), ("Zc", 1)], n1 * d + n2, n1),
-            flag([("Zr", d - 1), ("Zc", 1)], n1 * d + n2, n2),
-            flag([("Xr", h), ("Xc", h)], (n1 - 1) % d * d + n2, 0),
-            flag([("Xr", d - h), ("Xc", h)], n1 * d + (n2 - 1) % d, 0),
-        )
+        words = [[("Zr", 1), ("Zc", 1)], [("Zr", d - 1), ("Zc", 1)]]
+        words += [[("Xr", h), ("Xc", h)], [("Xr", d - h), ("Xc", h)]]
+        src = [n1 * d + n2, n1 * d + n2, (n1 - 1) % d * d + n2, n1 * d + (n2 - 1) % d]
+        return map_errors(words, src, [n1, n2, 0 * n1, 0 * n1])
 
     def operator_algebra():
-        for xs, zs in (("Xc", "Zc"), ("Xr", "Zr")):
-            yield flag([(zs, 1), (xs, 1)], *co._word_map(d, [(xs, 1), (zs, 1)]), 1)
-        for a, b in (("Xc", "Zr"), ("Xr", "Zc"), ("Xc", "Xr"), ("Zc", "Zr")):
-            yield flag([(a, 1), (b, 1)], *co._word_map(d, [(b, 1), (a, 1)]))
-        for s in co.COLLECTIVE_GENERATORS:
-            # d factors of power 1, since a factor's power is reduced mod d;
-            # the empty word is the identity
-            yield flag([(s, 1)] * d, *co._word_map(d, []))
+        # ZX = w XZ for each mode, the cross pairs commute, and G^d is the
+        # identity (d factors of power 1, since a power is reduced mod d)
+        pairs = [("Zc", "Xc"), ("Zr", "Xr"), ("Xc", "Zr"), ("Xr", "Zc"), ("Xc", "Xr"), ("Zc", "Zr")]
+        words = [[(a, 1), (b, 1)] for a, b in pairs] + [[(s, 1)] * d for s in co.COLLECTIVE_GENERATORS]
+        expected = [[(b, 1), (a, 1)] for a, b in pairs] + [[] for _ in co.COLLECTIVE_GENERATORS]
+        return map_errors(words, *co._word_maps(d, expected), [1, 1] + [0] * 8)
 
     def cb_mes_factorization():
         for q in range(d):
@@ -335,8 +332,8 @@ def suite_collective(
     def local_action_shift():
         # the array cores, so a non-finite state fails the row with inf
         universal = me._universal_amplitudes(d, CB)
-        shifted_1 = co._local_action(universal, 1, "X^2")
-        shifted_2 = co._local_action(universal, 2, "X^2")
+        maps = co._word_maps(d, [[("X", 2)]] * 2, co.SINGLE_GENERATORS)
+        shifted_1, shifted_2 = co._local_images(np.stack([universal] * 2), [1, 2], *maps)
         return (
             1.0 - abs(np.vdot(plus[1 * d + 0], shifted_1)),
             1.0 - abs(np.vdot(plus[(d - 1) * d + 0], shifted_2)),
@@ -356,36 +353,24 @@ def suite_collective(
         return [_reduced_deviation(co._local_images(cb_elements[rows], particles, *maps))]
 
     def hop_example():
-        # one dense matrix serves all d^2 points, applied to the points of a
-        # few q at a time, whose images hold at most mes._BLOCK_VALUES values
+        # one exact map serves all d^2 points
         word = co.parse_word("Xc^2 Xr^6")
-        matrix, block = co.word_matrix(d, word), d * max(1, me._BLOCK_VALUES // d**3)
-        for start in range(0, d * d, block):
-            for row, (dense, fid) in enumerate(co._hop_dense(d, matrix, slice(start, start + block)), start):
-                q, p = divmod(row, d)
-                sym = co._hop(d, q, p, word)
-                expected = (
-                    sym.point == co.PhasePoint((q + 2) % d, p)
-                    and sym.phase_exponent == (6 * p) % d
-                )
-                yield 0.0 if expected else 1.0
-                yield 0.0 if dense == sym else 1.0
-                yield 1.0 - fid
+        for row, (dense, fid) in enumerate(co._hop_dense(d, *co._word_map(d, word), slice(None))):
+            q, p = divmod(row, d)
+            sym = co._hop(d, q, p, word)
+            expected = sym.point == co.PhasePoint((q + 2) % d, p) and sym.phase_exponent == (6 * p) % d
+            yield 0.0 if expected else 1.0
+            yield 0.0 if dense == sym else 1.0
+            yield 1.0 - fid
 
     def hop_random():
         words, rows = [], []
         for _ in range(100):
             words.append(_random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5)))
             rows.append(int(rng.integers(0, d)) * d + int(rng.integers(0, d)))
-        src, exponents = co._word_maps(d, words)
-        # the dense matrices a block of at most mes._BLOCK_VALUES values at a time
-        block = max(1, me._BLOCK_VALUES // d**4)
-        for start in range(0, len(words), block):
-            chunk = slice(start, start + block)
-            matched = co._hop_dense(d, co._dense(d, src[chunk], exponents[chunk]), rows[chunk])
-            for word, row, (dense, fid) in zip(words[chunk], rows[chunk], matched):
-                yield 0.0 if dense == co._hop(d, *divmod(row, d), word) else 1.0
-                yield 1.0 - fid
+        for word, row, (dense, fid) in zip(words, rows, co._hop_dense(d, *co._word_maps(d, words), rows)):
+            yield 0.0 if dense == co._hop(d, *divmod(row, d), word) else 1.0
+            yield 1.0 - fid
 
     entries = [
         ("collective.index_maps", "exhaustive", index_maps),

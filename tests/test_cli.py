@@ -7,7 +7,7 @@ import pytest
 
 import mesphase.cli as cli
 from mesphase.cli import main
-from mesphase.states import Ket, is_mes
+from mesphase.states import Ket, mes_deviation
 
 
 def run(capsys, *argv):
@@ -69,7 +69,7 @@ def test_gen_mes_round_trip_reverifies(capsys):
     vecs = np.array([k.amplitudes for k in kets])
     assert np.abs(vecs.conj() @ vecs.T - np.eye(9)).max() < 1e-10
     for k in kets:
-        assert is_mes(k, 1e-10)
+        assert mes_deviation(k) < 1e-10
 
 
 def test_gen_mes_rejects_bad_label(capsys):

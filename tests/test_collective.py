@@ -1,14 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
+import mesphase.collective as co
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
     _family_tables,
     _word_map,
     _hop_dense,
-    _dense,
-    _local_action,
     _local_images,
     _word_maps,
     HopResult,
@@ -28,9 +29,9 @@ from mesphase.collective import (
     word_matrix,
 )
 from mesphase.errors import InvalidDimension, WordParseError
-from mesphase.mes import _BLOCK_VALUES, mes_basis, mes_stack, mes_state, universal_state
+from mesphase.mes import mes_basis, mes_stack, mes_state, universal_state
 from mesphase.schwinger import CB, clock_z, omega_powers, shift_x
-from mesphase.states import Ket, _omega_exponent, is_mes, partial_trace, tensor
+from mesphase.states import DEFAULT_TOL, Ket, _omega_exponent, mes_deviation, partial_trace, tensor
 
 rng = np.random.default_rng(42)
 
@@ -189,8 +190,8 @@ def test_point_bases_orthonormal_and_unbiased(d):
 def test_point_states_are_maximally_entangled(d):
     for q in range(d):
         for p in range(d):
-            assert is_mes(point_state_plus(d, (q, p)))
-            assert is_mes(point_state_minus(d, (q, p)))
+            assert mes_deviation(point_state_plus(d, (q, p))) < DEFAULT_TOL
+            assert mes_deviation(point_state_minus(d, (q, p))) < DEFAULT_TOL
 
 
 def test_cb_basis_element_factorizes_with_phase():
@@ -367,7 +368,7 @@ def test_random_single_particle_words_preserve_mes(d):
         ]
         state = elements[rng.integers(0, d * d)].vector
         moved = local_action(state, int(rng.integers(1, 3)), word)
-        assert is_mes(moved, 1e-10)
+        assert mes_deviation(moved) < 1e-10
 
 
 # -- hopping -----------------------------------------------------------------------
@@ -426,10 +427,16 @@ def test_hop_random_words_match_dense_action(d):
         assert dense == sym
 
 
+@functools.lru_cache(maxsize=None)
+def public_minus_stack(d):
+    """The d^2 public minus lattice states, row q*d + p."""
+    return np.array([point_state_minus(d, (q, p)).amplitudes for q in range(d) for p in range(d)])
+
+
 def hop_dense_oracle(d, point, word):
     """``hop_dense`` as one call per point: a fresh dense word matrix applied
     to the public lattice state, matched against the minus point states."""
-    stack = np.array([point_state_minus(d, (q, p)).amplitudes for q in range(d) for p in range(d)])
+    stack = public_minus_stack(d)
     applied = word_matrix(d, word) @ point_state_minus(d, point).amplitudes
     k = int(np.argmax(np.abs(stack @ applied.conj())))
     overlap = np.vdot(stack[k], applied)
@@ -441,18 +448,16 @@ def hop_dense_oracle(d, point, word):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
     for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", ""):
-        matrix = word_matrix(d, word)
-        for q in range(d):
-            # the d points of one q in one call, as the verify suite makes it
-            matched = _hop_dense(d, matrix, slice(q * d, (q + 1) * d))
-            assert len(matched) == d
-            for p, (point, fidelity) in enumerate(matched):
-                for expected, expected_fidelity in (
-                    hop_dense(d, (q, p), word),
-                    hop_dense_oracle(d, (q, p), word),
-                ):
-                    assert point == expected
-                    assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+        # all d^2 points under one map in one call, as the verify suite makes it
+        matched = _hop_dense(d, *_word_map(d, word), slice(None))
+        assert len(matched) == d * d
+        for row, (point, fidelity) in enumerate(matched):
+            for expected, expected_fidelity in (
+                hop_dense(d, divmod(row, d), word),
+                hop_dense_oracle(d, divmod(row, d), word),
+            ):
+                assert point == expected
+                assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
 
 
 def _random_words(rng, generators, d, count, longest):
@@ -468,12 +473,7 @@ def test_stacked_hop_dense_equals_per_word_hop_dense(d):
     rng = np.random.default_rng(500 + d)
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 200, 5)
     rows = rng.integers(0, d * d, size=200).tolist()
-    # blocks of at most _BLOCK_VALUES matrix values, as the verify suite makes them
-    block = max(1, _BLOCK_VALUES // d**4)
-    matched = []
-    for start in range(0, len(words), block):
-        chunk = slice(start, start + block)
-        matched += _hop_dense(d, _dense(d, *_word_maps(d, words[chunk], COLLECTIVE_GENERATORS)), rows[chunk])
+    matched = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
     assert len(matched) == len(words)
     for word, row, (point, fidelity) in zip(words, rows, matched):
         for expected, expected_fidelity in (
@@ -484,15 +484,44 @@ def test_stacked_hop_dense_equals_per_word_hop_dense(d):
             assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
 
 
-def test_nan_matrix_in_a_block_fails_only_its_word():
+@pytest.mark.parametrize("d", [17, 23, 29])
+def test_hop_dense_blocks_split_like_one_call_per_row(d):
+    # from d=17 on a block holds fewer rows than a call: 113, 61 and 38 rows
+    # under one map, one row per block for a stack
+    rng = np.random.default_rng(700 + d)
+    word = "Xc^2 Xr^6 Zc^3"
+    one_map = _hop_dense(d, *_word_map(d, word), slice(None))
+    words = _random_words(rng, COLLECTIVE_GENERATORS, d, 100, 4)
+    rows = rng.integers(0, d * d, size=100).tolist()
+    stacked = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
+    cases = [(word, row) for row in range(d * d)] + list(zip(words, rows))
+    assert len(one_map + stacked) == len(cases)
+    for (word, row), (point, fidelity) in zip(cases, one_map + stacked):
+        for expected, expected_fidelity in (
+            hop_dense(d, divmod(row, d), word),
+            hop_dense_oracle(d, divmod(row, d), word),
+        ):
+            assert point == expected
+            assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+
+
+def test_nan_matrix_in_a_block_fails_only_its_word(monkeypatch):
     d = 7
     rng = np.random.default_rng(77)
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 13, 4)
     rows = rng.integers(0, d * d, size=13).tolist()
-    matrices = _dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS))
-    matrices[5] = np.nan
+    dense = co._dense
+
+    def poisoned(d, src, exponents):
+        # the 13 words fit one block at d=7, so word 5 is row 5 of its stack
+        matrices = dense(d, src, exponents)
+        matrices[5] = np.nan
+        return matrices
+
+    monkeypatch.setattr(co, "_dense", poisoned)
     with np.errstate(invalid="ignore"):
-        matched = _hop_dense(d, matrices, rows)
+        matched = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
+    monkeypatch.undo()
     for i, (word, row, result) in enumerate(zip(words, rows, matched)):
         if i == 5:
             assert result == (HopResult(PhasePoint(0, 0), 0), 0.0)
@@ -513,7 +542,7 @@ def test_stacked_local_images_equal_the_per_word_gathers_bytes(d):
         phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(d, d)
         expected = phases[:, None] * amps[src] if particle == 1 else amps[:, src] * phases
         assert image.tobytes() == expected.ravel().tobytes()
-        assert image.tobytes() == _local_action(amplitudes, particle, word).tobytes()
+        assert image.tobytes() == local_action(Ket(amplitudes), particle, word).amplitudes.tobytes()
 
 
 def test_hop_trajectory_steps():

@@ -27,9 +27,10 @@ from mesphase.schwinger import (
     omega_powers,
 )
 from mesphase.states import (
+    DEFAULT_TOL,
     Ket,
     equal_up_to_global_phase,
-    is_mes,
+    mes_deviation,
     partial_trace,
     schmidt_decompose,
     tensor,
@@ -95,7 +96,7 @@ def test_basis_gram_identity_mixed_labels():
 def test_every_element_is_maximally_entangled(d):
     for label in BasisLabel.all_labels(d):
         for e in mes_basis(d, label, label):
-            assert is_mes(e.vector, 1e-10)
+            assert mes_deviation(e.vector) < 1e-10
             for keep in (1, 2):
                 rho = partial_trace(e.vector, keep).matrix
                 assert np.abs(rho - np.eye(d) / d).max() < 1e-12
@@ -188,7 +189,7 @@ def test_mes_sum_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
 
 
 def test_universal_state_passes_is_mes():
-    assert is_mes(universal_state(7, BasisLabel(4)))
+    assert mes_deviation(universal_state(7, BasisLabel(4))) < DEFAULT_TOL
 
 
 def worked_sources():

@@ -10,7 +10,6 @@ from mesphase.schwinger import (
     CB,
     BasisLabel,
     clock_z,
-    mub_eigen_check,
     mub_eigen_residual,
     mub_basis,
     mub_family,
@@ -19,7 +18,7 @@ from mesphase.schwinger import (
     shift_x,
     validate_dimension,
 )
-from mesphase.states import Ket
+from mesphase.states import DEFAULT_TOL, Ket
 
 
 def stack(basis):
@@ -173,7 +172,7 @@ def test_eigenrelation_all_labels(d):
     for b in range(d):
         for m in range(d):
             assert mub_eigen_residual(d, b, m) < 1e-12
-            assert mub_eigen_check(d, b, m)
+            assert mub_eigen_residual(d, b, m) < DEFAULT_TOL
 
 
 def test_eigenrelation_uniform_vector_shift_fixed_point():

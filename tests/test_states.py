@@ -3,10 +3,11 @@ import pytest
 
 from mesphase.errors import DimMismatch
 from mesphase.states import (
+    DEFAULT_TOL,
     DensityOp,
     Ket,
     equal_up_to_global_phase,
-    is_mes,
+    mes_deviation,
     partial_trace,
     phase_canonical,
     schmidt_decompose,
@@ -173,8 +174,8 @@ def test_schmidt_reconstruction_equals_kron_sum_bytes():
 
 
 def test_is_mes_on_diagonal_pair_and_product():
-    assert is_mes(diagonal_pair(5))
-    assert not is_mes(tensor(Ket.basis(3, 0), Ket.basis(3, 0)))
+    assert mes_deviation(diagonal_pair(5)) < DEFAULT_TOL
+    assert not mes_deviation(tensor(Ket.basis(3, 0), Ket.basis(3, 0))) < DEFAULT_TOL
 
 
 def test_is_mes_rejects_padded_qubit_pair():
@@ -183,7 +184,7 @@ def test_is_mes_rejects_padded_qubit_pair():
     vec = np.zeros(9, dtype=complex)
     vec[0 * 3 + 0] = vec[1 * 3 + 1] = 1 / np.sqrt(2)
     state = Ket(vec)
-    assert not is_mes(state)
+    assert not mes_deviation(state) < DEFAULT_TOL
     coeffs = schmidt_decompose(state).coefficients
     assert np.abs(coeffs - [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0]).max() < 1e-12
 
@@ -194,8 +195,8 @@ def test_is_mes_matches_spectrum_spread_definition():
         state = random_ket(9)
         coeffs = schmidt_decompose(state).coefficients
         spread_ok = coeffs.max() - coeffs.min() < 1e-10
-        assert is_mes(state) == spread_ok
-    assert is_mes(diagonal_pair(3)) and (
+        assert (mes_deviation(state) < DEFAULT_TOL) == spread_ok
+    assert mes_deviation(diagonal_pair(3)) < DEFAULT_TOL and (
         lambda c: c.max() - c.min() < 1e-10
     )(schmidt_decompose(diagonal_pair(3)).coefficients)
 

@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mesphase import cli, collective as co, lines as li, mes as me, schwinger as sw, states, verify
+import mesphase
+from mesphase import cli, collective as co, errors, lines as li, mes as me, schwinger as sw, states, verify
 from mesphase.errors import FactorizationFailed, InvalidDimension, InvalidTolerance
 from mesphase.verify import _worst, run_suites
 
@@ -116,8 +117,27 @@ def test_sweep_up_to_d13_is_green_with_rounding_level_errors():
 
 def test_one_tolerance_default():
     assert cli.DEFAULT_TOL is states.DEFAULT_TOL
-    for fn in (run_suites, sw.mub_eigen_check):
-        assert inspect.signature(fn).parameters["tol"].default is states.DEFAULT_TOL
+    # every public function and class with a tol default, the error classes aside
+    defaults = {}
+    for name, obj in vars(mesphase).items():
+        if name in mesphase.__all__ and callable(obj) and name not in errors.__all__:
+            tol = inspect.signature(obj).parameters.get("tol")
+            if tol is not None and tol.default is not inspect.Parameter.empty:
+                defaults[name] = tol.default
+    assert set(defaults) == {
+        "run_suites",
+        "schmidt_inversion_check",
+        "mub_from_lines",
+        "line_factor_table",
+        "build_relabeling",
+        "diagonalizer_for",
+        "equal_up_to_global_phase",
+        "phase_canonical",
+        "UnitaryOp",
+        "DensityOp",
+    }
+    for name, default in defaults.items():
+        assert default is states.DEFAULT_TOL, name
 
 
 def test_nan_in_the_point_basis_fails_the_lines_and_mub_rows_closed(monkeypatch):
@@ -210,7 +230,7 @@ def suite_mes_oracle(d, tol, rng):
         accepted = 0
         for _ in range(20):
             vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-            accepted += states.is_mes(states.Ket.normalized(vec), tol)
+            accepted += states.mes_deviation(states.Ket.normalized(vec)) < tol
         return [accepted / 20.0]
 
     def universal():
@@ -329,7 +349,8 @@ def collective_rows_oracle(d, tol, rng):
         for _ in range(50):
             word = verify._random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
             state = cb_elements[rng.integers(0, d * d)]
-            yield states._reduced_deviation(co._local_action(state, int(rng.integers(1, 3)), word))
+            moved = co.local_action(states.Ket(state), int(rng.integers(1, 3)), word)
+            yield states._reduced_deviation(moved.amplitudes)
 
     def hop_example():
         matrix = co.word_matrix(d, "Xc^2 Xr^6")
@@ -370,7 +391,7 @@ def collective_rows_oracle(d, tol, rng):
     )
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 23])
 @pytest.mark.parametrize("seed", [0, 5, 12345])
 def test_collective_array_passes_equal_the_per_point_oracle(d, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -637,8 +658,6 @@ def _tolerance_callers():
         "mub_from_lines": lambda tol: li.mub_from_lines(3, tol),
         "schmidt_inversion_check": lambda tol: li.schmidt_inversion_check(3, line, tol),
         "line_factor_table": lambda tol: li.line_factor_table(3, tol),
-        "is_mes": lambda tol: states.is_mes(me.universal_state(3, sw.CB), tol),
-        "mub_eigen_check": lambda tol: sw.mub_eigen_check(3, 1, 0, tol),
         "equal_up_to_global_phase": lambda tol: states.equal_up_to_global_phase(
             basis[0], basis[0], tol
         ),
