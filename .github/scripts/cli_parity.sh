@@ -80,5 +80,7 @@ verify --d 19 --suite collective --seed 2
 hop --d 3 --q 2 --p 1 --word "Zr^-7 Xc^11 Zc^0 Xr^4"
 verify --d 23 --suite collective --seed 8 --format json
 hop --d 31 --q 30 --p 1 --word "Xr^5 Zc^-2 Xc^33" --format json
+gen-mes --d 17 --b 5 --b-prime cb --format csv
+verify --d 17 --suite collective --seed 5 --format json
 COMMANDS
 exit $status

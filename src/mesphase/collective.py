@@ -40,9 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import WordParseError
-from .mes import _BLOCK_VALUES
 from .schwinger import mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp, _omega_exponent, _split_dim
+from .states import Ket, UnitaryOp, _blocks, _omega_exponent, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -156,6 +155,7 @@ def _family_tables(d: int, family: tuple[str, ...]) -> tuple[np.ndarray, np.ndar
     In closed form: Xc^k sends (n1, n2) to (n1 + k, n2 + k), Xr^k to
     (n1 + k, n2 - k) and X^k sends n to n + k; Zc^k, Zr^k and Z^k multiply
     by w^(k nc), w^(k nr) and w^(k n), the exponents left unreduced."""
+    validate_dimension(d)
     k = np.arange(d)[:, None]
     if family == COLLECTIVE_GENERATORS:
         n1, n2 = np.divmod(np.arange(d * d), d)
@@ -416,23 +416,20 @@ def _hop_dense(d: int, src: np.ndarray, exponents: np.ndarray, rows) -> list[tup
     or index list of q*d + p) under one exact word map (src, exponents) of
     shape (n,), or a stack of one map per row.
 
-    :func:`_dense` makes the matrices a block of rows at a time, a block
-    holding at most ``mes._BLOCK_VALUES`` values: _BLOCK_VALUES // d^2 image
-    rows under one map, _BLOCK_VALUES // d^4 matrices for a stack.  Each
-    image is one matrix-vector product and each overlap one ``np.vdot``, its
-    modulus taken per row (a batched ``np.abs`` of complex values may move
-    the last bit), so no row depends on the block size."""
+    :func:`_dense` makes the matrices one of :func:`_blocks` of rows at a
+    time: d^2 values per image row under one map, d^4 per matrix for a
+    stack.  Each image is one matrix-vector product and each overlap one
+    ``np.vdot``, its modulus taken per row (a batched ``np.abs`` of complex
+    values may move the last bit), so no row depends on the block size."""
     stack, rows, stacked = point_basis(d, False), np.arange(d * d)[rows], src.ndim == 2
-    block = max(1, _BLOCK_VALUES // d ** (4 if stacked else 2))
     matrix = None if stacked else _dense(d, src, exponents)
     found, overlaps = [], []
-    for start in range(0, len(rows), block):
-        part = slice(start, start + block)
+    for part in _blocks(len(rows), d ** (4 if stacked else 2)):
         matrices = _dense(d, src[part], exponents[part]) if stacked else matrix
         images = _stacked_images(matrices, stack[rows[part]])
         # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
         found += np.abs(images.conj() @ stack.T).argmax(axis=1).tolist()
-        overlaps += [np.vdot(stack[k], image) for k, image in zip(found[start:], images)]
+        overlaps += [np.vdot(stack[k], image) for k, image in zip(found[part], images)]
         del matrices, images  # so the next block is made with this one gone
     # a non-finite image matches no point: (0, 0) with fidelity 0
     overlaps = np.array(overlaps, dtype=np.complex128)

@@ -35,7 +35,6 @@ import numpy as np
 
 from .collective import PhasePoint, point_basis
 from .errors import FactorizationFailed
-from .mes import _BLOCK_VALUES
 from .schwinger import (
     CB,
     BasisLabel,
@@ -48,6 +47,7 @@ from .schwinger import (
 from .states import (
     DEFAULT_TOL,
     Ket,
+    _blocks,
     _omega_exponent,
     _phase_canonical,
     _worst,
@@ -167,16 +167,15 @@ def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The line states of an (n, d) array of rows of ``basis``, shape
     (n, d*d): each the sum of its d rows, in order, over sqrt(d).
 
-    It gathers the rows a few lines at a time, so that each (lines, d, d*d)
-    block holds at most ``mes._BLOCK_VALUES`` values (512 KB): all lines of
-    a call at once up to d=13, one at a time from d=29.  From d=17 on this
-    is faster than one block per pencil (timings in README)."""
+    It gathers the rows in :func:`_blocks` of lines, so that each (lines, d,
+    d*d) block holds at most ``states._BLOCK_VALUES`` values (512 KB): all
+    lines of a call at once up to d=13, one at a time from d=29.  From d=17
+    on this is faster than one block per pencil (timings in README)."""
     d = rows.shape[1]
-    step = max(1, _BLOCK_VALUES // (d * basis.shape[1]))
     sums = np.empty((len(rows), basis.shape[1]), dtype=basis.dtype)
-    for start in range(0, len(rows), step):
+    for block in _blocks(len(rows), d * basis.shape[1]):
         # take gathers faster than basis[rows] and gives the same array
-        basis.take(rows[start:start + step], axis=0).sum(axis=1, out=sums[start:start + step])
+        basis.take(rows[block], axis=0).sum(axis=1, out=sums[block])
     sums /= np.sqrt(d)
     return sums
 
@@ -221,7 +220,7 @@ def _factor_lines(
     d: int, lines: list[Line], tol: float = DEFAULT_TOL, realization: str = "standard"
 ) -> _FactoredLines:
     """Factor and judge the line states one block of max(d,
-    ``mes._BLOCK_VALUES`` // d^3) lines at a time (all lines up to d=7, a
+    ``states._BLOCK_VALUES`` // d^3) lines at a time (all lines up to d=7, a
     pencil from d=17): one gather and sum of the point basis, one
     ``np.linalg.svd`` call and one label search per factor side, a matmul
     against the MUB stack.  No line state outlives its block.
@@ -238,14 +237,13 @@ def _factor_lines(
     stack, w = mub_stack(d).reshape(-1, d), omega_powers(d)
     reports, found = [], np.empty(len(lines), dtype=np.intp)
     factor2 = np.zeros((len(lines), d), dtype=np.complex128)
-    block = max(d, _BLOCK_VALUES // d**3)
-    for start in range(0, len(lines), block):
-        amplitudes = _line_sums(basis, rows[start:start + block])
+    for block in _blocks(len(lines), d**3, minimum=d):
+        amplitudes = _line_sums(basis, rows[block])
         finite = np.isfinite(amplitudes).all(axis=1)
         kept = finite.tolist()
         safe = amplitudes if all(kept) else np.where(finite[:, None], amplitudes, 0)
         u, s, vh = np.linalg.svd(safe.reshape(-1, d, d))
-        factor1, block2 = np.zeros((len(kept), d), dtype=np.complex128), factor2[start:start + block]
+        factor1, block2 = np.zeros((len(kept), d), dtype=np.complex128), factor2[block]
         for i, ok in enumerate(kept):
             if ok:
                 factor1[i] = _canonical_factor(u[i, :, 0])
@@ -253,10 +251,10 @@ def _factor_lines(
         # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
         # matches row 0, the label (cb, 0)
         found1 = np.abs(factor1 @ stack.T).argmax(axis=1).tolist()
-        found[start:start + block] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
+        found[block] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
         conj1 = factor1.conj()
         for i, (line, ok, k1, k2) in enumerate(
-            zip(lines[start:start + block], kept, found1, found[start:start + block].tolist())
+            zip(lines[block], kept, found1, found[block].tolist())
         ):
             s1 = float(s[i, 1]) if ok else math.nan
             fid1 = abs(np.vdot(stack[k1], conj1[i]))

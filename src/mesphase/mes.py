@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NotBijective, NotOrthonormal
 from .schwinger import BasisLabel, basis_rows, omega_powers
-from .states import DEFAULT_TOL, Ket, UnitaryOp, _gram_deviation, validate_tolerance
+from .states import DEFAULT_TOL, Ket, UnitaryOp, _blocks, _gram_deviation, validate_tolerance
 
 __all__ = [
     "MesBasisElement",
@@ -43,11 +43,6 @@ class MesBasisElement:
     vector: Ket
 
 
-# q rows per block of :func:`_mes_amplitudes`: a (block, d, d^2) complex
-# accumulator of about 512 KB stays in cache while its d terms are added
-_BLOCK_VALUES = 1 << 15
-
-
 def _mes_amplitudes(
     d: int, rows1: np.ndarray, rows2: np.ndarray, qs: np.ndarray, ps: np.ndarray
 ) -> np.ndarray:
@@ -56,14 +51,13 @@ def _mes_amplitudes(
 
     Each element is the same sum whatever the blocking: the terms
     w^(-m p) * (rows1[m] (x) rows2[m - q]) for m = 0..d-1, added one at a
-    time, then divided by sqrt d."""
+    time, then divided by sqrt d.  The q rows go in :func:`_blocks`, so a
+    block's (rows, d, d^2) accumulator stays in cache while terms are added."""
     phases = omega_powers(d)[(-np.arange(d)[:, None] * ps) % d][:, :, None]
     total = np.zeros((len(qs), len(ps), d * d), dtype=np.complex128)
-    block = max(1, _BLOCK_VALUES // d**3)
-    terms = np.empty_like(total[:block])
-    for start in range(0, len(qs), block):
-        q = qs[start:start + block]
-        acc, term = total[start:start + block], terms[:len(q)]
+    for block in _blocks(len(qs), d**3):
+        q, acc = qs[block], total[block]
+        term = np.empty_like(acc)
         for m in range(d):
             # pair[i] = kron(rows1[m], rows2[(m - q[i]) % d])
             pair = (rows1[m][:, None] * rows2[(m - q) % d][:, None, :]).reshape(-1, 1, d * d)

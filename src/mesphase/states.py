@@ -40,6 +40,16 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
+# complex values per block of an array pass, 512 KB, so a block stays in cache
+_BLOCK_VALUES = 1 << 15
+
+
+def _blocks(n: int, values_per_item: int, minimum: int = 1):
+    """Slices covering range(n) in order, each but the last of max(minimum,
+    _BLOCK_VALUES // values_per_item) items."""
+    step = max(minimum, _BLOCK_VALUES // values_per_item)
+    return (slice(start, start + step) for start in range(0, n, step))
+
 
 def validate_tolerance(tol: float) -> float:
     """A tolerance must be finite with 0 < tol < 1: the 0/1 flag rows report

@@ -29,6 +29,7 @@ from .schwinger import CB, BasisLabel
 from .states import (
     DEFAULT_TOL,
     Ket,
+    _blocks,
     _gram_deviation,
     _identity_deviation,
     _reduced_deviation,
@@ -316,18 +317,18 @@ def suite_collective(
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
-        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p) for the d points of
-        # one q at a time, each word form's d maps in one stack; the
-        # products and the vdots stay per point
-        for q in range(d):
-            src, e = co._word_maps(d, [[("Zc", d - p), ("Xr", q)] for p in range(d)])
+        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p), one stack per word form for a
+        # block of points k = q*d + p; the products and the vdots stay per point
+        for block in _blocks(d * d, d * d):
+            points = range(d * d)[block]
+            src, e = co._word_maps(d, [[("Zc", d - k % d), ("Xr", k // d)] for k in points])
             phases_plus, gathered_plus = w[e % d], plus[0][src]
-            src, e = co._word_maps(d, [[("Xc", q), ("Zr", d - p)] for p in range(d)])
+            src, e = co._word_maps(d, [[("Xc", k // d), ("Zr", d - k % d)] for k in points])
             phases_minus, gathered_minus = w[e % d], minus[0][src]
-            for p in range(d):
+            for i, k in enumerate(points):
                 # measured phases are exactly 1 for both generator routes
-                yield abs(np.vdot(plus[q * d + p], phases_plus[p] * gathered_plus[p]) - 1.0)
-                yield abs(np.vdot(minus[q * d + p], phases_minus[p] * gathered_minus[p]) - 1.0)
+                yield abs(np.vdot(plus[k], phases_plus[i] * gathered_plus[i]) - 1.0)
+                yield abs(np.vdot(minus[k], phases_minus[i] * gathered_minus[i]) - 1.0)
 
     def local_action_shift():
         # the array cores, so a non-finite state fails the row with inf

@@ -123,6 +123,20 @@ def test_entry_points_reject_bad_dimensions(d):
             call()
 
 
+@pytest.mark.parametrize("d", [2, 4, 9])
+def test_single_particle_words_reject_bad_dimensions(d):
+    # a single-particle word acts on one qudit, which must be of odd prime dimension too
+    state = Ket.basis(d * d, 1)
+    for call in (
+        lambda: word_matrix(d, "X", SINGLE_GENERATORS),
+        lambda: word_matrix(d, [("Z", 2)], SINGLE_GENERATORS),
+        lambda: local_action(state, 1, "X"),
+        lambda: local_action(state, 2, "Z^2"),
+    ):
+        with pytest.raises(InvalidDimension):
+            call()
+
+
 # -- permutation ---------------------------------------------------------------
 
 

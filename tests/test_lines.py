@@ -9,6 +9,7 @@ import pytest
 from mesphase.collective import PhasePoint, point_basis, point_state_minus
 from mesphase.errors import FactorizationFailed, InvalidDimension, InvalidLabel
 from mesphase import lines as li
+from mesphase import states as st
 from mesphase.lines import (
     Line,
     LineFactorReport,
@@ -271,6 +272,25 @@ def test_stacked_core_predicts_the_expected_factor2_labels(d):
         assert expected_factor2_label(d, line) == (label, m)
         assert k == (0 if label.is_cb else label.index + 1) * d + m
         assert found == k
+
+
+@pytest.mark.parametrize("d", [7, 13])
+def test_line_blocks_do_not_change_sums_or_reports(d, monkeypatch):
+    # one budget sizes both loops: line blocks of max(d, budget // d^3) lines, sum
+    # blocks of budget // d^3 lines; shuffled lines so that blocks mix pencils
+    every = all_lines(d)
+    lines = [every[i] for i in np.random.default_rng(d).permutation(len(every))]
+    rows = _line_tables(d)[0][_line_index(d, lines)]
+    basis = li._summed_basis(d, "standard")
+    expected, sums = _factor_lines(d, lines), li._line_sums(basis, rows).tobytes()
+    # line blocks of d (sum blocks of 1 and 3 lines), 2d and all lines
+    for lines_per_budget in (1, 3, 2 * d, d * (d + 1)):
+        monkeypatch.setattr(st, "_BLOCK_VALUES", lines_per_budget * d**3)
+        factored = _factor_lines(d, lines)
+        assert factored.reports == expected.reports
+        assert factored.found.tobytes() == expected.found.tobytes()
+        assert factored.factor2.tobytes() == expected.factor2.tobytes()
+        assert li._line_sums(basis, rows).tobytes() == sums
 
 
 def test_nan_line_fails_only_its_own_report(monkeypatch):

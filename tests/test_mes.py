@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import mesphase.mes as me
+import mesphase.states as st
 from mesphase.cli import main
 from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
@@ -184,7 +184,7 @@ def test_mes_sum_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
     ps = np.arange(d)[::-1]
     expected = mes_sum_oracle(d, rows1, rows2, qs, ps).tobytes()
     for rows_per_block in range(1, d + 2):
-        monkeypatch.setattr(me, "_BLOCK_VALUES", rows_per_block * d**3)
+        monkeypatch.setattr(st, "_BLOCK_VALUES", rows_per_block * d**3)
         assert _mes_amplitudes(d, rows1, rows2, qs, ps).tobytes() == expected
 
 

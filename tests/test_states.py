@@ -13,6 +13,8 @@ from mesphase.states import (
     schmidt_decompose,
     tensor,
     UnitaryOp,
+    _BLOCK_VALUES,
+    _blocks,
     _check_unit_rows,
     _gram_deviation,
 )
@@ -281,3 +283,19 @@ def test_gram_deviation_counts_nan_as_infinite():
     rows = np.eye(3, dtype=complex)
     rows[1, 2] = np.nan
     assert _gram_deviation(rows) == np.inf
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_VALUES - 1, _BLOCK_VALUES, _BLOCK_VALUES + 1])
+@pytest.mark.parametrize(
+    "values_per_item, minimum, size",
+    [(1, 1, _BLOCK_VALUES), (7**3, 1, 95), (17**3, 1, 6), (17**3, 17, 17), (31**3, 1, 1), (31**3, 31, 31)],
+)
+def test_blocks_cover_the_range_in_order(n, values_per_item, minimum, size):
+    lengths, covered = [], []
+    for block in _blocks(n, values_per_item, minimum):
+        lengths.append(len(range(n)[block]))
+        covered.extend(range(n)[block])
+    assert covered == list(range(n))
+    assert all(length == size for length in lengths[:-1])
+    assert 0 < min(lengths, default=1) and max(lengths, default=0) <= size
+    assert len(lengths) == -(-n // size)

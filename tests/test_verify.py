@@ -683,6 +683,13 @@ def test_validate_tolerance_has_one_definition():
     assert cli.validate_tolerance is states.validate_tolerance
 
 
+def test_block_rule_has_one_definition():
+    # one budget and one helper size every array pass
+    for module in (me, co, li, verify):
+        assert not hasattr(module, "_BLOCK_VALUES")
+        assert module._blocks is states._blocks
+
+
 def test_a_wrong_predicted_label_fails_its_line_row(monkeypatch):
     rows, labels = li._line_tables(5)
     wrong = labels.copy()
