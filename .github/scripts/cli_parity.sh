@@ -82,5 +82,6 @@ verify --d 23 --suite collective --seed 8 --format json
 hop --d 31 --q 30 --p 1 --word "Xr^5 Zc^-2 Xc^33" --format json
 gen-mes --d 17 --b 5 --b-prime cb --format csv
 verify --d 17 --suite collective --seed 5 --format json
+verify --d 31 --suite mes --format json
 COMMANDS
 exit $status

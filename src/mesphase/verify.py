@@ -161,10 +161,125 @@ def suite_mub(d: int, tol: float, factored) -> list[VerificationReport]:
 # -- maximally-entangled-basis suite -----------------------------------------
 
 
+# unit roundoff of float64
+_U = np.finfo(float).eps / 2
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): a product of n factors
+    (1 + delta)^(+-1), each |delta| <= u, lies within 1 +- gamma_n."""
+    return n * _U / (1 - n * _U)
+
+
+def _unitarity_gap(m: np.ndarray, c: float) -> float:
+    """||m m^+ - I||_2 of a square m, bounded by the Frobenius norm of the
+    computed gap plus c ||m||_F^2, the rounding of a matmul whose entrywise
+    error is c |m| |m|^T; :func:`_mes_certificate` lifts it for the rest."""
+    size = float(np.linalg.norm(m))
+    return float(np.linalg.norm(m @ m.conj().T - np.eye(len(m)))) + c * size * size
+
+
+def _mes_certificate(d: int, rows1: np.ndarray, rows2: np.ndarray, stack: np.ndarray) -> tuple[float, float]:
+    """Bounds (gram, schmidt) on the MES basis ``stack`` of the row sets
+    ``rows1`` and ``rows2``, proved through the DFT identity of its q-blocks
+    in O(d^5) instead of O(d^6); (inf, inf) if anything is not finite.
+
+    ``gram`` bounds ||V V^+ - I||_2 and so every entry of conj(V) V^T - I
+    (mes.gram) and of V^T conj(V) - I (mes.completeness); ``schmidt`` bounds
+    the distance of every singular value of every d x d amplitude matrix
+    from 1/sqrt d (mes.schmidt).  Both bound the exact values of the float
+    stack.  They are sufficient, not necessary: an orthonormal stack whose
+    rows are mislabeled fails them.  For the diagonal bases at d <= 31 they
+    read at most 4.4e-12 and 7.3e-13: a margin of 23x under the default
+    tolerance 1e-10.
+
+    The identity.  V holds u(q, p) of (R, R') = (rows1, rows2) in row
+    q*d + p, and V_q is its (d, d^2) block of one q.  With the unitary DFT
+    F[m, p] = w^(m p) / sqrt d, the definition of u(q, p) reads F V_q = P_q,
+    whose row m is R[m] (x) R'[m - q]: the abstract's product state as a
+    d-terms sum of MES.  F^ is F in floats, from :func:`omega_powers`.  The
+    certificate takes the residuals E_q = F^ V_q - P_q a block of q at a
+    time, and measures
+        rho_q >= ||E_q||_F, rho >= ||E||_F over all q,
+        eps, eps' >= ||R R^+ - I||_2, ||R' R'^+ - I||_2,
+        eta >= ||F^ F^+ - I||_2, mu >= max |sqrt(d) |F^[m, p]| - 1|.
+
+    Gram.  With G = diag(F^, ..., F^), one block per q, W = G V = P + E.
+    (q, m) -> (m, m - q) is a bijection, so the rows of P are those of
+    R (x) R' permuted, P^+ P = R^+ R (x) R'^+ R' and ||P||_2 <= s =
+    sqrt((1 + eps)(1 + eps')).  So ||W^+ W - I||_2 <= beta = e2 + 2 s rho
+    + rho^2, with e2 = eps + eps' + eps eps'.  G G^+ = diag(F^ F^+), so
+    (G G^+)^-1 = I + Y with ||Y||_2 <= eta / (1 - eta), and
+    V^+ V - I = W^+ W - I + W^+ Y W gives
+        ||V^+ V - I||_2 <= beta + (1 + beta) eta / (1 - eta)
+                         = (beta + eta) / (1 - eta) = gram.
+    V is square, so ||V V^+ - I||_2 is the same number.
+
+    Schmidt.  V_q = F^-1 (P_q + E_q), F^-1 = F^+ (I + Y), and the entries
+    of F^+ Y are at most kappa = sqrt(1 + eta) eta / (1 - eta), so
+    sqrt(d) |F^-1[p, m]| lies within 1 +- nu, nu = mu + sqrt(d) kappa.  The
+    d x d amplitude matrix of u(q, p) is R^T D S R' + N, with
+    D = diag(F^-1[p, m]) over m, S a permutation and N row p of F^-1 E_q;
+    by Parseval over p, ||N||_2 <= ||F^-1 E_q||_F <= rho_q / sqrt(1 - eta).
+    The singular values of R and R' lie within 1 +- eps and 1 +- eps', so
+    those of R^T D S R' times sqrt d lie within (1 +- e2)(1 +- nu), and by
+    Weyl every Schmidt coefficient is within
+        max_q rho_q / sqrt(1 - eta) + (e2 + nu + e2 nu) / sqrt d = schmidt
+    of 1/sqrt d.
+
+    Rounding.  A complex matmul with inner dimension n, in any order of
+    real multiply-adds, FMA or not, errs entrywise by at most c |A| |B|,
+    c = sqrt(2) gamma_2n (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., secs. 3.1 and 3.6), so in Frobenius norm by at most
+    c ||A||_F ||B||_F; one complex product errs by sqrt(2) gamma_2 of its
+    modulus.  So rho_q adds c ||F^||_F ||V_q||_F for F^ V_q and
+    sqrt(2) gamma_2 ||R||_F ||R'||_F for P_q to the computed ||E_q||_F, and
+    eps, eps' and eta add theirs (:func:`_unitarity_gap`).  eta is measured
+    because numpy documents no accuracy for ``exp``; it reads 2.6e-15 at
+    d=31 before its rounding term.  mu is the largest |d |F^|^2 - 1| plus
+    gamma_4 (1 + mu) for the rounding of d |F^|^2; it bounds
+    |sqrt(d) |F^| - 1| since sqrt(1 +- x) lies within 1 +- x.  Every other
+    float step (the subtractions, the norms) scales a nonnegative quantity
+    by (1 + delta)^(+-1), at most N = 2 d^4 + 8 times along any path, so
+    each measured input is divided by 1 - gamma_N, and each bound is too,
+    for the few steps that assemble it from those inputs.
+    """
+    k = np.arange(d)
+    f = sw.omega_powers(d)[np.outer(k, k) % d] / np.sqrt(d)
+    c = math.sqrt(2) * _gamma(2 * d)
+    eta, eps1, eps2 = (_unitarity_gap(m, c) for m in (f, rows1, rows2))
+    spread = float(np.abs(d * (f.real**2 + f.imag**2) - 1).max())
+    mu = spread + _gamma(4) * (1 + spread)
+    blocks = stack.reshape(d, d, d * d)
+    residuals, sizes = np.empty(d), np.empty(d)
+    for block in _blocks(d, d**3):
+        # pairs[i, m] = kron(rows1[m], rows2[(m - q_i) % d])
+        q = k[block, None]
+        pairs = (rows1[:, :, None] * rows2[(k - q) % d][:, :, None, :]).reshape(-1, d, d * d)
+        e = f @ blocks[block]
+        e -= pairs
+        residuals[block] = np.linalg.norm(e, axis=(1, 2))
+        sizes[block] = np.linalg.norm(blocks[block], axis=(1, 2))
+    scale = c * float(np.linalg.norm(f))
+    pair_rounding = math.sqrt(2) * _gamma(2) * float(np.linalg.norm(rows1)) * float(np.linalg.norm(rows2))
+    rho = float(np.linalg.norm(residuals)) + scale * float(np.linalg.norm(sizes)) + pair_rounding
+    rho_q = float((residuals + scale * sizes).max()) + pair_rounding
+    lift = 1 / (1 - _gamma(2 * d**4 + 8))
+    eta, eps1, eps2, mu, rho, rho_q = (x * lift for x in (eta, eps1, eps2, mu, rho, rho_q))
+    if not eta < 1:  # G is not shown invertible, or eta is NaN
+        return math.inf, math.inf
+    e2 = eps1 + eps2 + eps1 * eps2
+    gram = (e2 + 2 * math.sqrt((1 + eps1) * (1 + eps2)) * rho + rho * rho + eta) / (1 - eta)
+    nu = mu + math.sqrt(d) * math.sqrt(1 + eta) * eta / (1 - eta)
+    schmidt = rho_q / math.sqrt(1 - eta) + (e2 + nu + e2 * nu) / math.sqrt(d)
+    return tuple(b * lift if math.isfinite(b) else math.inf for b in (gram, schmidt))
+
+
 def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
     """The per-basis rows stream the d+1 bases u(q, p) of (b, b): each
-    (d^2, d^2) stack and its reduced operators are built once, outside the
-    rows, and dropped before the next basis is built."""
+    (d^2, d^2) stack is built once, outside the rows, for its reduced
+    operators and its :func:`_mes_certificate`, and dropped before the
+    next basis is built."""
     # drawn before the first basis, where the random_projection row used to
     # draw them, so the rng stream of the later rows does not move
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
@@ -172,30 +287,20 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     outer = _outer_products(alphas)
 
     def basis(label):
-        v = me.mes_stack(d, label, label)
-        return v, reduced_operators(v.reshape(-1, d, d))
+        rows, v = sw.basis_rows(d, label)[1], me.mes_stack(d, label, label)
+        return reduced_operators(v.reshape(-1, d, d)), _mes_certificate(d, rows, rows, v)
 
+    # mes.gram, mes.completeness and mes.schmidt report the certified
+    # bounds; mes.reduced and mes.random_projection stay dense
     per_basis = [
-        ("mes.gram", "b'=b, all b", lambda v, rhos: [_gram_deviation(v)]),
-        ("mes.reduced", "identity/d both particles", lambda v, rhos: [_identity_deviation(rhos)]),
-        (
-            "mes.schmidt",
-            "all coefficients 1/sqrt(d)",
-            # singular values only: an SVD of each d x d amplitude block,
-            # independent of the reduced operators that mes.reduced checks
-            lambda v, rhos: [
-                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
-            ],
-        ),
-        (
-            "mes.completeness",
-            "sum of projectors",
-            lambda v, rhos: [np.abs(v.T @ v.conj() - np.eye(d * d)).max()],
-        ),
+        ("mes.gram", "b'=b, all b", lambda rhos, bounds: [bounds[0]]),
+        ("mes.reduced", "identity/d both particles", lambda rhos, bounds: [_identity_deviation(rhos)]),
+        ("mes.schmidt", "all coefficients 1/sqrt(d)", lambda rhos, bounds: [bounds[1]]),
+        ("mes.completeness", "sum of projectors", lambda rhos, bounds: [bounds[0]]),
         (
             "mes.random_projection",
             "200 states",
-            lambda v, rhos: (np.abs(_projections(rho, outer) - 1 / d).max() for rho in rhos),
+            lambda rhos, bounds: (np.abs(_projections(rho, outer) - 1 / d).max() for rho in rhos),
         ),
     ]
 

@@ -311,7 +311,8 @@ def test_mes_rows_match_per_element_oracle(d):
     rows = {r.check: r.max_error for r in run_suites([d], "mes")}
     reduced, schmidt, projection = mes_rows_oracle(d)
     assert rows["mes.reduced"] == reduced
-    assert rows["mes.schmidt"] == schmidt
+    # mes.schmidt reports a certified bound on the dense value
+    assert schmidt <= rows["mes.schmidt"] < 1e-11
     assert abs(rows["mes.random_projection"] - projection) < 1e-13
 
 

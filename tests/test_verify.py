@@ -277,6 +277,10 @@ def _compared(rows):
     return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
 
 
+# the rows that report verify._mes_certificate's bounds, not dense values
+CERTIFIED_ROWS = {"mes.gram", "mes.schmidt", "mes.completeness"}
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_stacked_eigenrelation_equals_the_per_state_oracle(d):
     loop = [sw.mub_eigen_residual(d, b, m) for b in range(d) for m in range(d)]
@@ -290,7 +294,15 @@ def test_stacked_eigenrelation_equals_the_per_state_oracle(d):
 def test_streamed_mes_suite_equals_whole_list_oracle(d, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     rows = verify.suite_mes(d, states.DEFAULT_TOL, rng)
-    assert _compared(rows) == _compared(suite_mes_oracle(d, states.DEFAULT_TOL, oracle_rng))
+    expected = suite_mes_oracle(d, states.DEFAULT_TOL, oracle_rng)
+    # check, d, params and pass equal row by row
+    assert [r[:3] + r[4:] for r in _compared(rows)] == [r[:3] + r[4:] for r in _compared(expected)]
+    for row, dense in zip(rows, expected):
+        if row.check in CERTIFIED_ROWS:
+            # the certified bound dominates the dense value it replaces
+            assert dense.max_error <= row.max_error < 1e-11
+        else:
+            assert row.max_error == dense.max_error
     # the rows after the MES suite draw from the same stream
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert all(row.runtime_ms >= 0.0 for row in rows)
@@ -322,6 +334,116 @@ def test_nan_in_one_streamed_basis_fails_the_rows_the_oracle_fails(monkeypatch, 
         "mes.random_projection",
     }
     assert all(row.max_error == math.inf for row in rows if not row.passed)
+
+
+# -- the MES certificate against the dense rows it replaces ------------------------
+
+
+def dense_mes_deviations(d, stack):
+    """The dense forms of mes.gram, mes.completeness and mes.schmidt: the
+    Gram deviation, |V^T conj(V) - I| and the values-only SVD of every
+    amplitude block."""
+    return (
+        states._gram_deviation(stack),
+        np.abs(stack.T @ stack.conj() - np.eye(d * d)).max(),
+        np.abs(np.linalg.svd(stack.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max(),
+    )
+
+
+def certified(d, b, b_prime, stack=None):
+    """The certificate of the MES basis of (b, b'), or of ``stack`` in its
+    place, after asserting that it dominates each dense value and so fails
+    each row that the dense value fails."""
+    rows1, rows2 = sw.basis_rows(d, b)[1], sw.basis_rows(d, b_prime)[1]
+    stack = me.mes_stack(d, b, b_prime) if stack is None else stack
+    gram, schmidt = verify._mes_certificate(d, rows1, rows2, stack)
+    for dense, bound in zip(dense_mes_deviations(d, stack), (gram, gram, schmidt)):
+        assert dense <= bound
+    return gram, schmidt
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_certificate_dominates_the_dense_rows_for_every_pair(d):
+    labels = sw.BasisLabel.all_labels(d)
+    for b in labels:
+        for b_prime in labels:
+            assert max(certified(d, b, b_prime)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [7, 11, 13, 17])
+def test_certificate_dominates_the_dense_rows_for_every_diagonal_basis(d):
+    for label in sw.BasisLabel.all_labels(d):
+        bounds = certified(d, label, label)
+        assert max(bounds) < (1e-12 if d <= 13 else 1e-11)
+
+
+FAULT_SIZES = [1e-13, 1e-9, 1e-6, 1e-2]
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(2)])
+@pytest.mark.parametrize("delta", FAULT_SIZES)
+def test_certificate_covers_one_faulty_element(label, delta):
+    stack = me.mes_stack(7, label, label).copy()
+    stack[3 * 7 + 5, 11] += delta
+    certified(7, label, label, stack)
+
+
+@pytest.mark.parametrize("delta", FAULT_SIZES)
+def test_certificate_covers_noise_over_a_whole_q_block(delta):
+    # incoherent noise of entry size delta: its Frobenius norm over the block,
+    # not its largest entry, bounds what it does to the Schmidt coefficients
+    d, label = 13, sw.BasisLabel(4)
+    rng = np.random.default_rng(3)
+    stack = me.mes_stack(d, label, label).copy()
+    noise = rng.normal(size=(2, d, d * d)) * delta / np.sqrt(2)
+    stack[5 * d : 6 * d] += noise[0] + 1j * noise[1]
+    certified(d, label, label, stack)
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(2)])
+@pytest.mark.parametrize("delta", FAULT_SIZES)
+def test_certificate_covers_one_scaled_row(label, delta):
+    stack = me.mes_stack(7, label, label).copy()
+    stack[4 * 7 + 1] *= 1 + delta
+    gram, _ = certified(7, label, label, stack)
+    assert gram >= 2 * delta + delta**2
+
+
+@pytest.mark.parametrize("rows", [(9, 12), (9, 30)])
+def test_certificate_fails_an_orthonormal_but_mislabeled_stack(rows):
+    # sufficient, not necessary: two swapped rows leave every dense row
+    # passing, within one q-block or across two, and fail all three bounds
+    label = sw.BasisLabel(2)
+    stack = me.mes_stack(7, label, label).copy()
+    stack[list(rows)] = stack[list(rows[::-1])]
+    bounds = certified(7, label, label, stack)
+    assert max(dense_mes_deviations(7, stack)) < 1e-14
+    assert min(bounds) > states.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_a_non_finite_element_gives_inf(bad):
+    label = sw.BasisLabel(1)
+    rows = sw.basis_rows(5, label)[1]
+    stack = me.mes_stack(5, label, label).copy()
+    stack[13, 7] = bad
+    with np.errstate(invalid="ignore"):
+        assert verify._mes_certificate(5, rows, rows, stack) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-2])
+def test_an_inaccurate_dft_is_covered_through_its_measured_unitarity(monkeypatch, delta):
+    # a stack built with the DFT w^(m p) (1 + delta) / sqrt d: its residual
+    # against that same DFT is rounding only, so eta alone carries the fault
+    d, label = 7, sw.BasisLabel(3)
+    rows = sw.basis_rows(d, label)[1]
+    stack = me.mes_stack(d, label, label) / (1 + delta)
+    omega_powers = sw.omega_powers
+    monkeypatch.setattr(sw, "omega_powers", lambda n: omega_powers(n) * (1 + delta))
+    gram, schmidt = verify._mes_certificate(d, rows, rows, stack)
+    dense = dense_mes_deviations(d, stack)
+    assert max(dense[:2]) <= gram and dense[2] <= schmidt
+    assert dense[0] > delta
 
 
 # -- the collective suite's array passes against the per-point loops --------------
