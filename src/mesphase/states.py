@@ -226,13 +226,6 @@ def _reduced_deviation(amplitudes: np.ndarray) -> float:
     over a flat pair state or an (n, d*d) stack of them; NaN counts as +inf."""
     d = _split_dim(amplitudes.shape[-1])
     rhos = reduced_operators(amplitudes.reshape(*amplitudes.shape[:-1], d, d))
-    return _identity_deviation(rhos)
-
-
-def _identity_deviation(rhos: tuple[np.ndarray, np.ndarray]) -> float:
-    """:func:`_reduced_deviation` of reduced operators already taken by
-    :func:`reduced_operators`, (d, d) or (n, d, d) each."""
-    d = rhos[0].shape[-1]
     target = np.eye(d) / d
     return float(_worst(*(np.abs(rho - target).max() for rho in rhos)))
 

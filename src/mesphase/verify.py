@@ -4,16 +4,16 @@ property, one report row per check.
 Every check is a ``(name, params, errors)`` entry whose ``errors()`` yields
 or returns its error values; :func:`_rows` turns the entries of one suite into
 report rows, calling each ``errors`` once, or once per shared object (such
-as an MES basis) that it is handed.  A row passes iff its worst error is
-below the configured tolerance, so the command-line exit code reduces to
-"all rows pass".  All
-randomized rows draw from a seeded generator; identical invocations produce
-identical reports.
+as the bounds of an MES basis) that it is handed.  A row passes iff its
+worst error is below the configured tolerance, so the command-line exit
+code reduces to "all rows pass".  All randomized rows draw from a seeded
+generator; identical invocations produce identical reports.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +31,6 @@ from .states import (
     Ket,
     _blocks,
     _gram_deviation,
-    _identity_deviation,
     _reduced_deviation,
     _worst,
     reduced_operators,
@@ -51,25 +50,6 @@ class VerificationReport:
     max_error: float
     passed: bool
     runtime_ms: float
-
-
-def _outer_products(alphas: np.ndarray) -> np.ndarray:
-    """The flat outer products conj(a) a^T of the rows a of ``alphas``,
-    shape (len(alphas), d*d), entry i*d + j being conj(a_i) a_j."""
-    d = alphas.shape[1]
-    return (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
-
-
-def _projections(rhos: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """<a|rho|a> for every rho of an (n, d, d) stack and every state a of
-    the flat outer products ``outer`` (:func:`_outer_products`), shape
-    (n, len(outer)).
-
-    Uses <a|rho|a> = sum_ij conj(a_i) a_j rho_ij, one matmul per stack, so
-    the only temporary that grows with n is the (n, len(outer)) result.
-    """
-    n, d, _ = rhos.shape
-    return rhos.reshape(n, d * d) @ outer.T
 
 
 def _rows(d: int, tol: float, entries, items=((),)) -> list[VerificationReport]:
@@ -275,34 +255,63 @@ def _mes_certificate(d: int, rows1: np.ndarray, rows2: np.ndarray, stack: np.nda
     return tuple(b * lift if math.isfinite(b) else math.inf for b in (gram, schmidt))
 
 
+def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, float]:
+    """Bounds (reduced, projection) derived from the bound ``schmidt`` = s
+    of :func:`_mes_certificate` on one MES basis, the projections being
+    those onto the states a, the rows of ``alphas``; (inf, inf) if s is not
+    finite.
+
+    Reduced.  Every singular value sigma of an exact d x d amplitude matrix
+    M of the stack lies within s of 1/sqrt d.  Both reduced operators, M M^+
+    and (M^+ M)^T, have the eigenvalues sigma^2, and |sigma^2 - 1/d| =
+    |sigma - 1/sqrt d| (sigma + 1/sqrt d), so
+        ||rho - I/d||_2 <= r = s (2/sqrt d + s),
+    and no entry of rho - I/d exceeds that norm (mes.reduced).
+
+    Projection.  For each state a, <a|rho|a> - 1/d = <a|(rho - I/d)|a> +
+    (||a||^2 - 1)/d.  The computed sum of squares n^ of a lies within
+    gamma_2d of the exact ||a||^2, so nu = max |n^ - 1| + gamma_2d max n^
+    bounds | ||a||^2 - 1 |, and every projection lies within r (1 + nu) +
+    nu/d of 1/d (mes.random_projection).
+
+    Rounding.  The few float steps that assemble nu, r and the projection
+    bound are covered by the certificate's 1/(1 - gamma_N), N = 2 d^4 + 8.
+    """
+    squares = (alphas.real**2 + alphas.imag**2).sum(axis=1)
+    nu = float(np.abs(squares - 1).max()) + _gamma(2 * d) * float(squares.max())
+    r = schmidt * (2 / math.sqrt(d) + schmidt)
+    lift = 1 / (1 - _gamma(2 * d**4 + 8))
+    return tuple(b * lift if math.isfinite(b) else math.inf for b in (r, r * (1 + nu) + nu / d))
+
+
 def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
-    """The per-basis rows stream the d+1 bases u(q, p) of (b, b): each
-    (d^2, d^2) stack is built once, outside the rows, for its reduced
-    operators and its :func:`_mes_certificate`, and dropped before the
-    next basis is built."""
+    """Every per-basis row reports a bound proved by :func:`_mes_certificate`
+    (gram, completeness, schmidt) or derived from it by
+    :func:`_reduced_bounds` (reduced, random_projection).  The d+1 bases
+    u(q, p) of (b, b) stream: each (d^2, d^2) stack is built once, outside
+    the rows, for its certificate, and dropped before the next one is
+    built."""
     # drawn before the first basis, where the random_projection row used to
     # draw them, so the rng stream of the later rows does not move
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
     alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
-    outer = _outer_products(alphas)
 
-    def basis(label):
-        rows, v = sw.basis_rows(d, label)[1], me.mes_stack(d, label, label)
-        return reduced_operators(v.reshape(-1, d, d)), _mes_certificate(d, rows, rows, v)
+    def bounds(label):
+        """The bounds of the basis of (label, label), one per row of
+        ``checks``, in its order."""
+        rows = sw.basis_rows(d, label)[1]
+        gram, schmidt = _mes_certificate(d, rows, rows, me.mes_stack(d, label, label))
+        reduced, projection = _reduced_bounds(d, schmidt, alphas)
+        return gram, reduced, schmidt, gram, projection
 
-    # mes.gram, mes.completeness and mes.schmidt report the certified
-    # bounds; mes.reduced and mes.random_projection stay dense
-    per_basis = [
-        ("mes.gram", "b'=b, all b", lambda rhos, bounds: [bounds[0]]),
-        ("mes.reduced", "identity/d both particles", lambda rhos, bounds: [_identity_deviation(rhos)]),
-        ("mes.schmidt", "all coefficients 1/sqrt(d)", lambda rhos, bounds: [bounds[1]]),
-        ("mes.completeness", "sum of projectors", lambda rhos, bounds: [bounds[0]]),
-        (
-            "mes.random_projection",
-            "200 states",
-            lambda rhos, bounds: (np.abs(_projections(rho, outer) - 1 / d).max() for rho in rhos),
-        ),
+    checks = [
+        ("mes.gram", "b'=b, all b"),
+        ("mes.reduced", "identity/d both particles"),
+        ("mes.schmidt", "all coefficients 1/sqrt(d)"),
+        ("mes.completeness", "sum of projectors"),
+        ("mes.random_projection", "200 states"),
     ]
+    per_basis = [(check, params, lambda *b, i=i: [b[i]]) for i, (check, params) in enumerate(checks)]
 
     def negative_controls():
         # one draw, the stream of 20 pairs of d*d draws; a NaN is not accepted
@@ -322,7 +331,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     ]
     if d == 3:
         entries.append(("mes.relabeling", "worked 3-level example", _relabeling_errors))
-    bases = map(basis, BasisLabel.all_labels(d))
+    bases = map(bounds, BasisLabel.all_labels(d))
     return _rows(d, tol, per_basis, bases) + _rows(d, tol, entries)
 
 
@@ -534,11 +543,22 @@ def run_suites(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ) -> list[VerificationReport]:
+    """The rows of ``suite`` for each d of ``dims``, in order.  Every input
+    is validated before any suite runs: no dimension, a bool or negative
+    seed, or a seed that is not an int raises, as the CLI does."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     validate_tolerance(tol)
+    dims = list(dims)
+    if not dims:
+        raise ValueError("no dimension to verify")
     for d in dims:
         sw.validate_dimension(d)
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, not {seed!r}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be non-negative")
     rows: list[VerificationReport] = []
     for d in dims:
         rng = np.random.default_rng(seed)

@@ -3,10 +3,11 @@ MES-suite checks against the loop and dense constructions they replaced,
 kept here as reference oracles.
 
 ``collective_permutation``, ``collective_ops``, ``mes_stack`` and the
-reduced-operator and Schmidt rows are compared exactly (``np.array_equal`` or
-``==``); word matrices, the gathered ``local_action``, values-only singular
-values and the projection probabilities round differently from their
-oracles, so they are compared within a rounding bound.
+reduced operators are compared exactly (``np.array_equal`` or ``==``); word
+matrices, the gathered ``local_action``, values-only singular values and the
+projection probabilities round differently from their oracles, so they are
+compared within a rounding bound.  The per-basis MES rows report certified
+bounds, which must not fall below their dense oracles.
 """
 
 from functools import lru_cache
@@ -27,7 +28,7 @@ from mesphase.collective import (
 from mesphase.errors import WordParseError
 from mesphase.schwinger import CB, BasisLabel, clock_z, mub_basis, omega_powers, shift_x
 from mesphase.states import Ket, mes_deviation, reduced_operators, schmidt_decompose
-from mesphase.verify import _outer_products, _projections, _worst, run_suites
+from mesphase.verify import _worst, run_suites
 
 DIMS = [3, 5, 7, 11, 13]
 
@@ -97,6 +98,21 @@ def mes_deviation_oracle(amplitudes, d):
         np.abs(m @ m.conj().T - target).max(),
         np.abs((m.conj().T @ m).T - target).max(),
     )
+
+
+def outer_products(alphas):
+    """The flat outer products conj(a) a^T of the rows a of ``alphas``,
+    shape (len(alphas), d*d), entry i*d + j being conj(a_i) a_j."""
+    d = alphas.shape[1]
+    return (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
+
+
+def projections(rhos, outer):
+    """<a|rho|a> for every rho of an (n, d, d) stack and every state a of
+    the flat outer products ``outer`` (:func:`outer_products`), shape
+    (n, len(outer)), as one matmul: <a|rho|a> = sum_ij conj(a_i) a_j rho_ij."""
+    n, d, _ = rhos.shape
+    return rhos.reshape(n, d * d) @ outer.T
 
 
 def mes_stacks(d):
@@ -299,7 +315,7 @@ def test_projections_match_einsum(d):
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
     alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
     rhos = np.concatenate(reduced_operators(mes_stacks(d)[2].reshape(-1, d, d)))
-    got = _projections(rhos, _outer_products(alphas))
+    got = projections(rhos, outer_products(alphas))
     assert got.shape == (len(rhos), 200)
     for rho, probs in zip(rhos, got):
         expected = np.einsum("ai,ij,aj->a", alphas.conj(), rho, alphas)
@@ -310,10 +326,10 @@ def test_projections_match_einsum(d):
 def test_mes_rows_match_per_element_oracle(d):
     rows = {r.check: r.max_error for r in run_suites([d], "mes")}
     reduced, schmidt, projection = mes_rows_oracle(d)
-    assert rows["mes.reduced"] == reduced
-    # mes.schmidt reports a certified bound on the dense value
+    # the rows report certified bounds on the dense values
+    assert reduced <= rows["mes.reduced"] < 1e-11
     assert schmidt <= rows["mes.schmidt"] < 1e-11
-    assert abs(rows["mes.random_projection"] - projection) < 1e-13
+    assert projection <= rows["mes.random_projection"] < 1e-11
 
 
 @pytest.mark.parametrize("d", DIMS)

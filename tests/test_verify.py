@@ -104,7 +104,6 @@ def test_sweep_up_to_d13_is_green_with_rounding_level_errors():
     assert rows and all(row.passed for row in rows)
     assert {row.d for row in rows} == {3, 5, 7, 11, 13}
     rounding_rows = {
-        "mes.random_projection",
         "collective.point_translation",
         "collective.local_action_random",
         "collective.hop_random",
@@ -113,6 +112,10 @@ def test_sweep_up_to_d13_is_green_with_rounding_level_errors():
     checked = [row for row in rows if row.check in rounding_rows]
     assert len(checked) == 5 * len(rounding_rows)
     assert all(row.max_error < 1e-14 for row in checked)
+    # mes.random_projection reports a certified bound; its dense value stays
+    # below 1e-14 (test_certificate_dominates_the_dense_rows_for_every_diagonal_basis)
+    projection = [row for row in rows if row.check == "mes.random_projection"]
+    assert len(projection) == 5 and all(row.max_error < 1e-12 for row in projection)
 
 
 def test_one_tolerance_default():
@@ -277,8 +280,9 @@ def _compared(rows):
     return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
 
 
-# the rows that report verify._mes_certificate's bounds, not dense values
-CERTIFIED_ROWS = {"mes.gram", "mes.schmidt", "mes.completeness"}
+# the rows that report verify._mes_certificate's bounds or those derived from
+# them by verify._reduced_bounds, not dense values
+CERTIFIED_ROWS = {"mes.gram", "mes.reduced", "mes.schmidt", "mes.completeness", "mes.random_projection"}
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
@@ -336,6 +340,22 @@ def test_nan_in_one_streamed_basis_fails_the_rows_the_oracle_fails(monkeypatch, 
     assert all(row.max_error == math.inf for row in rows if not row.passed)
 
 
+def test_suite_mes_takes_reduced_operators_once_for_the_negative_controls(monkeypatch):
+    calls = []
+    reduced_operators = states.reduced_operators
+
+    def counted(amplitudes):
+        calls.append(amplitudes.shape)
+        return reduced_operators(amplitudes)
+
+    monkeypatch.setattr(states, "reduced_operators", counted)
+    monkeypatch.setattr(verify, "reduced_operators", counted)
+    rows = verify.suite_mes(7, states.DEFAULT_TOL, np.random.default_rng(0))
+    assert all(row.passed for row in rows)
+    # the 20 random states of mes.negative_controls, and no MES basis
+    assert calls == [(20, 7, 7)]
+
+
 # -- the MES certificate against the dense rows it replaces ------------------------
 
 
@@ -350,16 +370,37 @@ def dense_mes_deviations(d, stack):
     )
 
 
-def certified(d, b, b_prime, stack=None):
-    """The certificate of the MES basis of (b, b'), or of ``stack`` in its
-    place, after asserting that it dominates each dense value and so fails
-    each row that the dense value fails."""
+def suite_states(d, seed=0):
+    """The 200 states of mes.random_projection, drawn as suite_mes draws them."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    return alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
+
+
+def dense_reduced_deviations(d, stack, alphas):
+    """The dense forms of mes.reduced and mes.random_projection: the largest
+    deviation of either reduced operator from I/d, and of <a|rho|a> from
+    1/d over them and the rows a of ``alphas``."""
+    rhos = np.concatenate(states.reduced_operators(stack.reshape(-1, d, d)))
+    outer = (alphas.conj()[:, :, None] * alphas[:, None, :]).reshape(-1, d * d)
+    projections = rhos.reshape(-1, d * d) @ outer.T
+    return states._reduced_deviation(stack), _worst(np.abs(projections - 1 / d).max())
+
+
+def certified(d, b, b_prime, stack=None, alphas=None):
+    """The bounds (gram, schmidt, reduced, projection) of the MES basis of
+    (b, b'), or of ``stack`` in its place, projected onto ``alphas`` or the
+    suite's states, after asserting that each dominates its dense value and
+    so fails each row that the dense value fails."""
     rows1, rows2 = sw.basis_rows(d, b)[1], sw.basis_rows(d, b_prime)[1]
     stack = me.mes_stack(d, b, b_prime) if stack is None else stack
+    alphas = suite_states(d) if alphas is None else alphas
     gram, schmidt = verify._mes_certificate(d, rows1, rows2, stack)
-    for dense, bound in zip(dense_mes_deviations(d, stack), (gram, gram, schmidt)):
-        assert dense <= bound
-    return gram, schmidt
+    reduced, projection = verify._reduced_bounds(d, schmidt, alphas)
+    dense = dense_mes_deviations(d, stack) + dense_reduced_deviations(d, stack, alphas)
+    for value, bound in zip(dense, (gram, gram, schmidt, reduced, projection)):
+        assert value <= bound
+    return gram, schmidt, reduced, projection
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -367,14 +408,19 @@ def test_certificate_dominates_the_dense_rows_for_every_pair(d):
     labels = sw.BasisLabel.all_labels(d)
     for b in labels:
         for b_prime in labels:
-            assert max(certified(d, b, b_prime)) < 1e-12
+            stack = me.mes_stack(d, b, b_prime)
+            assert max(certified(d, b, b_prime, stack)) < 1e-12
+            assert max(dense_reduced_deviations(d, stack, suite_states(d))) < 1e-14
 
 
 @pytest.mark.parametrize("d", [7, 11, 13, 17])
 def test_certificate_dominates_the_dense_rows_for_every_diagonal_basis(d):
     for label in sw.BasisLabel.all_labels(d):
-        bounds = certified(d, label, label)
+        stack = me.mes_stack(d, label, label)
+        bounds = certified(d, label, label, stack)
         assert max(bounds) < (1e-12 if d <= 13 else 1e-11)
+        # the dense values of the two derived rows stay at rounding level
+        assert max(dense_reduced_deviations(d, stack, suite_states(d))) < 1e-14
 
 
 FAULT_SIZES = [1e-13, 1e-9, 1e-6, 1e-2]
@@ -405,8 +451,32 @@ def test_certificate_covers_noise_over_a_whole_q_block(delta):
 def test_certificate_covers_one_scaled_row(label, delta):
     stack = me.mes_stack(7, label, label).copy()
     stack[4 * 7 + 1] *= 1 + delta
-    gram, _ = certified(7, label, label, stack)
+    gram = certified(7, label, label, stack)[0]
     assert gram >= 2 * delta + delta**2
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(2)])
+@pytest.mark.parametrize("delta", FAULT_SIZES)
+def test_certificate_covers_one_shifted_schmidt_coefficient(label, delta):
+    # a rank-one fault along the top Schmidt pair of one state moves that
+    # coefficient by delta and both reduced operators by 2 delta/sqrt(d) +
+    # delta^2: the Schmidt bound is near tight, so each derived bound is too
+    d, row = 7, 3 * 7 + 5
+    stack = me.mes_stack(d, label, label).copy()
+    u, _, vh = np.linalg.svd(stack[row].reshape(d, d))
+    stack[row] += delta * np.outer(u[:, 0], vh[0]).ravel()
+    schmidt, reduced = certified(d, label, label, stack)[1:3]
+    assert schmidt < 2 * delta + 1e-12 and reduced < 2 * (2 * delta / math.sqrt(d) + delta**2) + 1e-12
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(2)])
+@pytest.mark.parametrize("delta", FAULT_SIZES)
+def test_projection_bound_covers_states_off_unit_norm(label, delta):
+    # states a with ||a||^2 = 1 + delta move <a|rho|a> by delta/d on an exact
+    # MES basis: only nu carries that
+    alphas = suite_states(7) * math.sqrt(1 + delta)
+    projection = certified(7, label, label, alphas=alphas)[3]
+    assert projection >= delta / 7
 
 
 @pytest.mark.parametrize("rows", [(9, 12), (9, 30)])
@@ -428,7 +498,9 @@ def test_a_non_finite_element_gives_inf(bad):
     stack = me.mes_stack(5, label, label).copy()
     stack[13, 7] = bad
     with np.errstate(invalid="ignore"):
-        assert verify._mes_certificate(5, rows, rows, stack) == (math.inf, math.inf)
+        gram, schmidt = verify._mes_certificate(5, rows, rows, stack)
+    assert (gram, schmidt) == (math.inf, math.inf)
+    assert verify._reduced_bounds(5, schmidt, suite_states(5)) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-2])
@@ -662,6 +734,34 @@ def test_every_dimension_is_validated_before_any_suite_runs(monkeypatch):
     assert calls == []
     run_suites([3])
     assert calls == ["suite_mub", "suite_mes", "suite_collective", "suite_lines"]
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"dims": []}, ValueError),
+        ({"dims": iter([])}, ValueError),
+        ({"seed": True}, TypeError),
+        ({"seed": False}, TypeError),
+        ({"seed": "3"}, TypeError),
+        ({"seed": 2.0}, TypeError),
+        ({"seed": -1}, ValueError),
+    ],
+)
+def test_run_suites_refuses_its_inputs_before_any_suite_runs(monkeypatch, kwargs, error):
+    calls = []
+    for name in ("suite_mub", "suite_mes", "suite_collective", "suite_lines"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name) or [])
+    monkeypatch.setattr(li, "_factor_lines", lambda *args: calls.append("_factor_lines"))
+    with pytest.raises(error):
+        run_suites(**{"dims": [3], **kwargs})
+    assert calls == []
+
+
+def test_run_suites_takes_any_int_seed_and_any_iterable_of_dims():
+    expected = _compared(run_suites([3], "mes", seed=7))
+    assert _compared(run_suites(iter([3]), "mes", seed=np.int64(7))) == expected
+    assert _compared(run_suites((3,), "mes", seed=np.uint8(7))) == expected
 
 
 def test_row_order_and_params_are_pinned():
