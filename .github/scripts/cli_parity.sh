@@ -83,5 +83,6 @@ hop --d 31 --q 30 --p 1 --word "Xr^5 Zc^-2 Xc^33" --format json
 gen-mes --d 17 --b 5 --b-prime cb --format csv
 verify --d 17 --suite collective --seed 5 --format json
 verify --d 31 --suite mes --format json
+gen-mes --d 13 --b cb --b-prime cb --format json
 COMMANDS
 exit $status

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import weakref
 
 import numpy as np
 
@@ -132,19 +133,50 @@ def _distinct_codes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, codes
 
 
-def _format_floats(values: np.ndarray, fmt) -> list:
-    """``fmt(x)`` for every float64 x in ``values``, as nested lists of the
-    same shape, calling ``fmt`` once per distinct bit pattern (not per
-    distinct value: -0.0 == 0.0, but their text differs)."""
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    keys, codes = _distinct_codes(flat.view(np.int64))
-    texts = np.array([fmt(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    return texts[codes.reshape(np.shape(values))].tolist()
+# the float index of the last read-only array formatted, as long as that
+# array lives: [weak reference to it, (keys, codes)]
+_last_index: list = [None, None]
 
 
-def _re_im_rows(amps: np.ndarray) -> np.ndarray:
-    """The (rows, n) complex amplitudes as (rows, 2n) floats: re row, im row."""
-    return np.concatenate([amps.real, amps.imag], axis=1)
+def _drop_index(ref: weakref.ref) -> None:
+    """Forget the kept float index once the array it indexes is freed."""
+    if _last_index[0] is ref:
+        _last_index[:] = None, None
+
+
+def _float_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_distinct_codes` of the float64 bits of ``values``: the keys as
+    floats, and the codes in the shape of ``values``, except that complex
+    (..., n) ``values`` give (..., 2, n) codes, the re parts then the im
+    parts.  The index of the last read-only array is kept while that array
+    lives, and reused only when that very array comes back (a cached stack
+    of ``mes_stack``); any other array is indexed afresh."""
+    ref, index = _last_index
+    if ref is not None and ref() is values:
+        return index
+    pair = np.iscomplexobj(values)
+    floats = np.ascontiguousarray(values, dtype=np.complex128 if pair else np.float64)
+    keys, codes = _distinct_codes(floats.reshape(-1).view(np.int64))
+    codes = codes.reshape(floats.shape + ((2,) if pair else ()))
+    if pair:
+        # each row's interleaved (re, im) codes, regrouped: re codes, then im codes
+        codes = np.moveaxis(codes, -1, -2)
+    # kept in the smallest unsigned dtype that counts the keys (uint16 for a
+    # basis up to d=31, 1.1 MB at d=23 where intp takes 4.5 MB)
+    index = keys.view(np.float64), codes.astype(np.min_scalar_type(keys.size), order="C")
+    if not values.flags.writeable:
+        _last_index[:] = weakref.ref(values, _drop_index), index
+    return index
+
+
+def _float_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """The texts ``fmt(x)`` of the distinct floats of ``values`` as an
+    object array, and the codes of :func:`_float_index`, so that
+    ``texts[codes]`` holds the text of every float.  ``fmt`` is called once
+    per distinct bit pattern (not per distinct value: -0.0 == 0.0, but their
+    text differs)."""
+    keys, codes = _float_index(values)
+    return np.array([fmt(x) for x in keys.tolist()], dtype=object), codes
 
 
 def _ket_stub(k: int, dim: int) -> dict:
@@ -157,15 +189,15 @@ def _json_with_kets(skeleton: dict, amps: np.ndarray) -> list[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, where doc is
     ``skeleton`` with every ``_ket_stub(k, n)`` replaced by the ket object
     ``{"dim": n, "re": amps[k].real.tolist(), "im": amps[k].imag.tolist()}``."""
-    n = amps.shape[1]
-    lists = _format_floats(_re_im_rows(amps).reshape(-1, n), _json_float)
+    texts, codes = _float_texts(amps, _json_float)
     # each stub list prints as one line holding only its quoted "@i", the
     # stubs in order i = 0, 1, ..., all at the same depth
     head, *tails = (json.dumps(skeleton, indent=2) + "\n").split('"@')
     sep = ",\n" + head[head.rindex("\n") + 1:]
     chunks = [head]
-    for floats, tail in zip(lists, tails):
-        chunks += (sep.join(floats), tail[tail.index('"') + 1:])
+    # gathered list by list, so no object array of every float is held
+    for row, tail in zip(codes.reshape(-1, amps.shape[1]), tails):
+        chunks += (sep.join(texts[row].tolist()), tail[tail.index('"') + 1:])
     return chunks
 
 
@@ -174,10 +206,10 @@ def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> 
     ``[*labels[k], *re, *im]`` of amps[k] with ``_fmt`` floats.  No field
     needs quoting: labels are ``cb`` or integers, and ``_fmt`` text holds no
     comma, quote or newline."""
-    texts = _format_floats(_re_im_rows(amps), _fmt)
+    texts, codes = _float_texts(amps, _fmt)
     chunks = [",".join(header), "\n"]
-    for label, row in zip(labels, texts):
-        chunks += (",".join(map(str, label)), ",", ",".join(row), "\n")
+    for label, row in zip(labels, codes.reshape(len(amps), -1)):
+        chunks += (",".join(map(str, label)), ",", ",".join(texts[row].tolist()), "\n")
     return chunks
 
 

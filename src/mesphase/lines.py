@@ -205,25 +205,29 @@ class LineFactorReport:
 
 
 class _FactoredLines(NamedTuple):
-    """What :func:`_factor_lines` measures, one entry per line: its report,
-    its matched particle-2 label as row k = basis*d + m of the flat MUB stack
-    (compare :func:`_line_tables`), and its normalized, phase-canonical
-    particle-2 factor (right singular vector), zero for a line kept out of
-    the SVD."""
+    """What :func:`_factor_lines` measures, one entry per line: its report
+    (for a caller that asks for them, else none), its second singular value
+    (NaN for a line kept out of the SVD), its matched particle-2 label as
+    row k = basis*d + m of the flat MUB stack (compare :func:`_line_tables`),
+    and its normalized, phase-canonical particle-2 factor (right singular
+    vector), zero for a line kept out of the SVD."""
 
     reports: list[LineFactorReport]
+    second: np.ndarray
     found: np.ndarray
     factor2: np.ndarray
 
 
 def _factor_lines(
-    d: int, lines: list[Line], tol: float = DEFAULT_TOL, realization: str = "standard"
+    d: int, lines: list[Line], tol: float = DEFAULT_TOL, realization: str = "standard", with_reports: bool = True
 ) -> _FactoredLines:
     """Factor and judge the line states one block of max(d,
     ``states._BLOCK_VALUES`` // d^3) lines at a time (all lines up to d=7, a
     pencil from d=17): one gather and sum of the point basis, one
     ``np.linalg.svd`` call and one label search per factor side, a matmul
-    against the MUB stack.  No line state outlives its block.
+    against the MUB stack.  No line state outlives its block.  Without
+    ``with_reports`` only the particle-2 side is matched and no report is
+    made.
 
     A stacked SVD raises for the whole stack on one non-finite matrix, so a
     non-finite line state is kept out: it is factored as the zero matrix and
@@ -235,23 +239,28 @@ def _factor_lines(
     basis = _summed_basis(d, realization)
     rows = _line_tables(d)[0][_line_index(d, lines)]
     stack, w = mub_stack(d).reshape(-1, d), omega_powers(d)
-    reports, found = [], np.empty(len(lines), dtype=np.intp)
+    reports, second, found = [], np.empty(len(lines)), np.empty(len(lines), dtype=np.intp)
     factor2 = np.zeros((len(lines), d), dtype=np.complex128)
     for block in _blocks(len(lines), d**3, minimum=d):
         amplitudes = _line_sums(basis, rows[block])
         finite = np.isfinite(amplitudes).all(axis=1)
         kept = finite.tolist()
-        safe = amplitudes if all(kept) else np.where(finite[:, None], amplitudes, 0)
+        whole = all(kept)
+        safe = amplitudes if whole else np.where(finite[:, None], amplitudes, 0)
         u, s, vh = np.linalg.svd(safe.reshape(-1, d, d))
+        second[block] = s[:, 1] if whole else np.where(finite, s[:, 1], math.nan)
         factor1, block2 = np.zeros((len(kept), d), dtype=np.complex128), factor2[block]
         for i, ok in enumerate(kept):
             if ok:
-                factor1[i] = _canonical_factor(u[i, :, 0])
                 block2[i] = _canonical_factor(vh[i, 0])
+                if with_reports:
+                    factor1[i] = _canonical_factor(u[i, :, 0])
         # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
         # matches row 0, the label (cb, 0)
-        found1 = np.abs(factor1 @ stack.T).argmax(axis=1).tolist()
         found[block] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
+        if not with_reports:
+            continue
+        found1 = np.abs(factor1 @ stack.T).argmax(axis=1).tolist()
         conj1 = factor1.conj()
         for i, (line, ok, k1, k2) in enumerate(
             zip(lines[block], kept, found1, found[block].tolist())
@@ -280,7 +289,7 @@ def _factor_lines(
                     max_error=float(_worst(s1, 1.0 - fid1, 1.0 - fid2, abs(overlap - w[exponent]))),
                 )
             )
-    return _FactoredLines(reports, found, factor2)
+    return _FactoredLines(reports, second, found, factor2)
 
 
 def schmidt_inversion_check(
@@ -323,7 +332,7 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
     """
     lines = all_lines(d)
     validate_tolerance(tol)
-    stack = _mub_stack_from_lines(d, _factor_lines(d, lines), tol)
+    stack = _mub_stack_from_lines(d, _factor_lines(d, lines, tol, "standard", False), tol)
     return [
         [MubState(label, m, Ket(stack[i, m])) for m in range(d)]
         for i, label in enumerate(BasisLabel.all_labels(d))
@@ -335,14 +344,13 @@ def _mub_stack_from_lines(d: int, factored: _FactoredLines, tol: float = DEFAULT
     layout of :func:`mesphase.schwinger.mub_stack`, read from
     :func:`_factor_lines` of :func:`all_lines`; FactorizationFailed if a line
     is not of Schmidt rank 1 within ``tol``."""
-    for report in factored.reports:
-        second = report.second_singular_value
-        # not (s < tol), as schmidt_rank_ok, so that a NaN singular value fails too
-        if not second < tol:
-            raise FactorizationFailed(
-                f"line b={report.line.b} m={report.line.m} has Schmidt rank > 1 "
-                f"(second singular value {second:.3e})"
-            )
+    # not (s < tol), as schmidt_rank_ok, so that a NaN singular value fails too
+    failed = np.flatnonzero(~(factored.second < tol))
+    if failed.size:
+        line, second = all_lines(d)[failed[0]], factored.second[failed[0]]
+        raise FactorizationFailed(
+            f"line b={line.b} m={line.m} has Schmidt rank > 1 (second singular value {second:.3e})"
+        )
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     stack.reshape(-1, d)[_line_tables(d)[1]] = factored.factor2
     return stack

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotBijective, NotOrthonormal
-from .schwinger import BasisLabel, basis_rows, omega_powers
+from .schwinger import BasisLabel, basis_rows, omega_powers, validate_dimension
 from .states import DEFAULT_TOL, Ket, UnitaryOp, _blocks, _gram_deviation, validate_tolerance
 
 __all__ = [
@@ -81,11 +81,27 @@ def mes_state(
     return MesBasisElement(q, p, label1, label2, Ket(vec))
 
 
+# the last stack built, {(d, label, label'): stack}: one entry, since a d has
+# (d+1)^2 bases of d^4 * 16 B each
+_last_stack: dict = {}
+
+
 def mes_stack(d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int | None") -> np.ndarray:
-    """Read-only (d^2, d^2) amplitudes of :func:`mes_basis`, row q*d + p."""
-    rows = (basis_rows(d, b)[1], basis_rows(d, b_prime)[1])
-    stack = _mes_amplitudes(d, *rows, np.arange(d), np.arange(d)).reshape(d * d, d * d)
-    stack.setflags(write=False)
+    """Read-only (d^2, d^2) amplitudes of :func:`mes_basis`, row q*d + p.
+
+    The last stack built is kept: a repeat call with the same d and labels
+    (``3`` and ``BasisLabel(3)`` alike) returns the same array.  Another
+    pair drops it before its own stack is built."""
+    (label1, rows1), (label2, rows2) = basis_rows(d, b), basis_rows(d, b_prime)
+    # d is checked here too: a float d equal to a cached numpy-int d can pass
+    # through the per-d caches behind basis_rows
+    key = (validate_dimension(d), label1, label2)
+    stack = _last_stack.get(key)
+    if stack is None:
+        _last_stack.clear()
+        stack = _mes_amplitudes(d, rows1, rows2, np.arange(d), np.arange(d)).reshape(d * d, d * d)
+        stack.setflags(write=False)
+        _last_stack[key] = stack
     return stack
 
 

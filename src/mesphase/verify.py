@@ -563,8 +563,12 @@ def run_suites(
     for d in dims:
         rng = np.random.default_rng(seed)
         # the lines are factored once, as setup outside every row, for both
-        # the mub and the lines suite
-        factored = li._factor_lines(d, li.all_lines(d), tol) if suite in ("all", "mub", "lines") else None
+        # the mub and the lines suite; only the lines suite reads the reports
+        factored = (
+            li._factor_lines(d, li.all_lines(d), tol, "standard", suite != "mub")
+            if suite in ("all", "mub", "lines")
+            else None
+        )
         if suite in ("all", "mub"):
             rows += suite_mub(d, tol, factored)
         if suite in ("all", "mes"):

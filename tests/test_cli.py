@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mesphase.cli as cli
+import mesphase.mes as me
 from mesphase.cli import main
 from mesphase.states import Ket, mes_deviation
 
@@ -232,6 +233,82 @@ def test_failed_generation_leaves_out_untouched(tmp_path, capsys, monkeypatch, c
     # without --out nothing reaches stdout either
     code, out, err = run(capsys, command, "--d", "3")
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def clear_caches():
+    me._last_stack.clear()
+    cli._last_index[:] = None, None
+
+
+REPEATS = [
+    ["gen-mes", "--d", "11", "--b", "3", "--b-prime", "cb", "--format", "json"],
+    ["gen-mes", "--d", "11", "--b", "3", "--b-prime", "cb", "--format", "csv"],
+    ["gen-mes", "--d", "11", "--b", "3", "--b-prime", "cb", "--format", "json"],
+    ["gen-mes", "--d", "11", "--b", "cb", "--b-prime", "cb", "--format", "json"],
+    ["gen-mes", "--d", "11", "--b", "3", "--b-prime", "cb", "--format", "csv"],
+    ["gen-mub", "--d", "11", "--format", "csv"],
+    ["gen-mes", "--d", "11", "--b", "cb", "--b-prime", "cb", "--format", "csv"],
+]
+
+
+def test_repeated_gen_calls_in_one_process_match_cold_calls(capsys):
+    clear_caches()
+    warm = [run(capsys, *argv) for argv in REPEATS]
+    cold = []
+    for argv in REPEATS:
+        clear_caches()
+        cold.append(run(capsys, *argv))
+    assert warm == cold
+    assert all(code == 0 and err == "" for code, _, err in warm)
+    assert warm[0] == warm[2] and warm[1] == warm[4]
+
+
+def test_two_formats_of_one_basis_index_its_floats_once(capsys, monkeypatch):
+    clear_caches()
+    calls = []
+    distinct_codes = cli._distinct_codes
+    monkeypatch.setattr(cli, "_distinct_codes", lambda bits: calls.append(bits.size) or distinct_codes(bits))
+    for fmt in ("json", "csv", "json"):
+        assert run(capsys, "gen-mes", "--d", "7", "--b", "2", "--b-prime", "5", "--format", fmt)[0] == 0
+    assert calls == [2 * 7**4]
+    # another basis, or gen-mub, is indexed afresh
+    assert run(capsys, "gen-mes", "--d", "7", "--b", "5", "--b-prime", "2", "--format", "csv")[0] == 0
+    assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
+    assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
+    assert calls == [2 * 7**4] * 2 + [2 * 8 * 7 * 7] * 2
+
+
+def test_float_index_lives_only_as_long_as_its_stack(capsys):
+    clear_caches()
+    assert run(capsys, "gen-mes", "--d", "5", "--b", "1", "--b-prime", "2")[0] == 0
+    assert cli._last_index[0]() is me.mes_stack(5, 1, 2)
+    # building another pair frees the stack, and its index with it
+    me.mes_stack(5, 2, 1)
+    assert cli._last_index == [None, None]
+
+
+@pytest.mark.parametrize("command", ["gen-mub", "gen-mes"])
+def test_failed_generation_after_a_cached_success(tmp_path, capsys, monkeypatch, command):
+    clear_caches()
+    code, good, _ = run(capsys, command, "--d", "3")
+    assert code == 0
+    stack = cli.mub_stack if command == "gen-mub" else cli.mes_stack
+
+    def nan_stack(d, *labels):
+        bad = stack(d, *labels).copy()
+        bad.reshape(-1)[5] = np.nan
+        bad.setflags(write=False)
+        return bad
+
+    monkeypatch.setattr(cli, "mub_stack" if command == "gen-mub" else "mes_stack", nan_stack)
+    target = tmp_path / "old.txt"
+    target.write_bytes(b"earlier output\n")
+    code, out, err = run(capsys, command, "--d", "3", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not normalized" in err
+    assert target.read_bytes() == b"earlier output\n"
+    monkeypatch.undo()
+    assert run(capsys, command, "--d", "3") == (0, good, "")
 
 
 # -- hop ----------------------------------------------------------------------

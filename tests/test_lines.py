@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -234,9 +233,8 @@ def test_rank_gate_agrees_with_schmidt_rank_ok_at_tol():
     # so the line must not be filed either
     d, tol = 5, DEFAULT_TOL
     factored = _factor_lines(d, all_lines(d))
-    report = dataclasses.replace(factored.reports[7], second_singular_value=tol, schmidt_rank_ok=False)
-    factored.reports[7] = report
-    with pytest.raises(FactorizationFailed):
+    factored.second[7] = tol
+    with pytest.raises(FactorizationFailed, match=f"line b={all_lines(d)[7].b} m={all_lines(d)[7].m} "):
         _mub_stack_from_lines(d, factored, tol)
 
 
@@ -259,6 +257,31 @@ def test_stacked_core_equals_the_per_line_oracle(d):
     assert [(r["b"], r["m"], r["max_error"]) for r in rows] == [
         (str(line.b), line.m, schmidt_inversion_check_oracle(d, line).max_error) for line in lines
     ]
+
+
+@pytest.mark.parametrize("d", [3, 7, 17, 31])
+def test_factoring_without_reports_keeps_every_other_field_bytes(d):
+    lines = all_lines(d)
+    full = _factor_lines(d, lines)
+    bare = _factor_lines(d, lines, DEFAULT_TOL, "standard", False)
+    assert bare.reports == []
+    for name in ("second", "found", "factor2"):
+        assert getattr(bare, name).tobytes() == getattr(full, name).tobytes()
+    assert full.second.tolist() == [report.second_singular_value for report in full.reports]
+
+
+def test_unfactorable_line_without_reports_fails_the_rank_gate(monkeypatch):
+    d = 7
+    poisoned = point_basis(d, False).copy()
+    poisoned[3 * d + 5, 4] = np.nan
+    monkeypatch.setattr(li, "point_basis", lambda d, plus: poisoned)
+    with np.errstate(invalid="ignore"):
+        factored = _factor_lines(d, all_lines(d), DEFAULT_TOL, "standard", False)
+    through = [i for i, line in enumerate(all_lines(d)) if PhasePoint(3, 5) in line_points(d, line)]
+    assert np.flatnonzero(np.isnan(factored.second)).tolist() == through
+    first = all_lines(d)[through[0]]
+    with pytest.raises(FactorizationFailed, match=f"line b={first.b} m={first.m} .* nan"):
+        _mub_stack_from_lines(d, factored)
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)

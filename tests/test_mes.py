@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import mesphase.mes as me
 import mesphase.states as st
 from mesphase.cli import main
-from mesphase.errors import InvalidLabel, NotBijective, NotOrthonormal
+from mesphase.errors import InvalidDimension, InvalidLabel, NotBijective, NotOrthonormal
 from mesphase.mes import (
     _mes_amplitudes,
     _universal_amplitudes,
@@ -186,6 +187,75 @@ def test_mes_sum_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
     for rows_per_block in range(1, d + 2):
         monkeypatch.setattr(st, "_BLOCK_VALUES", rows_per_block * d**3)
         assert _mes_amplitudes(d, rows1, rows2, qs, ps).tobytes() == expected
+
+
+# -- the one-entry stack cache -------------------------------------------------
+
+
+def test_int_and_label_arguments_share_the_cached_stack():
+    me._last_stack.clear()
+    first = mes_stack(7, 3, None)
+    assert mes_stack(7, BasisLabel(3), CB) is first
+    assert mes_stack(7, np.int64(3), BasisLabel(None)) is first
+
+
+def test_a_new_pair_evicts_the_cached_stack():
+    first = mes_stack(5, 1, 2)
+    second = mes_stack(5, 2, 1)
+    assert second is not first and second.tobytes() != first.tobytes()
+    assert list(me._last_stack) == [(5, BasisLabel(2), BasisLabel(1))]
+    again = mes_stack(5, 1, 2)
+    assert again is not first and again.tobytes() == first.tobytes()
+    # another d is another pair too
+    assert mes_stack(7, 1, 2) is not mes_stack(5, 1, 2)
+
+
+def test_cached_stack_stays_read_only():
+    stack = mes_stack(5, 0, 4)
+    with pytest.raises(ValueError):
+        stack[0, 0] = 1.0
+    again = mes_stack(5, 0, 4)
+    assert again is stack and not again.flags.writeable
+    with pytest.raises(ValueError):
+        again.reshape(-1)[0] = 1.0
+    # a caller's copy is its own
+    copy = again.copy()
+    copy[:] = 0
+    assert mes_stack(5, 0, 4).tobytes() == _mes_amplitudes(
+        5, basis_rows(5, 0)[1], basis_rows(5, 4)[1], np.arange(5), np.arange(5)
+    ).tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_cached_stacks_equal_a_fresh_sum_for_every_pair_bytes(d):
+    qs = np.arange(d)
+    for b, b_prime in _label_pairs(d):
+        rows1, rows2 = basis_rows(d, b)[1], basis_rows(d, b_prime)[1]
+        fresh = _mes_amplitudes(d, rows1, rows2, qs, qs).tobytes()
+        built = mes_stack(d, b, b_prime)
+        assert built.tobytes() == fresh
+        # the repeat is the cached array, with the same bytes
+        assert mes_stack(d, b.index, b_prime.index) is built
+        assert built.tobytes() == fresh
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3"])
+def test_bad_labels_raise_before_the_cache_is_read(bad, monkeypatch):
+    d = 5
+    mes_stack(d, 1, 2)
+    cached = dict(me._last_stack)
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            raise AssertionError(f"cache read for {key}")
+
+    monkeypatch.setattr(me, "_last_stack", Spy(cached))
+    error = InvalidLabel if isinstance(bad, int) else TypeError
+    for call in (lambda: mes_stack(d, bad, 2), lambda: mes_stack(d, 1, bad)):
+        with pytest.raises(error):
+            call()
+    with pytest.raises(InvalidDimension):
+        mes_stack(9, 1, 2)
 
 
 def test_universal_state_passes_is_mes():

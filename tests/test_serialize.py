@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from mesphase.cli import _GOLDEN, _distinct_codes, _format_floats, _json_float, _fmt, main
+from mesphase.cli import _GOLDEN, _distinct_codes, _float_texts, _json_float, _fmt, main
 from mesphase.mes import mes_basis
 from mesphase.schwinger import BasisLabel, mub_family
 from mesphase.states import Ket
@@ -138,6 +138,13 @@ def test_out_file_matches_stdout(capsys, tmp_path):
 
 
 # -- the formatting helper -----------------------------------------------------
+
+
+def _format_floats(values, fmt):
+    """The text of every float of ``values`` from :func:`_float_texts`, as
+    nested lists of the same shape."""
+    texts, codes = _float_texts(values, fmt)
+    return texts[codes].tolist()
 
 
 FINITE = np.array(

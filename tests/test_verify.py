@@ -646,6 +646,20 @@ def test_all_factors_the_lines_once_per_dimension(monkeypatch):
     assert _compared(row for row in rows if row.check.startswith("line.")) == _compared(lines_rows)
 
 
+def test_only_the_lines_suite_builds_line_reports(monkeypatch):
+    made = []
+    report = li.LineFactorReport
+    monkeypatch.setattr(li, "LineFactorReport", lambda **fields: made.append(fields) or report(**fields))
+    mub_rows = run_suites([3, 5], "mub")
+    li.mub_from_lines(5)
+    assert made == [] and all(row.passed for row in mub_rows)
+    run_suites([5], "lines")
+    assert len(made) == 5 * 6
+    made.clear()
+    run_suites([5], "all")
+    assert len(made) == 5 * 6
+
+
 def test_rows_sum_time_and_keep_the_worst_error_over_items(monkeypatch):
     ticks = iter([0.0, 0.001, 0.010, 0.013, 0.020, 0.027, 0.030, 0.032])
 
