@@ -35,12 +35,11 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import WordParseError
-from .schwinger import mub_stack, omega_powers, validate_dimension
+from .schwinger import _per_dimension, mub_stack, omega_powers, validate_dimension
 from .states import Ket, UnitaryOp, _blocks, _omega_exponent, _split_dim
 
 __all__ = [
@@ -105,17 +104,13 @@ def collective_to_particle(d: int, nc: int, nr: int) -> tuple[int, int]:
     return (nc + nr) % d, (nc - nr) % d
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def _collective_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (nc, nr) arrays over the particle-flat index n1*d + n2, the
     modular half taken as multiplication by h = (d + 1) / 2."""
-    validate_dimension(d)
     n1, n2 = np.divmod(np.arange(d * d), d)
     h = (d + 1) // 2
-    nc, nr = (n1 + n2) * h % d, (n1 - n2) * h % d
-    nc.setflags(write=False)
-    nr.setflags(write=False)
-    return nc, nr
+    return (n1 + n2) * h % d, (n1 - n2) * h % d
 
 
 def _particle_index(d: int) -> np.ndarray:
@@ -145,7 +140,7 @@ def _family(generators: tuple[str, ...]) -> tuple[str, ...]:
     raise ValueError(f"generators {generators} are neither all collective nor all single-particle")
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def _family_tables(d: int, family: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (src, e) power tables of a generator family, each of shape
     (len(family), d, n): entry [g, k] is the exact map of G^k for the g-th
@@ -155,7 +150,6 @@ def _family_tables(d: int, family: tuple[str, ...]) -> tuple[np.ndarray, np.ndar
     In closed form: Xc^k sends (n1, n2) to (n1 + k, n2 + k), Xr^k to
     (n1 + k, n2 - k) and X^k sends n to n + k; Zc^k, Zr^k and Z^k multiply
     by w^(k nc), w^(k nr) and w^(k n), the exponents left unreduced."""
-    validate_dimension(d)
     k = np.arange(d)[:, None]
     if family == COLLECTIVE_GENERATORS:
         n1, n2 = np.divmod(np.arange(d * d), d)
@@ -167,10 +161,7 @@ def _family_tables(d: int, family: tuple[str, ...]) -> tuple[np.ndarray, np.ndar
         n1, n2 = np.zeros(d, dtype=np.int64), np.arange(d)
         steps = ((0, 1, 0), (0, 0, n2))
     src = np.stack([(n1 - a * k) % d * d + (n2 - b * k) % d for a, b, _ in steps])
-    exponents = np.stack([np.broadcast_to(k * label, src.shape[1:]) for *_, label in steps])
-    src.setflags(write=False)
-    exponents.setflags(write=False)
-    return src, exponents
+    return src, np.stack([np.broadcast_to(k * label, src.shape[1:]) for *_, label in steps])
 
 
 def _dense(d: int, src: np.ndarray, exponents) -> np.ndarray:
@@ -202,7 +193,7 @@ def collective_ops(d: int) -> CollectiveOps:
     return CollectiveOps(*map(UnitaryOp, _dense(d, *_word_maps(d, words))))
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def point_basis(d: int, plus: bool) -> np.ndarray:
     """Read-only (d^2, d^2) stack of :func:`point_state_plus` (or, with
     ``plus=False``, :func:`point_state_minus`) amplitudes, row q*d + p for
@@ -211,9 +202,7 @@ def point_basis(d: int, plus: bool) -> np.ndarray:
     fixed, fourier = (nr, nc) if plus else (nc, nr)
     basis = np.zeros((d, d, d * d), dtype=np.complex128)
     basis[fixed, :, np.arange(d * d)] = mub_stack(d)[1][:, fourier].T
-    basis = basis.reshape(d * d, d * d)
-    basis.setflags(write=False)
-    return basis
+    return basis.reshape(d * d, d * d)
 
 
 def point_state_plus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ from .schwinger import (
     BasisLabel,
     MubState,
     _label_index,
+    _per_dimension,
     mub_stack,
     omega_powers,
     validate_dimension,
@@ -142,7 +142,7 @@ def _line_index(d: int, lines: list[Line]) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def _line_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables over the lines of :func:`all_lines`, in its order.
 
@@ -152,15 +152,11 @@ def _line_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     MUB stack: (cb, m) for a vertical line, else (b/4, m/2) mod d, by the
     inverses of 4 and 2.
     """
-    validate_dimension(d)
     b, m = np.divmod(np.arange(d * (d + 1)), d)
     b, m, j = b[:, None] - 1, m[:, None], np.arange(d)
     rows = np.where(b < 0, m * d + j, j * d + (b * j - m) % d)
     oriented = (b * pow(4, -1, d) % d + 1) * d + m * ((d + 1) // 2) % d
-    labels = np.where(b < 0, m, oriented).ravel()
-    rows.setflags(write=False)
-    labels.setflags(write=False)
-    return rows, labels
+    return rows, np.where(b < 0, m, oriented).ravel()
 
 
 def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:

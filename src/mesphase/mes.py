@@ -93,8 +93,6 @@ def mes_stack(d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int |
     (``3`` and ``BasisLabel(3)`` alike) returns the same array.  Another
     pair drops it before its own stack is built."""
     (label1, rows1), (label2, rows2) = basis_rows(d, b), basis_rows(d, b_prime)
-    # d is checked here too: a float d equal to a cached numpy-int d can pass
-    # through the per-d caches behind basis_rows
     key = (validate_dimension(d), label1, label2)
     stack = _last_stack.get(key)
     if stack is None:
@@ -155,6 +153,8 @@ class RelabelingMap:
 def _check_orthonormal(vectors: np.ndarray, tol: float) -> None:
     validate_tolerance(tol)
     n = vectors.shape[0]
+    if n == 0:
+        raise NotOrthonormal("no source states: an empty list spans no space")
     if vectors.shape[1] != n:
         raise NotOrthonormal(f"{n} vectors cannot span a {vectors.shape[1]}-dim space")
     # not (err <= tol), so that a NaN deviation fails too
@@ -168,8 +168,8 @@ def build_relabeling(
     """Unitary relabeling source k -> |targets[k]>.  Targets go through
     ``operator.index``, so a float or a string raises TypeError."""
     vecs = np.array([s.amplitudes for s in sources])
-    d = vecs.shape[1]
     _check_orthonormal(vecs, tol)
+    d = vecs.shape[1]
     targets_mod = [operator.index(t) % d for t in targets]
     if sorted(targets_mod) != list(range(d)):
         raise NotBijective(f"targets {targets} are not a bijection onto 0..{d - 1}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -44,16 +44,36 @@ __all__ = [
 
 
 def validate_dimension(d: int) -> int:
-    """Odd prime check, reported as an InvalidDimension for interface code.
-    A non-integer such as 7.0 is refused too, and so is 2: the line labels
-    halve and quarter exponents, so 2 and 4 must be invertible mod d."""
+    """Odd prime check, reported as an InvalidDimension for interface code;
+    d comes back as an int, so a numpy integer as the equal int.  A float
+    such as 7.0 is refused too, and so is 2: the line labels halve and
+    quarter exponents, so 2 and 4 must be invertible mod d."""
     try:
         n = operator.index(d)
     except TypeError as exc:
         raise InvalidDimension(f"d={d} must be an odd prime") from exc
     if n == 2 or not _is_prime(n):
         raise InvalidDimension(f"d={d} must be an odd prime")
-    return d
+    return n
+
+
+def _per_dimension(build):
+    """``build(d, *args)`` as a per-d table, built once per int d of
+    :func:`validate_dimension` and args, with every array read-only since all
+    callers share it: ``np.int64(7)`` finds the entry of 7, 7.0 is refused."""
+
+    @lru_cache(maxsize=None)
+    def cached(d: int, *args):
+        built = build(d, *args)
+        for array in built if isinstance(built, tuple) else (built,):
+            array.setflags(write=False)
+        return built
+
+    @wraps(build)
+    def table(d: int, *args):
+        return cached(validate_dimension(d), *args)
+
+    return table
 
 
 def _is_prime(n: int) -> bool:
@@ -145,30 +165,26 @@ def clock_z(d: int) -> UnitaryOp:
 
 def shift_x(d: int) -> UnitaryOp:
     """Cyclic shift |n> -> |n+1>, with |d-1> wrapping to |0>."""
-    return UnitaryOp(_shift_matrix(validate_dimension(d)))
+    return UnitaryOp(_shift_matrix(d))
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def _shift_matrix(d: int) -> np.ndarray:
-    """Read-only matrix of :func:`shift_x` for a validated d."""
-    shift = np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
-    shift.setflags(write=False)
-    return shift
+    """Read-only matrix of :func:`shift_x`."""
+    return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def mub_stack(d: int) -> np.ndarray:
     """All d+1 bases as one read-only (d+1, d, d) array.
 
     Entry [0, m] is e_m and entry [b+1, m] is |m; b>, so the first axis
     follows the [cb, 0, 1, ..., d-1] order of :func:`mub_family`.
     """
-    validate_dimension(d)
     b, m, n = np.ogrid[:d, :d, :d]
     stack = np.empty((d + 1, d, d), dtype=np.complex128)
     stack[0] = np.eye(d)
     stack[1:] = omega_powers(d)[(b * n * n - n * m) % d] / np.sqrt(d)
-    stack.setflags(write=False)
     return stack
 
 

@@ -102,7 +102,9 @@ class Ket:
     @classmethod
     def basis(cls, dim: int, n: int) -> "Ket":
         """|n mod dim>; n goes through ``operator.index``, so a float or a
-        string raises TypeError."""
+        string raises TypeError.  A dim below 1 raises DimMismatch."""
+        if dim < 1:
+            raise DimMismatch(f"a basis ket needs dim >= 1, got {dim}")
         v = np.zeros(dim, dtype=np.complex128)
         v[operator.index(n) % dim] = 1.0
         return cls(v)

@@ -3,8 +3,7 @@ property, one report row per check.
 
 Every check is a ``(name, params, errors)`` entry whose ``errors()`` yields
 or returns its error values; :func:`_rows` turns the entries of one suite into
-report rows, calling each ``errors`` once, or once per shared object (such
-as the bounds of an MES basis) that it is handed.  A row passes iff its
+report rows, calling each ``errors`` once.  A row passes iff its
 worst error is below the configured tolerance, so the command-line exit
 code reduces to "all rows pass".  All randomized rows draw from a seeded
 generator; identical invocations produce identical reports.
@@ -52,26 +51,23 @@ class VerificationReport:
     runtime_ms: float
 
 
-def _rows(d: int, tol: float, entries, items=((),)) -> list[VerificationReport]:
-    """One row per ``(check, params, errors)`` entry.
+def _rows(d: int, tol: float, entries) -> list[VerificationReport]:
+    """One row per ``(check, params, errors)`` entry, ``errors()`` called
+    once each in entry order.
 
-    For each item of ``items`` in turn, every entry's ``errors(*item)`` runs
-    in entry order; by default that is one call of ``errors()``.  The row's
-    error is the NaN-safe worst of all the values its calls yield, floored at
-    0; a factorization that fails or does not converge reports inf.
-    ``runtime_ms`` is the summed time of those calls only: building the
-    items, like the rest of a suite's setup, falls outside every row.
+    The row's error is the NaN-safe worst of the values the call yields,
+    floored at 0; a factorization that fails or does not converge reports
+    inf.  ``runtime_ms`` is the time of that call only: a suite's setup
+    falls outside every row.
     """
     worst, ms = [0.0] * len(entries), [0.0] * len(entries)
-    for item in items:
-        for i, (_, _, errors) in enumerate(entries):
-            start = time.perf_counter()
-            try:
-                worst[i] = _worst(worst[i], *errors(*item))
-            except (np.linalg.LinAlgError, FactorizationFailed):
-                worst[i] = math.inf
-            ms[i] += (time.perf_counter() - start) * 1000.0
-        del item  # so the next item is built with this one gone
+    for i, (_, _, errors) in enumerate(entries):
+        start = time.perf_counter()
+        try:
+            worst[i] = _worst(0.0, *errors())
+        except (np.linalg.LinAlgError, FactorizationFailed):
+            worst[i] = math.inf
+        ms[i] = (time.perf_counter() - start) * 1000.0
     return [
         VerificationReport(check, d, params, err, err < tol, t)
         for (check, params, _), err, t in zip(entries, map(float, worst), ms)
@@ -287,10 +283,10 @@ def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, 
 def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
     """Every per-basis row reports a bound proved by :func:`_mes_certificate`
     (gram, completeness, schmidt) or derived from it by
-    :func:`_reduced_bounds` (reduced, random_projection).  The d+1 bases
-    u(q, p) of (b, b) stream: each (d^2, d^2) stack is built once, outside
-    the rows, for its certificate, and dropped before the next one is
-    built."""
+    :func:`_reduced_bounds` (reduced, random_projection), each row the
+    column of its check in the bounds of the d+1 bases u(q, p) of (b, b).
+    Those are setup: each (d^2, d^2) stack is built once for its
+    certificate, and dropped before the next one is built."""
     # drawn before the first basis, where the random_projection row used to
     # draw them, so the rng stream of the later rows does not move
     alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
@@ -311,7 +307,8 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
         ("mes.completeness", "sum of projectors"),
         ("mes.random_projection", "200 states"),
     ]
-    per_basis = [(check, params, lambda *b, i=i: [b[i]]) for i, (check, params) in enumerate(checks)]
+    table = [bounds(label) for label in BasisLabel.all_labels(d)]
+    per_basis = [(*check, lambda i=i: [b[i] for b in table]) for i, check in enumerate(checks)]
 
     def negative_controls():
         # one draw, the stream of 20 pairs of d*d draws; a NaN is not accepted
@@ -331,8 +328,7 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     ]
     if d == 3:
         entries.append(("mes.relabeling", "worked 3-level example", _relabeling_errors))
-    bases = map(bounds, BasisLabel.all_labels(d))
-    return _rows(d, tol, per_basis, bases) + _rows(d, tol, entries)
+    return _rows(d, tol, per_basis + entries)
 
 
 def _relabeling_errors():

@@ -537,6 +537,7 @@ def test_factor_table_shape_and_rows():
     assert r["factor_label_m"] == half(4, d)
     r = by_label[("cb", 2)]
     assert r["factor_label_b"] == "cb" and r["factor_label_m"] == 2
+    assert line_factor_table(np.int64(7)) == line_factor_table(7)
 
 
 def test_alt_realization_also_factorizes():

@@ -313,6 +313,8 @@ def test_relabeling_conjugated_operators():
 
 def test_relabeling_rejects_bad_input():
     with pytest.raises(NotOrthonormal):
+        build_relabeling([], [])
+    with pytest.raises(NotOrthonormal):
         build_relabeling([Ket.basis(3, 0), Ket.basis(3, 0), Ket.basis(3, 2)], [0, 1, 2])
     with pytest.raises(NotOrthonormal):
         build_relabeling([Ket.basis(3, 0), Ket.basis(3, 1)], [0, 1])
@@ -347,6 +349,11 @@ def test_diagonalizer_on_computational_basis_is_clock():
     w = omega_powers(d)
     f = diagonalizer_for([Ket.basis(d, n) for n in range(d)], [w[n] for n in range(d)])
     assert np.abs(f.matrix - clock_z(d).matrix).max() < 1e-14
+
+
+def test_diagonalizer_rejects_an_empty_source_list():
+    with pytest.raises(NotOrthonormal):
+        diagonalizer_for([], [])
 
 
 def test_diagonalizer_conjugates_to_clock():

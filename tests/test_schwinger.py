@@ -13,6 +13,7 @@ from mesphase.schwinger import (
     mub_eigen_residual,
     mub_basis,
     mub_family,
+    mub_stack,
     mub_state,
     omega_powers,
     shift_x,
@@ -90,7 +91,8 @@ def test_shift_and_eigenrelation_refuse_a_float_dimension_once_cached():
     # 7.0 == 7, so a cache keyed by d must not let it through
     assert mub_eigen_residual(7, 1, 0) < 1e-12
     assert shift_x(7).matrix.dtype == np.complex128
-    for call in (lambda: shift_x(7.0), lambda: mub_eigen_residual(7.0, 1, 0)):
+    assert mub_stack(np.int64(7)) is mub_stack(7)
+    for call in (lambda: shift_x(7.0), lambda: mub_eigen_residual(7.0, 1, 0), lambda: mub_state(7.0, 1, 2)):
         with pytest.raises(InvalidDimension):
             call()
 

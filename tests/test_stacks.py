@@ -22,8 +22,9 @@ from mesphase.collective import (
     point_state_plus,
     word_matrix,
 )
+from mesphase.errors import InvalidDimension
 from mesphase.mes import mes_basis, mes_state
-from mesphase.schwinger import CB, mub_stack, mub_state, omega_powers
+from mesphase.schwinger import CB, _shift_matrix, mub_stack, mub_state, omega_powers
 from mesphase.states import Ket
 from mesphase.verify import run_suites
 from test_generators import permutation_oracle
@@ -158,6 +159,31 @@ def test_cached_stacks_are_read_only():
             stack[0, 0] = 0.0
     with pytest.raises(ValueError):
         mub_stack(d)[1:] *= 2
+
+
+@pytest.mark.parametrize(
+    "table, args",
+    [
+        (_shift_matrix, ()),
+        (mub_stack, ()),
+        (co._collective_index, ()),
+        (co._family_tables, (co.COLLECTIVE_GENERATORS,)),
+        (co._family_tables, (co.SINGLE_GENERATORS,)),
+        (point_basis, (False,)),
+        (point_basis, (True,)),
+        (li._line_tables, ()),
+    ],
+    ids=["shift", "mub", "collective_index", "collective_family", "single_family", "minus", "plus", "lines"],
+)
+def test_per_d_tables_share_the_int_entry_and_refuse_floats_and_bools(table, args):
+    first = table(np.int64(7), *args)
+    assert first is table(7, *args)
+    # 7.0 and True hash equal to cached ints, so the key alone would let them through
+    for bad in (7.0, np.float64(7.0), True, 9):
+        with pytest.raises(InvalidDimension):
+            table(bad, *args)
+    for array in first if isinstance(first, tuple) else (first,):
+        assert not array.flags.writeable
 
 
 # -- non-finite readouts fail closed -------------------------------------------

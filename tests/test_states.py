@@ -53,6 +53,9 @@ def test_ket_basis_takes_integer_labels_only():
     for bad in (1.5, "1", 1.0):
         with pytest.raises(TypeError):
             Ket.basis(3, bad)
+    for dim in (0, -3):
+        with pytest.raises(DimMismatch):
+            Ket.basis(dim, 0)
 
 
 def test_tensor_flat_index_convention():

@@ -660,22 +660,18 @@ def test_only_the_lines_suite_builds_line_reports(monkeypatch):
     assert len(made) == 5 * 6
 
 
-def test_rows_sum_time_and_keep_the_worst_error_over_items(monkeypatch):
-    ticks = iter([0.0, 0.001, 0.010, 0.013, 0.020, 0.027, 0.030, 0.032])
-
-    def errors_of(values):
-        return lambda item: [values[item]]
-
-    entries = [("a", "", errors_of([0.5, math.nan])), ("b", "", errors_of([0.25, 0.125]))]
+def test_rows_time_each_call_and_keep_the_worst_error(monkeypatch):
+    ticks = iter([0.0, 0.001, 0.010, 0.013])
+    entries = [("a", "", lambda: [0.5, math.nan]), ("b", "", lambda: iter([0.25, 0.125]))]
     monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
-    rows = verify._rows(3, 1.0 - 1e-9, entries, ([0], [1]))
+    rows = verify._rows(3, 1.0 - 1e-9, entries)
     monkeypatch.undo()
     assert [(r.check, r.max_error, r.passed) for r in rows] == [
         ("a", math.inf, False),
         ("b", 0.25, True),
     ]
-    assert rows[0].runtime_ms == pytest.approx(1.0 + 7.0)
-    assert rows[1].runtime_ms == pytest.approx(3.0 + 2.0)
+    assert rows[0].runtime_ms == pytest.approx(1.0)
+    assert rows[1].runtime_ms == pytest.approx(3.0)
 
 
 # -- random words ---------------------------------------------------------------------
@@ -924,6 +920,15 @@ def test_block_rule_has_one_definition():
     for module in (me, co, li, verify):
         assert not hasattr(module, "_BLOCK_VALUES")
         assert module._blocks is states._blocks
+
+
+def test_per_d_caching_rule_has_one_definition():
+    # one decorator validates d, keys the cache by the int and freezes the arrays
+    for module in (co, li):
+        assert not hasattr(module, "lru_cache")
+    rule = sw._per_dimension(lambda d: None).__code__
+    tables = (sw._shift_matrix, sw.mub_stack, co._collective_index, co._family_tables, co.point_basis, li._line_tables)
+    assert all(table.__code__ is rule for table in tables)
 
 
 def test_a_wrong_predicted_label_fails_its_line_row(monkeypatch):
