@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import WordParseError
 from .schwinger import _per_dimension, mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp, _blocks, _omega_exponent, _split_dim
+from .states import Ket, UnitaryOp, _omega_exponent, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -397,48 +397,14 @@ def hop_dense(
     non-finite image matches no point: (0, 0) with fidelity 0.
     """
     q, p = _point(point, d)
-    return _hop_dense(d, *_word_map(d, word), [q * d + p])[0]
-
-
-def _hop_dense(d: int, src: np.ndarray, exponents: np.ndarray, rows) -> list[tuple[HopResult, float]]:
-    """:func:`hop_dense` of the minus point-basis states in ``rows`` (a slice
-    or index list of q*d + p) under one exact word map (src, exponents) of
-    shape (n,), or a stack of one map per row.
-
-    :func:`_dense` makes the matrices one of :func:`_blocks` of rows at a
-    time: d^2 values per image row under one map, d^4 per matrix for a
-    stack.  Each image is one matrix-vector product and each overlap one
-    ``np.vdot``, its modulus taken per row (a batched ``np.abs`` of complex
-    values may move the last bit), so no row depends on the block size."""
-    stack, rows, stacked = point_basis(d, False), np.arange(d * d)[rows], src.ndim == 2
-    matrix = None if stacked else _dense(d, src, exponents)
-    found, overlaps = [], []
-    for part in _blocks(len(rows), d ** (4 if stacked else 2)):
-        matrices = _dense(d, src[part], exponents[part]) if stacked else matrix
-        images = _stacked_images(matrices, stack[rows[part]])
-        # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
-        found += np.abs(images.conj() @ stack.T).argmax(axis=1).tolist()
-        overlaps += [np.vdot(stack[k], image) for k, image in zip(found[part], images)]
-        del matrices, images  # so the next block is made with this one gone
-    # a non-finite image matches no point: (0, 0) with fidelity 0
-    overlaps = np.array(overlaps, dtype=np.complex128)
-    finite = np.isfinite(overlaps)
-    found, overlaps = np.where(finite, found, 0), np.where(finite, overlaps, 0)
-    return [
-        (HopResult(PhasePoint(*divmod(k, d)), e), float(abs(overlap)))
-        for k, e, overlap in zip(found.tolist(), _omega_exponent(overlaps, d), overlaps)
-    ]
-
-
-def _stacked_images(matrices: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` for every row v of ``states``, shape (n, len(v)); a
-    stack of matrices gives one per row.
-
-    The rows go in as a stack of (len(v), 1) columns, so numpy makes one
-    matrix-vector product per row and each image is bytes-equal to
-    ``matrix @ v``; a 2-D product over many columns need not be.
-    """
-    return (matrices @ states[..., None])[..., 0]
+    stack = point_basis(d, False)
+    image = word_matrix(d, word) @ stack[q * d + p]
+    # |<s_k|v>| = |conj(v) . s_k|, which spares a conjugate copy of the stack
+    k = int(np.abs(image.conj() @ stack.T).argmax())
+    overlap = np.vdot(stack[k], image)
+    if not np.isfinite(overlap):
+        return HopResult(PhasePoint(0, 0), 0), 0.0
+    return HopResult(PhasePoint(*divmod(k, d)), _omega_exponent(overlap, d)), float(abs(overlap))
 
 
 def hop_trajectory(

@@ -90,9 +90,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def omega_powers(d: int) -> np.ndarray:
-    """w^k for k = 0..d-1, computed once per dimension."""
+    """w^k for k = 0..d-1, computed once per int d >= 1, read-only.  Any
+    such d is allowed, since a relabeling of d vectors needs the d-th roots
+    for that d; ``np.int64(7)`` finds the entry of 7, and a float such as
+    7.0 or a d below 1 raises InvalidDimension."""
+    try:
+        n = operator.index(d)
+    except TypeError as exc:
+        raise InvalidDimension(f"d={d} must be a positive integer") from exc
+    if n < 1:
+        raise InvalidDimension(f"d={d} must be a positive integer")
+    return _omega_powers(n)
+
+
+@lru_cache(maxsize=None)
+def _omega_powers(d: int) -> np.ndarray:
     pows = np.exp(2j * np.pi * np.arange(d) / d)
     pows.setflags(write=False)
     return pows

@@ -368,6 +368,27 @@ def _relabeling_errors():
 # -- collective-coordinates suite ----------------------------------------------
 
 
+def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops) -> np.ndarray:
+    """Per start row q*d + p of ``rows``, 0.0 iff the exact word map (src,
+    exponents), one (n,) map for every row or one per row, sends the minus
+    lattice state of (q, p) to w^phase times the minus state of (q', p'),
+    with (q', p', phase) the row's symbolic hop in ``hops``; 1.0 otherwise.
+
+    The minus state of (q, p) is w^(-p nr) / sqrt d where nc = q and 0
+    elsewhere, and the map sends v to w^exponents v[src].  So the image is
+    the hopped state iff, exactly, nc[src] = q where nc = q' and nowhere
+    else, and there exponents - p nr[src] - phase + p' nr = 0 mod d: integers
+    only, no d^2 x d^2 matrix.
+    """
+    nc, nr = co._collective_index(d)
+    q, p = np.divmod(np.asarray(rows)[:, None], d)
+    q2, p2, phase = np.array([(h.point.q, h.point.p, h.phase_exponent) for h in hops]).T[:, :, None]
+    support = nc == q2
+    residues = (exponents - p * nr[src] - phase + p2 * nr) % d
+    exact = ((nc[src] == q) == support).all(axis=1) & ~(support & (residues != 0)).any(axis=1)
+    return np.where(exact, 0.0, 1.0)
+
+
 def suite_collective(
     d: int, tol: float, rng: np.random.Generator
 ) -> list[VerificationReport]:
@@ -466,22 +487,21 @@ def suite_collective(
     def hop_example():
         # one exact map serves all d^2 points
         word = co.parse_word("Xc^2 Xr^6")
-        for row, (dense, fid) in enumerate(co._hop_dense(d, *co._word_map(d, word), slice(None))):
+        rows = range(d * d)
+        hops = [co._hop(d, *divmod(row, d), word) for row in rows]
+        for row, sym in zip(rows, hops):
             q, p = divmod(row, d)
-            sym = co._hop(d, q, p, word)
             expected = sym.point == co.PhasePoint((q + 2) % d, p) and sym.phase_exponent == (6 * p) % d
             yield 0.0 if expected else 1.0
-            yield 0.0 if dense == sym else 1.0
-            yield 1.0 - fid
+        yield from _hop_errors(d, *co._word_map(d, word), rows, hops)
 
     def hop_random():
         words, rows = [], []
         for _ in range(100):
             words.append(_random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5)))
             rows.append(int(rng.integers(0, d)) * d + int(rng.integers(0, d)))
-        for word, row, (dense, fid) in zip(words, rows, co._hop_dense(d, *co._word_maps(d, words), rows)):
-            yield 0.0 if dense == co._hop(d, *divmod(row, d), word) else 1.0
-            yield 1.0 - fid
+        hops = [co._hop(d, *divmod(row, d), word) for word, row in zip(words, rows)]
+        return _hop_errors(d, *co._word_maps(d, words), rows, hops)
 
     entries = [
         ("collective.index_maps", "exhaustive", index_maps),

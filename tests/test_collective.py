@@ -3,13 +3,11 @@ import functools
 import numpy as np
 import pytest
 
-import mesphase.collective as co
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
     _family_tables,
     _word_map,
-    _hop_dense,
     _local_images,
     _word_maps,
     HopResult,
@@ -459,19 +457,21 @@ def hop_dense_oracle(d, point, word):
     return HopResult(PhasePoint(*divmod(k, d)), _omega_exponent(overlap, d)), float(abs(overlap))
 
 
+def assert_hop_dense_is_the_oracle_bytes(d, cases):
+    """``hop_dense`` of each (word, row q*d + p) of ``cases`` equals the
+    oracle's point, and its fidelity the oracle's bytes."""
+    for word, row in cases:
+        point, fidelity = hop_dense(d, divmod(row, d), word)
+        expected, expected_fidelity = hop_dense_oracle(d, divmod(row, d), word)
+        assert point == expected
+        assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
-    for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", ""):
-        # all d^2 points under one map in one call, as the verify suite makes it
-        matched = _hop_dense(d, *_word_map(d, word), slice(None))
-        assert len(matched) == d * d
-        for row, (point, fidelity) in enumerate(matched):
-            for expected, expected_fidelity in (
-                hop_dense(d, divmod(row, d), word),
-                hop_dense_oracle(d, divmod(row, d), word),
-            ):
-                assert point == expected
-                assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+    # all d^2 points under each word
+    words = ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", "")
+    assert_hop_dense_is_the_oracle_bytes(d, [(word, row) for word in words for row in range(d * d)])
 
 
 def _random_words(rng, generators, d, count, longest):
@@ -487,60 +487,16 @@ def test_stacked_hop_dense_equals_per_word_hop_dense(d):
     rng = np.random.default_rng(500 + d)
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 200, 5)
     rows = rng.integers(0, d * d, size=200).tolist()
-    matched = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
-    assert len(matched) == len(words)
-    for word, row, (point, fidelity) in zip(words, rows, matched):
-        for expected, expected_fidelity in (
-            hop_dense(d, divmod(row, d), word),
-            hop_dense_oracle(d, divmod(row, d), word),
-        ):
-            assert point == expected
-            assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
+    assert_hop_dense_is_the_oracle_bytes(d, zip(words, rows))
 
 
 @pytest.mark.parametrize("d", [17, 23, 29])
 def test_hop_dense_blocks_split_like_one_call_per_row(d):
-    # from d=17 on a block holds fewer rows than a call: 113, 61 and 38 rows
-    # under one map, one row per block for a stack
     rng = np.random.default_rng(700 + d)
     word = "Xc^2 Xr^6 Zc^3"
-    one_map = _hop_dense(d, *_word_map(d, word), slice(None))
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 100, 4)
     rows = rng.integers(0, d * d, size=100).tolist()
-    stacked = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
-    cases = [(word, row) for row in range(d * d)] + list(zip(words, rows))
-    assert len(one_map + stacked) == len(cases)
-    for (word, row), (point, fidelity) in zip(cases, one_map + stacked):
-        for expected, expected_fidelity in (
-            hop_dense(d, divmod(row, d), word),
-            hop_dense_oracle(d, divmod(row, d), word),
-        ):
-            assert point == expected
-            assert np.float64(fidelity).tobytes() == np.float64(expected_fidelity).tobytes()
-
-
-def test_nan_matrix_in_a_block_fails_only_its_word(monkeypatch):
-    d = 7
-    rng = np.random.default_rng(77)
-    words = _random_words(rng, COLLECTIVE_GENERATORS, d, 13, 4)
-    rows = rng.integers(0, d * d, size=13).tolist()
-    dense = co._dense
-
-    def poisoned(d, src, exponents):
-        # the 13 words fit one block at d=7, so word 5 is row 5 of its stack
-        matrices = dense(d, src, exponents)
-        matrices[5] = np.nan
-        return matrices
-
-    monkeypatch.setattr(co, "_dense", poisoned)
-    with np.errstate(invalid="ignore"):
-        matched = _hop_dense(d, *_word_maps(d, words, COLLECTIVE_GENERATORS), rows)
-    monkeypatch.undo()
-    for i, (word, row, result) in enumerate(zip(words, rows, matched)):
-        if i == 5:
-            assert result == (HopResult(PhasePoint(0, 0), 0), 0.0)
-        else:
-            assert result == hop_dense(d, divmod(row, d), word)
+    assert_hop_dense_is_the_oracle_bytes(d, [(word, row) for row in range(d * d)] + list(zip(words, rows)))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11])

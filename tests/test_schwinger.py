@@ -108,6 +108,18 @@ def test_validate_dimension_refuses_every_non_int_once_an_int_is_remembered():
     assert validate_dimension(np.int64(11)) == 11
 
 
+def test_omega_powers_keys_by_the_int_and_refuses_what_is_no_dimension():
+    # a numpy integer finds the int's entry; any d >= 1 is allowed, since a
+    # relabeling of 4 vectors needs the 4th roots
+    assert omega_powers(np.int64(7)) is omega_powers(7)
+    assert omega_powers(np.int64(4)) is omega_powers(4)
+    assert omega_powers(1).tolist() == [1]
+    for _ in range(2):
+        for bad in (7.0, np.float64(7.0), "7", 0, -3):
+            with pytest.raises(InvalidDimension):
+                omega_powers(bad)
+
+
 def test_label_parse_and_count():
     labels = BasisLabel.all_labels(5)
     assert len(labels) == 6

@@ -546,8 +546,12 @@ def collective_rows_oracle(d, tol, rng):
             moved = co.local_action(states.Ket(state), int(rng.integers(1, 3)), word)
             yield states._reduced_deviation(moved.amplitudes)
 
+    def dense_verdict(q, p, word):
+        """The dense oracle's verdict on hop's (q', p', phase) as a 0/1 flag."""
+        dense, fid = co.hop_dense(d, (q, p), word)
+        return 0.0 if dense == co.hop(d, (q, p), word) and 1.0 - fid < tol else 1.0
+
     def hop_example():
-        matrix = co.word_matrix(d, "Xc^2 Xr^6")
         for q in range(d):
             for p in range(d):
                 sym = co.hop(d, (q, p), "Xc^2 Xr^6")
@@ -555,23 +559,14 @@ def collective_rows_oracle(d, tol, rng):
                     sym.point == co.PhasePoint((q + 2) % d, p)
                     and sym.phase_exponent == (6 * p) % d
                 )
-                image = matrix @ minus[q * d + p]
-                k = int(np.argmax(np.abs(minus @ image.conj())))
-                overlap = np.vdot(minus[k], image)
-                dense = co.HopResult(co.PhasePoint(*divmod(k, d)), states._omega_exponent(overlap, d))
-                fid = float(abs(overlap))
                 yield 0.0 if expected else 1.0
-                yield 0.0 if dense == sym else 1.0
-                yield 1.0 - fid
+                yield dense_verdict(q, p, "Xc^2 Xr^6")
 
     def hop_random():
         for _ in range(100):
             word = verify._random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))
             q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
-            sym = co.hop(d, (q, p), word)
-            dense, fid = co.hop_dense(d, (q, p), word)
-            yield 0.0 if dense == sym else 1.0
-            yield 1.0 - fid
+            yield dense_verdict(q, p, word)
 
     return rows_oracle(
         d,
@@ -613,24 +608,53 @@ def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
     assert rows["collective.local_action_random"].max_error == math.inf
 
 
+# -- the exact hop rows ------------------------------------------------------------
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
-def test_stacked_hop_images_are_the_matrix_vector_products_bytes(d):
-    matrix, minus = co.word_matrix(d, "Xc^2 Xr^6"), co.point_basis(d, False)
-    for q in range(d):
-        images = co._stacked_images(matrix, minus[q * d:(q + 1) * d])
-        assert images.shape == (d, d * d)
-        for p in range(d):
-            assert images[p].tobytes() == (matrix @ minus[q * d + p]).tobytes()
+def test_minus_point_basis_is_the_exact_form_the_hop_rows_assume(d):
+    # row q*d + p is w^(-p nr) / sqrt d where nc = q, and exactly 0 elsewhere
+    nc, nr = co._collective_index(d)
+    q, p = (k[:, None] for k in np.divmod(np.arange(d * d), d))
+    closed = np.where(nc == q, sw.omega_powers(d)[(-p * nr) % d] / np.sqrt(d), 0)
+    assert closed.dtype == np.complex128
+    assert closed.tobytes() == co.point_basis(d, False).tobytes()
 
 
-@pytest.mark.parametrize("d", [3, 7, 13])
-def test_stacked_images_of_a_dense_matrix_are_the_matrix_vector_products_bytes(d):
-    rng = np.random.default_rng(d)
-    matrix = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
-    states_ = rng.normal(size=(d, d * d)) + 1j * rng.normal(size=(d, d * d))
-    images = co._stacked_images(matrix, states_)
-    for image, v in zip(images, states_):
-        assert image.tobytes() == (matrix @ v).tobytes()
+def _candidate_hops(d, hop):
+    """hop's result, then three wrong ones: its phase, q' and p' each off by one."""
+    q, p, e = hop.point.q, hop.point.p, hop.phase_exponent
+    wrong = [(q, p, e + 1), (q + 1, p, e), (q, p + 1, e)]
+    return [hop] + [co.HopResult(co.PhasePoint(a % d, b % d), c % d) for a, b, c in wrong]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_exact_hop_verdict_equals_the_dense_oracle_verdict(d):
+    # two words at every point, then 200 seeded words each at a seeded point
+    rng = np.random.default_rng(300 + d)
+    cases = [(word, row) for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4") for row in range(d * d)]
+    for _ in range(200):
+        word = verify._random_word(rng, co.COLLECTIVE_GENERATORS, -2 * d, 2 * d + 1, (0, 6))
+        cases.append((word, int(rng.integers(0, d * d))))
+    for word, row in cases:
+        src, exponents = co._word_map(d, word)
+        dense, fid = co.hop_dense(d, divmod(row, d), word)
+        candidates = _candidate_hops(d, co.hop(d, divmod(row, d), word))
+        verdicts = verify._hop_errors(d, src, exponents, [row] * len(candidates), candidates).tolist()
+        assert verdicts == [0.0 if dense == hop and 1.0 - fid < states.DEFAULT_TOL else 1.0 for hop in candidates]
+        assert verdicts == [0.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("dropped", ["Zc", "Xr"])
+def test_a_hop_that_drops_a_phase_fails_the_hop_rows(monkeypatch, dropped):
+    # Zc and Xr only add to the phase, so a hop that skips them drops just that
+    hop = co._hop
+    monkeypatch.setattr(co, "_hop", lambda d, q, p, factors: hop(d, q, p, [f for f in factors if f[0] != dropped]))
+    rows = {row.check: row for row in run_suites([5], "collective")}
+    # the word of hop_example, Xc^2 Xr^6, has no Zc factor
+    failing = {"collective.hop_random"} | ({"collective.hop_example"} if dropped == "Xr" else set())
+    assert {check for check, row in rows.items() if not row.passed} == failing
+    assert all(rows[check].max_error == 1.0 for check in failing)
 
 
 def test_all_factors_the_lines_once_per_dimension(monkeypatch):
@@ -726,7 +750,9 @@ def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corr
         co, "_family_tables", lambda d, f: (src_table, exp_table) if f == family else tables(d, f)
     )
     rows = {row.check: row for row in run_suites([5], "collective")}
-    for check in ("collective.operator_algebra", "collective.operator_factorization"):
+    # the word of hop_example, Xc^2 Xr^6, reads no Zc table
+    hop_rows = ("collective.hop_random",) + (("collective.hop_example",) if family[g] == "Xr" else ())
+    for check in ("collective.operator_algebra", "collective.operator_factorization") + hop_rows:
         assert not rows[check].passed
         assert rows[check].max_error == 1.0
 
@@ -917,7 +943,7 @@ def test_validate_tolerance_has_one_definition():
 
 def test_block_rule_has_one_definition():
     # one budget and one helper size every array pass
-    for module in (me, co, li, verify):
+    for module in (me, li, verify):
         assert not hasattr(module, "_BLOCK_VALUES")
         assert module._blocks is states._blocks
 
