@@ -25,7 +25,6 @@ d+1 unbiased-basis family.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .collective import PhasePoint, point_basis
-from .errors import FactorizationFailed
+from .errors import FactorizationFailed, InvalidLabel
 from .schwinger import (
     CB,
     BasisLabel,
@@ -95,10 +94,11 @@ def line_points(d: int, line: Line) -> list[PhasePoint]:
     """The d grid points of a line.
 
     Vertical lines are {(m, p) : p}; orientation b gives {(q, b*q - m) : q}.
-    An orientation outside 0..d-1 raises InvalidLabel; m is reduced mod d.
+    An orientation outside 0..d-1 or a non-integer m raises InvalidLabel; m
+    is reduced mod d.
     """
-    validate_dimension(d)
-    m = operator.index(line.m) % d
+    d = validate_dimension(d)
+    m = _offset(line, d)
     b = _label_index(line.b, d)
     if b is None:
         return [PhasePoint(m, p) for p in range(d)]
@@ -129,16 +129,24 @@ def _summed_basis(d: int, realization: str) -> np.ndarray:
     return point_basis(d, realization == "alt")
 
 
+def _offset(line: Line, d: int) -> int:
+    """The line's offset m reduced mod d.  A numpy integer counts as an int;
+    a bool, a float or any other non-integer raises InvalidLabel."""
+    if not isinstance(line.m, bool):
+        try:
+            return operator.index(line.m) % d
+        except TypeError:
+            pass
+    raise InvalidLabel(f"line offset {line.m!r} is not an integer")
+
+
 def _line_index(d: int, lines: list[Line]) -> np.ndarray:
     """Each line's position in :func:`all_lines`: (b + 1)*d + (m mod d) for
-    orientation b, m mod d for a vertical line; m goes through
-    ``operator.index``, as b does in :func:`_label_index`."""
-    validate_dimension(d)
+    orientation b, m mod d for a vertical line, with m from :func:`_offset`
+    and b from :func:`_label_index`."""
+    d = validate_dimension(d)
     return np.array(
-        [
-            (0 if (b := _label_index(line.b, d)) is None else b + 1) * d + operator.index(line.m) % d
-            for line in lines
-        ]
+        [(0 if (b := _label_index(line.b, d)) is None else b + 1) * d + _offset(line, d) for line in lines]
     )
 
 
@@ -177,13 +185,44 @@ def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _canonical_factor(factor: np.ndarray) -> np.ndarray:
-    """A singular vector normalized and made phase-canonical."""
+    """A factor normalized and made phase-canonical."""
     return _phase_canonical(factor / np.linalg.norm(factor))
+
+
+def _rank_one(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One rank-1 projection step for each matrix A of an (n, d, d) stack.
+
+    With x the column of A of largest norm, v = A*x/|A*x| and u = A v, it
+    returns |A - u v*|_F, u and v*, shapes (n,), (n, d) and (n, d).  By
+    Eckart-Young-Mirsky, sigma_2(A) <= |A - A v v*|_F for every unit vector
+    v (indeed sigma_2(A) <= |A - B|_F for every B of rank <= 1), so the
+    first value never understates the second singular value beyond rounding,
+    and a rank check on it fails closed.  Near rank 1 it is sigma_2 to first
+    order: v differs from the leading right singular vector by O(sigma_2^2).
+    A non-finite A gives NaN throughout; nothing raises.  Every step works on
+    one matrix at a time (matmul slices, sums along one axis), so a matrix
+    gives the same bytes in any stack."""
+    n = len(matrices)
+    column = (matrices.conj() * matrices).real.sum(axis=1).argmax(axis=1)
+    x = matrices[np.arange(n), :, column]
+    # conj(A* x) as a row
+    vstar = x.conj()[:, None, :] @ matrices
+    # times the reciprocal: a complex division signals on NaN
+    vstar *= 1 / np.sqrt((vstar.conj() * vstar).real.sum(axis=2))[:, :, None]
+    u = matrices @ vstar.conj().swapaxes(1, 2)
+    residual = (matrices - u * vstar).reshape(n, -1)
+    return np.sqrt((residual.conj() * residual).real.sum(axis=1)), u[:, :, 0], vstar[:, 0]
 
 
 @dataclass(frozen=True)
 class LineFactorReport:
-    """Measured factorization of one line state."""
+    """Measured factorization of one line state.
+
+    ``second_singular_value`` is |A - u v*|_F for the d x d amplitude matrix
+    A and the rank-1 step of :func:`_rank_one`.  Since sigma_2(A) <=
+    |A - A v v*|_F for any unit vector v, it falls below the second
+    singular value sigma_2(A) only by rounding (about 1e-17 for a line
+    state), so ``schmidt_rank_ok`` can only err towards failing."""
 
     d: int
     line: Line
@@ -202,11 +241,11 @@ class LineFactorReport:
 
 class _FactoredLines(NamedTuple):
     """What :func:`_factor_lines` measures, one entry per line: its report
-    (for a caller that asks for them, else none), its second singular value
-    (NaN for a line kept out of the SVD), its matched particle-2 label as
-    row k = basis*d + m of the flat MUB stack (compare :func:`_line_tables`),
-    and its normalized, phase-canonical particle-2 factor (right singular
-    vector), zero for a line kept out of the SVD."""
+    (for a caller that asks for them, else none), its bound on the second
+    singular value (NaN for a non-finite line), its matched particle-2 label
+    as row k = basis*d + m of the flat MUB stack (compare
+    :func:`_line_tables`), and its phase-canonical particle-2 factor v*,
+    zero for a line whose bound is NaN."""
 
     reports: list[LineFactorReport]
     second: np.ndarray
@@ -219,19 +258,19 @@ def _factor_lines(
 ) -> _FactoredLines:
     """Factor and judge the line states one block of max(d,
     ``states._BLOCK_VALUES`` // d^3) lines at a time (all lines up to d=7, a
-    pencil from d=17): one gather and sum of the point basis, one
-    ``np.linalg.svd`` call and one label search per factor side, a matmul
+    pencil from d=17): one gather and sum of the point basis, one rank-1 step
+    (:func:`_rank_one`) and one label search per factor side, a matmul
     against the MUB stack.  No line state outlives its block.  Without
     ``with_reports`` only the particle-2 side is matched and no report is
     made.
 
-    A stacked SVD raises for the whole stack on one non-finite matrix, so a
-    non-finite line state is kept out: it is factored as the zero matrix and
-    reports a NaN second singular value, the label (cb, 0) with fidelity 0
-    on both sides and an infinite error.  The norm of each singular vector,
-    the three ``np.vdot`` overlaps and the phase exponent stay per line,
-    since a batched form moves their last bit.
+    A non-finite line state gets a NaN bound and zero factors, so it reports
+    the label (cb, 0) with fidelity 0 on both sides and an infinite error;
+    the other lines of its block keep their values.  Making each factor
+    phase-canonical, the norm of u, the three ``np.vdot`` overlaps and the
+    phase exponent stay per line, since a batched form moves their last bit.
     """
+    d = validate_dimension(d)
     basis = _summed_basis(d, realization)
     rows = _line_tables(d)[0][_line_index(d, lines)]
     stack, w = mub_stack(d).reshape(-1, d), omega_powers(d)
@@ -239,18 +278,15 @@ def _factor_lines(
     factor2 = np.zeros((len(lines), d), dtype=np.complex128)
     for block in _blocks(len(lines), d**3, minimum=d):
         amplitudes = _line_sums(basis, rows[block])
-        finite = np.isfinite(amplitudes).all(axis=1)
-        kept = finite.tolist()
-        whole = all(kept)
-        safe = amplitudes if whole else np.where(finite[:, None], amplitudes, 0)
-        u, s, vh = np.linalg.svd(safe.reshape(-1, d, d))
-        second[block] = s[:, 1] if whole else np.where(finite, s[:, 1], math.nan)
+        s, u, vstar = _rank_one(amplitudes.reshape(-1, d, d))
+        second[block] = s
+        kept = np.isfinite(s).tolist()
         factor1, block2 = np.zeros((len(kept), d), dtype=np.complex128), factor2[block]
         for i, ok in enumerate(kept):
             if ok:
-                block2[i] = _canonical_factor(vh[i, 0])
+                block2[i] = _phase_canonical(vstar[i])
                 if with_reports:
-                    factor1[i] = _canonical_factor(u[i, :, 0])
+                    factor1[i] = _canonical_factor(u[i])
         # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
         # matches row 0, the label (cb, 0)
         found[block] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
@@ -258,10 +294,9 @@ def _factor_lines(
             continue
         found1 = np.abs(factor1 @ stack.T).argmax(axis=1).tolist()
         conj1 = factor1.conj()
-        for i, (line, ok, k1, k2) in enumerate(
-            zip(lines[block], kept, found1, found[block].tolist())
+        for i, (line, ok, s1, k1, k2) in enumerate(
+            zip(lines[block], kept, s.tolist(), found1, found[block].tolist())
         ):
-            s1 = float(s[i, 1]) if ok else math.nan
             fid1 = abs(np.vdot(stack[k1], conj1[i]))
             fid2 = abs(np.vdot(stack[k2], block2[i]))
             overlap = np.vdot(np.outer(factor1[i], block2[i]).ravel(), amplitudes[i])
@@ -272,7 +307,7 @@ def _factor_lines(
                     d=d,
                     line=line,
                     second_singular_value=s1,
-                    # False for a NaN singular value
+                    # False for a NaN bound
                     schmidt_rank_ok=s1 < tol,
                     factor1_b=b1,
                     factor1_m=m1,
@@ -321,7 +356,7 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
     """Rebuild the full d+1 basis family from line-state factorizations.
 
     For every line, the particle-2 factor of its product form is extracted
-    by singular-value factorization and filed under the predicted label.
+    by one rank-1 projection step and filed under the predicted label.
     The result has the same [cb, 0, .., d-1] ordering as
     :func:`mesphase.schwinger.mub_family` and agrees with it state by state
     up to a phase.
@@ -345,7 +380,7 @@ def _mub_stack_from_lines(d: int, factored: _FactoredLines, tol: float = DEFAULT
     if failed.size:
         line, second = all_lines(d)[failed[0]], factored.second[failed[0]]
         raise FactorizationFailed(
-            f"line b={line.b} m={line.m} has Schmidt rank > 1 (second singular value {second:.3e})"
+            f"line b={line.b} m={line.m} has Schmidt rank > 1 (second singular value bound {second:.3e})"
         )
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     stack.reshape(-1, d)[_line_tables(d)[1]] = factored.factor2
@@ -364,7 +399,7 @@ def line_factor_table(
     validate_tolerance(tol)
     return [
         {
-            "d": d,
+            "d": rep.d,
             "b": str(rep.line.b),
             "m": rep.line.m,
             "schmidt_rank_ok": rep.schmidt_rank_ok,

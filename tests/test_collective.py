@@ -468,7 +468,7 @@ def assert_hop_dense_is_the_oracle_bytes(d, cases):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
-def test_hop_dense_core_with_one_matrix_equals_hop_dense_bytes(d):
+def test_hop_dense_of_every_point_equals_the_oracle_bytes(d):
     # all d^2 points under each word
     words = ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4", "")
     assert_hop_dense_is_the_oracle_bytes(d, [(word, row) for word in words for row in range(d * d)])
@@ -483,7 +483,7 @@ def _random_words(rng, generators, d, count, longest):
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
-def test_stacked_hop_dense_equals_per_word_hop_dense(d):
+def test_hop_dense_of_random_words_equals_the_oracle_bytes(d):
     rng = np.random.default_rng(500 + d)
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 200, 5)
     rows = rng.integers(0, d * d, size=200).tolist()
@@ -491,7 +491,7 @@ def test_stacked_hop_dense_equals_per_word_hop_dense(d):
 
 
 @pytest.mark.parametrize("d", [17, 23, 29])
-def test_hop_dense_blocks_split_like_one_call_per_row(d):
+def test_hop_dense_at_large_d_equals_the_oracle_bytes(d):
     rng = np.random.default_rng(700 + d)
     word = "Xc^2 Xr^6 Zc^3"
     words = _random_words(rng, COLLECTIVE_GENERATORS, d, 100, 4)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -129,10 +130,25 @@ def row_sum_oracle(d, line, realization):
 
 
 def _factorize(d, amplitudes):
-    """Singular values of the d x d amplitude matrix and its leading factor
-    pair, each normalized and phase-canonical, from one SVD of that matrix."""
+    """The SVD oracle: the second singular value of the d x d amplitude matrix
+    and its leading factor pair, each normalized and phase-canonical."""
     u, s, vh = np.linalg.svd(amplitudes.reshape(d, d))
-    return s, _canonical_factor(u[:, 0]), _canonical_factor(vh[0])
+    return s[1], _canonical_factor(u[:, 0]), _canonical_factor(vh[0])
+
+
+def _rank_one_step(d, amplitudes):
+    """The rank-1 step of ``lines._rank_one`` on one d x d amplitude matrix A,
+    written for that matrix alone: x its column of largest norm, v* =
+    conj(A* x)/|A* x|, u = A v.  It returns |A - u v*|_F, u/|u| made
+    phase-canonical and v* made phase-canonical."""
+    a = amplitudes.reshape(d, d)
+    x = a[:, (a.conj() * a).real.sum(axis=0).argmax()]
+    vstar = x.conj()[None, :] @ a
+    vstar *= 1 / np.sqrt((vstar.conj() * vstar).real.sum())
+    u = a @ vstar.conj().T
+    residual = (a - u * vstar).ravel()
+    second = np.sqrt((residual.conj() * residual).real.sum())
+    return second, _canonical_factor(u[:, 0]), _phase_canonical(vstar[0])
 
 
 def _canonical_factor(factor):
@@ -154,12 +170,13 @@ def _identify_label(d, factor, conjugate):
     return (CB if b == 0 else BasisLabel(b - 1)), m, float(abs(overlap))
 
 
-def schmidt_inversion_check_oracle(d, line, tol=DEFAULT_TOL, realization="standard"):
+def schmidt_inversion_check_oracle(d, line, tol=DEFAULT_TOL, realization="standard", factorize=_rank_one_step):
     """``schmidt_inversion_check`` one line at a time: the state summed row by
-    row, one SVD, one label search per factor."""
+    row, one ``factorize`` (the rank-1 step, or the SVD oracle), one label
+    search per factor."""
     state = row_sum_oracle(d, line, realization)
-    s, factor1, factor2 = _factorize(d, state)
-    second = float(s[1])
+    second, factor1, factor2 = factorize(d, state)
+    second = float(second)
     b1, m1, fid1 = _identify_label(d, factor1, conjugate=True)
     b2, m2, fid2 = _identify_label(d, factor2, conjugate=False)
     overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
@@ -186,12 +203,12 @@ def max_error_oracle(d, line, realization):
     """``schmidt_inversion_check(...).max_error`` with the phase target w^k
     from a scalar ``np.exp`` and the errors reduced by builtin ``max``."""
     state = _line_amplitudes(d, line, realization)
-    s, factor1, factor2 = _factorize(d, state)
+    second, factor1, factor2 = _rank_one_step(d, state)
     fid1 = _identify_label(d, factor1, conjugate=True)[2]
     fid2 = _identify_label(d, factor2, conjugate=False)[2]
     overlap = np.vdot(np.outer(factor1, factor2).ravel(), state)
     target = np.exp(2j * np.pi * _omega_exponent(overlap, d) / d)
-    return float(max(float(s[1]), 1.0 - fid1, 1.0 - fid2, abs(overlap - target)))
+    return float(max(float(second), 1.0 - fid1, 1.0 - fid2, abs(overlap - target)))
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
@@ -212,11 +229,11 @@ def test_closed_form_line_rows_equal_line_points(d):
 
 
 def mub_stack_from_lines_oracle(d):
-    """``_mub_stack_from_lines`` with one ``_factorize`` (one SVD) per line."""
+    """``_mub_stack_from_lines`` with one ``_rank_one_step`` per line."""
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     for line in all_lines(d):
-        s, _, factor2 = _factorize(d, _line_amplitudes(d, line))
-        assert s[1] <= 1e-10
+        second, _, factor2 = _rank_one_step(d, _line_amplitudes(d, line))
+        assert second <= 1e-10
         label, m = expected_factor2_label_oracle(d, line)
         stack[0 if label.is_cb else label.index + 1, m] = factor2
     return stack
@@ -224,6 +241,7 @@ def mub_stack_from_lines_oracle(d):
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
 def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
+    # the stacked core's particle-2 factors equal one rank-1 step per line
     stack = _mub_stack_from_lines(d, _factor_lines(d, all_lines(d)))
     assert stack.tobytes() == mub_stack_from_lines_oracle(d).tobytes()
 
@@ -250,13 +268,48 @@ def test_stacked_core_equals_the_per_line_oracle(d):
             assert schmidt_inversion_check(d, line, realization=realization) == oracle
             state = row_sum_oracle(d, line, realization)
             assert _line_amplitudes(d, line, realization).tobytes() == state.tobytes()
-            s, _, factor2 = _factorize(d, state)
-            assert factored.reports[i].second_singular_value == s[1]
+            second, _, factor2 = _rank_one_step(d, state)
+            assert factored.reports[i].second_singular_value == second
             assert factored.factor2[i].tobytes() == factor2.tobytes()
     rows = li.line_factor_table(d)
     assert [(r["b"], r["m"], r["max_error"]) for r in rows] == [
         (str(line.b), line.m, schmidt_inversion_check_oracle(d, line).max_error) for line in lines
     ]
+
+
+@pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
+def test_rank_one_step_agrees_with_the_svd_oracle(d):
+    # the SVD stays the independent oracle: same labels, exponents and flags,
+    # the bound and both fidelities within 1e-14
+    lines = all_lines(d)
+    for realization in ("standard", "alt"):
+        for line, report in zip(lines, _factor_lines(d, lines, DEFAULT_TOL, realization).reports):
+            oracle = schmidt_inversion_check_oracle(d, line, realization=realization, factorize=_factorize)
+            for name in ("factor1_b", "factor1_m", "factor2_b", "factor2_m", "global_phase_exponent", "schmidt_rank_ok"):
+                assert getattr(report, name) == getattr(oracle, name)
+            for name in ("second_singular_value", "factor1_fidelity", "factor2_fidelity"):
+                assert abs(getattr(report, name) - getattr(oracle, name)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [5, 17, 31])
+def test_rank_one_bound_is_never_below_sigma_2(d, monkeypatch):
+    # one entry of one line moved by delta: the reported bound stays >= sigma_2
+    # of the perturbed matrix from np.linalg.svd, so the line fails at any tol
+    # below sigma_2.  Both sides round: against a 50-digit SVD each read up to
+    # 3e-17 off sigma_2 (1e-5 of it at delta = 1e-12), hence the d*eps allowance
+    rng = np.random.default_rng(d)
+    for delta in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.3):
+        # not a vertical line: all d^2 entries have modulus 1/d, so that moving
+        # any one of them raises the Schmidt rank
+        line = all_lines(d)[int(rng.integers(d, d * (d + 1)))]
+        perturbed = row_sum_oracle(d, line, "standard")
+        perturbed[rng.integers(d * d)] += delta * np.exp(2j * np.pi * rng.random())
+        sigma_2 = np.linalg.svd(perturbed.reshape(d, d), compute_uv=False)[1]
+        monkeypatch.setattr(li, "_line_sums", lambda basis, rows: perturbed[None].copy())
+        floor = (1 - 1e-9) * sigma_2 - d * np.finfo(float).eps
+        assert schmidt_inversion_check(d, line).second_singular_value >= floor
+        for tol in (floor, sigma_2 / 2):
+            assert not schmidt_inversion_check(d, line, tol).schmidt_rank_ok
 
 
 @pytest.mark.parametrize("d", [3, 7, 17, 31])
@@ -463,8 +516,28 @@ def test_out_of_range_orientations_rejected(b):
     assert expected_factor2_label(d, Line(CB, np.int64(-1))) == (CB, d - 1)
     for line in (Line(CB, 1.5), Line(BasisLabel(2), 1.5), Line(CB, "1")):
         for call in calls(line):
-            with pytest.raises(TypeError):
+            with pytest.raises(InvalidLabel):
                 call()
+
+
+@pytest.mark.parametrize("m", [5.0, True, False, np.float64(1.0)])
+def test_float_or_bool_offsets_rejected(m):
+    # 5.0 would otherwise raise a bare TypeError and True be read as offset 1
+    d = 5
+    for line in (Line(CB, m), Line(BasisLabel(2), m)):
+        with pytest.raises(InvalidLabel, match="line offset"):
+            line_points(d, line)
+        with pytest.raises(InvalidLabel, match="line offset"):
+            _line_index(d, [line])
+
+
+def test_numpy_integer_dimension_reports_the_int():
+    report = schmidt_inversion_check(np.int64(7), Line(BasisLabel(3), 2))
+    assert report.d == 7 and type(report.d) is int
+    assert report == schmidt_inversion_check(7, Line(BasisLabel(3), 2))
+    rows = line_factor_table(np.int64(5))
+    assert all(type(row["d"]) is int for row in rows)
+    assert json.dumps(rows) == json.dumps(line_factor_table(5))
 
 
 @pytest.mark.parametrize("d", [0, 2, 9])

@@ -188,7 +188,7 @@ def test_per_d_tables_share_the_int_entry_and_refuse_floats_and_bools(table, arg
 # -- non-finite readouts fail closed -------------------------------------------
 
 
-def test_nan_word_matrix_fails_hop_rows(monkeypatch):
+def test_nan_word_matrix_gives_hop_dense_fidelity_zero(monkeypatch):
     original = co._dense
 
     def nan_dense(d, src, exponents):
