@@ -1,9 +1,10 @@
 """Command-line front end: generate basis families, verify them, hop the
 lattice, and tabulate line-state factorizations.
 
-Exit codes: 0 success / all checks passed, 1 verification failure or a
+Exit codes: 0 success / all checks passed, 1 verification failure, a
 generated state that fails its unit-norm check (``error:`` on stderr, nothing
-written), 2 usage error.  Report output is deterministic for a fixed
+written) or a reader that closed stdout early (nothing on stderr), 2 usage
+error.  Report output is deterministic for a fixed
 invocation: rows come in a fixed order, floats are printed with 15
 significant digits, and timing is only included on request.
 """
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-import weakref
 
 import numpy as np
 
@@ -133,27 +133,11 @@ def _distinct_codes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, codes
 
 
-# the float index of the last read-only array formatted, as long as that
-# array lives: [weak reference to it, (keys, codes)]
-_last_index: list = [None, None]
-
-
-def _drop_index(ref: weakref.ref) -> None:
-    """Forget the kept float index once the array it indexes is freed."""
-    if _last_index[0] is ref:
-        _last_index[:] = None, None
-
-
 def _float_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_distinct_codes` of the float64 bits of ``values``: the keys as
     floats, and the codes in the shape of ``values``, except that complex
     (..., n) ``values`` give (..., 2, n) codes, the re parts then the im
-    parts.  The index of the last read-only array is kept while that array
-    lives, and reused only when that very array comes back (a cached stack
-    of ``mes_stack``); any other array is indexed afresh."""
-    ref, index = _last_index
-    if ref is not None and ref() is values:
-        return index
+    parts."""
     pair = np.iscomplexobj(values)
     floats = np.ascontiguousarray(values, dtype=np.complex128 if pair else np.float64)
     keys, codes = _distinct_codes(floats.reshape(-1).view(np.int64))
@@ -163,19 +147,15 @@ def _float_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes = np.moveaxis(codes, -1, -2)
     # kept in the smallest unsigned dtype that counts the keys (uint16 for a
     # basis up to d=31, 1.1 MB at d=23 where intp takes 4.5 MB)
-    index = keys.view(np.float64), codes.astype(np.min_scalar_type(keys.size), order="C")
-    if not values.flags.writeable:
-        _last_index[:] = weakref.ref(values, _drop_index), index
-    return index
+    return keys.view(np.float64), codes.astype(np.min_scalar_type(keys.size), order="C")
 
 
-def _float_texts(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """The texts ``fmt(x)`` of the distinct floats of ``values`` as an
-    object array, and the codes of :func:`_float_index`, so that
-    ``texts[codes]`` holds the text of every float.  ``fmt`` is called once
-    per distinct bit pattern (not per distinct value: -0.0 == 0.0, but their
-    text differs)."""
-    keys, codes = _float_index(values)
+def _float_texts(index: tuple[np.ndarray, np.ndarray], fmt) -> tuple[np.ndarray, np.ndarray]:
+    """The texts ``fmt(x)`` of the keys of a :func:`_float_index` as an
+    object array, and its codes, so that ``texts[codes]`` holds the text of
+    every float.  ``fmt`` is called once per distinct bit pattern (not per
+    distinct value: -0.0 == 0.0, but their text differs)."""
+    keys, codes = index
     return np.array([fmt(x) for x in keys.tolist()], dtype=object), codes
 
 
@@ -185,30 +165,34 @@ def _ket_stub(k: int, dim: int) -> dict:
     return {"dim": dim, "re": [f"@{2 * k}"], "im": [f"@{2 * k + 1}"]}
 
 
-def _json_with_kets(skeleton: dict, amps: np.ndarray) -> list[str]:
+def _json_with_kets(skeleton: dict, index: tuple[np.ndarray, np.ndarray]) -> list[str]:
     """The chunks of ``json.dumps(doc, indent=2) + "\\n"``, where doc is
     ``skeleton`` with every ``_ket_stub(k, n)`` replaced by the ket object
-    ``{"dim": n, "re": amps[k].real.tolist(), "im": amps[k].imag.tolist()}``."""
-    texts, codes = _float_texts(amps, _json_float)
+    ``{"dim": n, "re": amps[k].real.tolist(), "im": amps[k].imag.tolist()}``,
+    for the states ``amps`` of ``index = _float_index(amps)``."""
+    texts, codes = _float_texts(index, _json_float)
     # each stub list prints as one line holding only its quoted "@i", the
     # stubs in order i = 0, 1, ..., all at the same depth
     head, *tails = (json.dumps(skeleton, indent=2) + "\n").split('"@')
     sep = ",\n" + head[head.rindex("\n") + 1:]
     chunks = [head]
     # gathered list by list, so no object array of every float is held
-    for row, tail in zip(codes.reshape(-1, amps.shape[1]), tails):
+    for row, tail in zip(codes.reshape(-1, codes.shape[-1]), tails):
         chunks += (sep.join(texts[row].tolist()), tail[tail.index('"') + 1:])
     return chunks
 
 
-def _csv_with_kets(header: list[str], labels: list[tuple], amps: np.ndarray) -> list[str]:
+def _csv_with_kets(
+    header: list[str], labels: list[tuple], index: tuple[np.ndarray, np.ndarray]
+) -> list[str]:
     """The chunks of the CSV text of :func:`_write` for rows
-    ``[*labels[k], *re, *im]`` of amps[k] with ``_fmt`` floats.  No field
-    needs quoting: labels are ``cb`` or integers, and ``_fmt`` text holds no
+    ``[*labels[k], *re, *im]`` of amps[k] with ``_fmt`` floats, for the
+    states ``amps`` of ``index = _float_index(amps)``.  No field needs
+    quoting: labels are ``cb`` or integers, and ``_fmt`` text holds no
     comma, quote or newline."""
-    texts, codes = _float_texts(amps, _fmt)
+    texts, codes = _float_texts(index, _fmt)
     chunks = [",".join(header), "\n"]
-    for label, row in zip(labels, codes.reshape(len(amps), -1)):
+    for label, row in zip(labels, codes.reshape(len(codes), -1)):
         chunks += (",".join(map(str, label)), ",", ",".join(texts[row].tolist()), "\n")
     return chunks
 
@@ -239,24 +223,35 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 # -- subcommands ---------------------------------------------------------------
 
 
+# the last gen-mes basis, {(d, label, label'): (stack, float index)}: one
+# entry, since a d has (d+1)^2 bases of d^4 * 16 B each
+_last_basis: dict = {}
+
+
 def _gen_output(
-    args: argparse.Namespace, amps: np.ndarray, skeleton: dict, columns: list[str], labels: list
+    args: argparse.Namespace,
+    amps: np.ndarray,
+    index: tuple[np.ndarray, np.ndarray],
+    skeleton: dict,
+    columns: list[str],
+    labels: list,
 ) -> int:
-    """Emit the states ``amps`` of gen-mub/gen-mes: JSON of ``skeleton`` with
-    its ket stubs filled in, or CSV rows ``[*labels[k], *re, *im]`` under the
-    label ``columns``.  A state without unit norm is refused before anything
-    is written: ``error:`` on stderr, exit 1."""
+    """Emit the states ``amps`` of gen-mub/gen-mes, whose
+    :func:`_float_index` is ``index``: JSON of ``skeleton`` with its ket
+    stubs filled in, or CSV rows ``[*labels[k], *re, *im]`` under the label
+    ``columns``.  A state without unit norm is refused before anything is
+    written: ``error:`` on stderr, exit 1."""
     try:
         _check_unit_rows(amps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        _emit(_json_with_kets(skeleton, amps), args.out)
+        _emit(_json_with_kets(skeleton, index), args.out)
     else:
         n = amps.shape[1]
         header = columns + [f"re{k}" for k in range(n)] + [f"im{k}" for k in range(n)]
-        _emit(_csv_with_kets(header, labels, amps), args.out)
+        _emit(_csv_with_kets(header, labels, index), args.out)
     return 0
 
 
@@ -271,7 +266,8 @@ def _cmd_gen_mub(args: argparse.Namespace) -> int:
         ],
     }
     rows = [(b, m) for b in labels for m in range(d)]
-    return _gen_output(args, mub_stack(d).reshape(-1, d), skeleton, ["b", "m"], rows)
+    amps = mub_stack(d).reshape(-1, d)
+    return _gen_output(args, amps, _float_index(amps), skeleton, ["b", "m"], rows)
 
 
 def _cmd_gen_mes(args: argparse.Namespace) -> int:
@@ -286,7 +282,13 @@ def _cmd_gen_mes(args: argparse.Namespace) -> int:
         "states": [{"q": q, "p": p, "ket": _ket_stub(k, d * d)} for k, (q, p) in enumerate(grid)],
     }
     rows = [(b, b_prime, q, p) for q, p in grid]
-    return _gen_output(args, mes_stack(d, b, b_prime), skeleton, ["b", "b_prime", "q", "p"], rows)
+    key = (d, b, b_prime)
+    if key not in _last_basis:
+        # drop the kept basis before building another, so one stack is alive
+        _last_basis.clear()
+        stack = mes_stack(d, b, b_prime)
+        _last_basis[key] = stack, _float_index(stack)
+    return _gen_output(args, *_last_basis[key], skeleton, ["b", "b_prime", "q", "p"], rows)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -440,10 +442,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InvalidDimension, InvalidLabel, InvalidTolerance, WordParseError, _CannotWrite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

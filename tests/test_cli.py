@@ -1,13 +1,19 @@
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mesphase.cli as cli
-import mesphase.mes as me
 from mesphase.cli import main
+from mesphase.schwinger import BasisLabel
 from mesphase.states import Ket, mes_deviation
 
 
@@ -215,7 +221,23 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
     assert "Traceback" not in err
 
 
+def clear_caches():
+    cli._last_basis.clear()
+
+
+@pytest.fixture
+def no_kept_basis():
+    """No gen-mes basis is kept as the test starts or after it ends: the
+    kept basis is found by its labels, so a test that patches
+    ``cli.mes_stack`` meets its patch only on a new build, and must leave
+    no patched stack behind."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
 @pytest.mark.parametrize("command", ["gen-mub", "gen-mes"])
+@pytest.mark.usefixtures("no_kept_basis")
 def test_failed_generation_leaves_out_untouched(tmp_path, capsys, monkeypatch, command):
     def nan_stack(d, *labels):
         stack = np.full((d + 1, d, d) if command == "gen-mub" else (d * d, d * d), 0.5 + 0j)
@@ -233,11 +255,6 @@ def test_failed_generation_leaves_out_untouched(tmp_path, capsys, monkeypatch, c
     # without --out nothing reaches stdout either
     code, out, err = run(capsys, command, "--d", "3")
     assert (code, out) == (1, "") and err.startswith("error:")
-
-
-def clear_caches():
-    me._last_stack.clear()
-    cli._last_index[:] = None, None
 
 
 REPEATS = [
@@ -265,34 +282,57 @@ def test_repeated_gen_calls_in_one_process_match_cold_calls(capsys):
 
 def test_two_formats_of_one_basis_index_its_floats_once(capsys, monkeypatch):
     clear_caches()
-    calls = []
-    distinct_codes = cli._distinct_codes
+    calls, builds = [], []
+    distinct_codes, build = cli._distinct_codes, cli.mes_stack
     monkeypatch.setattr(cli, "_distinct_codes", lambda bits: calls.append(bits.size) or distinct_codes(bits))
+    monkeypatch.setattr(cli, "mes_stack", lambda *key: builds.append(key) or build(*key))
     for fmt in ("json", "csv", "json"):
         assert run(capsys, "gen-mes", "--d", "7", "--b", "2", "--b-prime", "5", "--format", fmt)[0] == 0
     assert calls == [2 * 7**4]
-    # another basis, or gen-mub, is indexed afresh
+    assert builds == [(7, BasisLabel(2), BasisLabel(5))]
+    # another basis is built and indexed afresh, and gen-mub indexed afresh
     assert run(capsys, "gen-mes", "--d", "7", "--b", "5", "--b-prime", "2", "--format", "csv")[0] == 0
     assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
     assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
     assert calls == [2 * 7**4] * 2 + [2 * 8 * 7 * 7] * 2
+    assert builds == [(7, BasisLabel(2), BasisLabel(5)), (7, BasisLabel(5), BasisLabel(2))]
+
+
+def test_another_basis_clears_the_entry_before_its_build(capsys, monkeypatch):
+    clear_caches()
+    assert run(capsys, "gen-mes", "--d", "5", "--b", "1", "--b-prime", "2")[0] == 0
+    seen, build = [], cli.mes_stack
+
+    def spy(*key):
+        seen.append(dict(cli._last_basis))
+        return build(*key)
+
+    monkeypatch.setattr(cli, "mes_stack", spy)
+    assert run(capsys, "gen-mes", "--d", "5", "--b", "2", "--b-prime", "1")[0] == 0
+    assert seen == [{}]
+    assert list(cli._last_basis) == [(5, BasisLabel(2), BasisLabel(1))]
 
 
 def test_float_index_lives_only_as_long_as_its_stack(capsys):
     clear_caches()
     assert run(capsys, "gen-mes", "--d", "5", "--b", "1", "--b-prime", "2")[0] == 0
-    assert cli._last_index[0]() is me.mes_stack(5, 1, 2)
-    # building another pair frees the stack, and its index with it
-    me.mes_stack(5, 2, 1)
-    assert cli._last_index == [None, None]
+    ((stack, (keys, codes)),) = cli._last_basis.values()
+    refs = [weakref.ref(array) for array in (stack, keys, codes)]
+    del stack, keys, codes
+    # writing another pair frees the stack, and its index with it
+    assert run(capsys, "gen-mes", "--d", "5", "--b", "2", "--b-prime", "1")[0] == 0
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3
 
 
 @pytest.mark.parametrize("command", ["gen-mub", "gen-mes"])
+@pytest.mark.usefixtures("no_kept_basis")
 def test_failed_generation_after_a_cached_success(tmp_path, capsys, monkeypatch, command):
-    clear_caches()
     code, good, _ = run(capsys, command, "--d", "3")
     assert code == 0
     stack = cli.mub_stack if command == "gen-mub" else cli.mes_stack
+    # only a new build meets the patch
+    clear_caches()
 
     def nan_stack(d, *labels):
         bad = stack(d, *labels).copy()
@@ -308,7 +348,31 @@ def test_failed_generation_after_a_cached_success(tmp_path, capsys, monkeypatch,
     assert err.startswith("error:") and "not normalized" in err
     assert target.read_bytes() == b"earlier output\n"
     monkeypatch.undo()
+    # and only a new build drops the patched stack
+    clear_caches()
     assert run(capsys, command, "--d", "3") == (0, good, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-mes", "--d", "11", "--format", "json"], ["lines", "--d", "31", "--format", "json"]],
+    ids=["gen-mes", "lines"],
+)
+def test_a_reader_that_closes_early_gets_no_traceback(argv):
+    # each document is several times the size of a pipe's buffer, so the
+    # command is still writing when the reader goes
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mesphase.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # -- hop ----------------------------------------------------------------------

@@ -240,7 +240,7 @@ def mub_stack_from_lines_oracle(d):
 
 
 @pytest.mark.parametrize("d", ODD_PRIMES_TO_31)
-def test_one_svd_per_pencil_equals_one_svd_per_line_bytes(d):
+def test_mub_stack_from_lines_equals_one_step_per_line_bytes(d):
     # the stacked core's particle-2 factors equal one rank-1 step per line
     stack = _mub_stack_from_lines(d, _factor_lines(d, all_lines(d)))
     assert stack.tobytes() == mub_stack_from_lines_oracle(d).tobytes()

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import mesphase.cli as cli
 import mesphase.mes as me
 import mesphase.states as st
 from mesphase.cli import main
@@ -189,73 +190,109 @@ def test_mes_sum_bytes_do_not_depend_on_the_block_size(d, monkeypatch):
         assert _mes_amplitudes(d, rows1, rows2, qs, ps).tobytes() == expected
 
 
-# -- the one-entry stack cache -------------------------------------------------
+# -- the stack builder, and the one basis the CLI keeps ------------------------------
 
 
-def test_int_and_label_arguments_share_the_cached_stack():
-    me._last_stack.clear()
+def gen_mes(capsys, d, b, b_prime, fmt="json"):
+    assert main(["gen-mes", "--d", str(d), "--b", b, "--b-prime", b_prime, "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def counted_builds(monkeypatch):
+    """Record the arguments of every ``cli.mes_stack`` call from now on."""
+    builds, build = [], cli.mes_stack
+    monkeypatch.setattr(cli, "mes_stack", lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+def test_int_and_label_arguments_share_the_cached_stack(capsys, monkeypatch):
     first = mes_stack(7, 3, None)
-    assert mes_stack(7, BasisLabel(3), CB) is first
-    assert mes_stack(7, np.int64(3), BasisLabel(None)) is first
+    assert mes_stack(7, BasisLabel(3), CB).tobytes() == first.tobytes()
+    assert mes_stack(7, np.int64(3), BasisLabel(None)).tobytes() == first.tobytes()
+    # the CLI keys its basis by the parsed labels, so every spelling shares it
+    cli._last_basis.clear()
+    builds = counted_builds(monkeypatch)
+    texts = {gen_mes(capsys, 7, b, b_prime) for b, b_prime in [("3", "cb"), ("03", "CB"), (" 3", "Cb ")]}
+    assert len(texts) == 1
+    assert builds == [(7, BasisLabel(3), CB)]
 
 
-def test_a_new_pair_evicts_the_cached_stack():
-    first = mes_stack(5, 1, 2)
-    second = mes_stack(5, 2, 1)
-    assert second is not first and second.tobytes() != first.tobytes()
-    assert list(me._last_stack) == [(5, BasisLabel(2), BasisLabel(1))]
-    again = mes_stack(5, 1, 2)
-    assert again is not first and again.tobytes() == first.tobytes()
+def test_a_new_pair_evicts_the_cached_stack(capsys, monkeypatch):
+    cli._last_basis.clear()
+    builds = counted_builds(monkeypatch)
+    first = gen_mes(capsys, 5, "1", "2")
+    second = gen_mes(capsys, 5, "2", "1")
+    assert second != first
+    assert list(cli._last_basis) == [(5, BasisLabel(2), BasisLabel(1))]
+    assert gen_mes(capsys, 5, "1", "2") == first
     # another d is another pair too
-    assert mes_stack(7, 1, 2) is not mes_stack(5, 1, 2)
+    gen_mes(capsys, 7, "1", "2")
+    assert list(cli._last_basis) == [(7, BasisLabel(1), BasisLabel(2))]
+    assert len(builds) == 4
 
 
-def test_cached_stack_stays_read_only():
+def test_cached_stack_stays_read_only(capsys):
     stack = mes_stack(5, 0, 4)
     with pytest.raises(ValueError):
         stack[0, 0] = 1.0
-    again = mes_stack(5, 0, 4)
-    assert again is stack and not again.flags.writeable
+    # the CLI keeps such a read-only array
+    cli._last_basis.clear()
+    text = gen_mes(capsys, 5, "0", "4")
+    ((kept, _),) = cli._last_basis.values()
+    assert not kept.flags.writeable
     with pytest.raises(ValueError):
-        again.reshape(-1)[0] = 1.0
+        kept.reshape(-1)[0] = 1.0
     # a caller's copy is its own
-    copy = again.copy()
+    copy = kept.copy()
     copy[:] = 0
-    assert mes_stack(5, 0, 4).tobytes() == _mes_amplitudes(
+    assert kept.tobytes() == _mes_amplitudes(
         5, basis_rows(5, 0)[1], basis_rows(5, 4)[1], np.arange(5), np.arange(5)
     ).tobytes()
+    assert gen_mes(capsys, 5, "0", "4") == text
 
 
 @pytest.mark.parametrize("d", [3, 5])
-def test_cached_stacks_equal_a_fresh_sum_for_every_pair_bytes(d):
+def test_cached_stacks_equal_a_fresh_sum_for_every_pair_bytes(d, capsys):
     qs = np.arange(d)
     for b, b_prime in _label_pairs(d):
         rows1, rows2 = basis_rows(d, b)[1], basis_rows(d, b_prime)[1]
         fresh = _mes_amplitudes(d, rows1, rows2, qs, qs).tobytes()
         built = mes_stack(d, b, b_prime)
         assert built.tobytes() == fresh
-        # the repeat is the cached array, with the same bytes
-        assert mes_stack(d, b.index, b_prime.index) is built
-        assert built.tobytes() == fresh
+        # a repeat is built afresh, with the same bytes
+        again = mes_stack(d, b.index, b_prime.index)
+        assert again is not built and again.tobytes() == fresh
+        # and so is the basis the CLI keeps
+        gen_mes(capsys, d, str(b), str(b_prime), "csv")
+        ((kept, _),) = cli._last_basis.values()
+        assert kept.tobytes() == fresh
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 2.5, "3"])
-def test_bad_labels_raise_before_the_cache_is_read(bad, monkeypatch):
+def test_bad_labels_raise_before_the_cache_is_read(bad, capsys, monkeypatch):
     d = 5
-    mes_stack(d, 1, 2)
-    cached = dict(me._last_stack)
+    gen_mes(capsys, d, "1", "2")
+    ((key, entry),) = cli._last_basis.items()
 
-    class Spy(dict):
-        def get(self, key, default=None):
-            raise AssertionError(f"cache read for {key}")
+    def no_sum(*args):
+        raise AssertionError("summed before the labels were checked")
 
-    monkeypatch.setattr(me, "_last_stack", Spy(cached))
+    monkeypatch.setattr(me, "_mes_amplitudes", no_sum)
     error = InvalidLabel if isinstance(bad, int) else TypeError
     for call in (lambda: mes_stack(d, bad, 2), lambda: mes_stack(d, 1, bad)):
         with pytest.raises(error):
             call()
     with pytest.raises(InvalidDimension):
         mes_stack(9, 1, 2)
+    # on the command line a bad d or label is a usage error that leaves the
+    # kept basis as it was
+    argvs = [["--d", "9"]]
+    if not isinstance(bad, str):  # "3" is a valid label there
+        argvs += [["--d", "5", "--b", str(bad)], ["--d", "5", "--b-prime", str(bad)]]
+    for argv in argvs:
+        assert main(["gen-mes", *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(cli._last_basis) == [key] and cli._last_basis[key] is entry
 
 
 def test_universal_state_passes_is_mes():

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from mesphase.cli import _GOLDEN, _distinct_codes, _float_texts, _json_float, _fmt, main
+from mesphase.cli import _GOLDEN, _distinct_codes, _float_index, _float_texts, _json_float, _fmt, main
 from mesphase.mes import mes_basis
 from mesphase.schwinger import BasisLabel, mub_family
 from mesphase.states import Ket
@@ -141,9 +141,9 @@ def test_out_file_matches_stdout(capsys, tmp_path):
 
 
 def _format_floats(values, fmt):
-    """The text of every float of ``values`` from :func:`_float_texts`, as
-    nested lists of the same shape."""
-    texts, codes = _float_texts(values, fmt)
+    """The text of every float of ``values`` from :func:`_float_texts` of
+    its :func:`_float_index`, as nested lists of the same shape."""
+    texts, codes = _float_texts(_float_index(values), fmt)
     return texts[codes].tolist()
 
 

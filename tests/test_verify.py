@@ -1,6 +1,8 @@
+import gc
 import inspect
 import math
 import time
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -180,6 +182,21 @@ def test_nan_in_the_cb_mes_stack_fails_the_collective_rows_closed(monkeypatch):
     failing = {check for check, row in rows.items() if not row.passed}
     assert failing == {"collective.cb_mes_factorization", "collective.local_action_random"}
     assert all(rows[check].max_error == math.inf for check in failing)
+
+
+def test_run_suites_keeps_no_mes_stack_alive(monkeypatch):
+    summed, mes_amplitudes = [], me._mes_amplitudes
+
+    def tracked(*args):
+        total = mes_amplitudes(*args)
+        summed.append(weakref.ref(total))
+        return total
+
+    monkeypatch.setattr(me, "_mes_amplitudes", tracked)
+    assert all(row.passed for row in run_suites([5]))
+    gc.collect()
+    # a stack or state is a view of its sum, so no freed sum is still in use
+    assert summed and [ref for ref in summed if ref() is not None] == []
 
 
 def test_nan_universal_amplitude_fails_only_the_local_action_shift_row(monkeypatch):
