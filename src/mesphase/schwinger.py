@@ -47,11 +47,12 @@ def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code;
     d comes back as an int, so a numpy integer as the equal int.  A float
     such as 7.0 is refused too, and so is 2: the line labels halve and
-    quarter exponents, so 2 and 4 must be invertible mod d."""
+    quarter exponents, so 2 and 4 must be invertible mod d.  A d that is not
+    an integer is named by its repr, so the string '7' reads d='7'."""
     try:
         n = operator.index(d)
     except TypeError as exc:
-        raise InvalidDimension(f"d={d} must be an odd prime") from exc
+        raise InvalidDimension(f"d={d!r} must be an odd prime") from exc
     if n == 2 or not _is_prime(n):
         raise InvalidDimension(f"d={d} must be an odd prime")
     return n
@@ -98,7 +99,7 @@ def omega_powers(d: int) -> np.ndarray:
     try:
         n = operator.index(d)
     except TypeError as exc:
-        raise InvalidDimension(f"d={d} must be a positive integer") from exc
+        raise InvalidDimension(f"d={d!r} must be a positive integer") from exc
     if n < 1:
         raise InvalidDimension(f"d={d} must be a positive integer")
     return _omega_powers(n)

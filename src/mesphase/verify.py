@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -23,7 +24,7 @@ from . import collective as co
 from . import lines as li
 from . import mes as me
 from . import schwinger as sw
-from .errors import FactorizationFailed
+from .errors import FactorizationFailed, InvalidDimension
 from .schwinger import CB, BasisLabel
 from .states import (
     DEFAULT_TOL,
@@ -74,16 +75,17 @@ def _rows(d: int, tol: float, entries) -> list[VerificationReport]:
     ]
 
 
-def _random_word(rng: np.random.Generator, generators, low: int, high: int, lengths):
-    """A word of ``rng.integers(*lengths)`` factors, each a generator drawn
-    uniformly from ``generators`` and then a power from [low, high).
+def _random_word(rng: random.Random, generators, low: int, high: int, lengths):
+    """A word of ``rng.randrange(*lengths)`` factors, each a generator drawn
+    uniformly from the sequence ``generators`` and then a power from
+    [low, high): two draws per factor, in that order."""
+    return [(rng.choice(generators), rng.randrange(low, high)) for _ in range(rng.randrange(*lengths))]
 
-    ``generators[rng.integers(0, n)]`` draws what ``rng.choice(generators)``
-    does, from the same stream, without its array conversion."""
-    return [
-        (generators[int(rng.integers(0, len(generators)))], int(rng.integers(low, high)))
-        for _ in range(rng.integers(*lengths))
-    ]
+
+def _normal(rng: random.Random, *shape: int) -> np.ndarray:
+    """Standard normal draws of ``rng.gauss`` in C order, as an array of
+    ``shape``: scalar libm arithmetic, with no SIMD path chosen by the CPU."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
 
 
 # -- basis-family suite -------------------------------------------------------
@@ -280,16 +282,16 @@ def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, 
     return tuple(b * lift if math.isfinite(b) else math.inf for b in (r, r * (1 + nu) + nu / d))
 
 
-def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[VerificationReport]:
+def suite_mes(d: int, tol: float, rng: random.Random) -> list[VerificationReport]:
     """Every per-basis row reports a bound proved by :func:`_mes_certificate`
     (gram, completeness, schmidt) or derived from it by
     :func:`_reduced_bounds` (reduced, random_projection), each row the
     column of its check in the bounds of the d+1 bases u(q, p) of (b, b).
     Those are setup: each (d^2, d^2) stack is built once for its
     certificate, and dropped before the next one is built."""
-    # drawn before the first basis, where the random_projection row used to
-    # draw them, so the rng stream of the later rows does not move
-    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    # the first draws of the stream: 200 real parts, then 200 imaginary parts
+    draws = _normal(rng, 2, 200, d)
+    alphas = draws[0] + 1j * draws[1]
     alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
 
     def bounds(label):
@@ -311,8 +313,9 @@ def suite_mes(d: int, tol: float, rng: np.random.Generator) -> list[Verification
     per_basis = [(*check, lambda i=i: [b[i] for b in table]) for i, check in enumerate(checks)]
 
     def negative_controls():
-        # one draw, the stream of 20 pairs of d*d draws; a NaN is not accepted
-        draws = rng.normal(size=(20, 2, d * d))
+        # 20 states, each d*d real parts then d*d imaginary parts; a NaN is
+        # not accepted
+        draws = _normal(rng, 20, 2, d * d)
         vecs = draws[:, 0] + 1j * draws[:, 1]
         rhos = reduced_operators((vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).reshape(-1, d, d))
         dev = np.maximum(*(np.abs(rho - np.eye(d) / d).max(axis=(1, 2)) for rho in rhos))
@@ -389,9 +392,7 @@ def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops) -> n
     return np.where(exact, 0.0, 1.0)
 
 
-def suite_collective(
-    d: int, tol: float, rng: np.random.Generator
-) -> list[VerificationReport]:
+def suite_collective(d: int, tol: float, rng: random.Random) -> list[VerificationReport]:
     w = sw.omega_powers(d)
     h = (d + 1) // 2
     nc, nr = co._collective_index(d)
@@ -477,8 +478,8 @@ def suite_collective(
         words, rows, particles = [], [], []
         for _ in range(50):
             words.append(_random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4)))
-            rows.append(rng.integers(0, d * d))
-            particles.append(int(rng.integers(1, 3)))
+            rows.append(rng.randrange(d * d))
+            particles.append(rng.randrange(1, 3))
         # the array cores, one pass over the stack: its worst deviation is
         # the worst image's, and a non-finite image fails the row with inf
         maps = co._word_maps(d, words, co.SINGLE_GENERATORS)
@@ -499,7 +500,7 @@ def suite_collective(
         words, rows = [], []
         for _ in range(100):
             words.append(_random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5)))
-            rows.append(int(rng.integers(0, d)) * d + int(rng.integers(0, d)))
+            rows.append(rng.randrange(d) * d + rng.randrange(d))
         hops = [co._hop(d, *divmod(row, d), word) for word, row in zip(words, rows)]
         return _hop_errors(d, *co._word_maps(d, words), rows, hops)
 
@@ -560,11 +561,15 @@ def run_suites(
     seed: int = 0,
 ) -> list[VerificationReport]:
     """The rows of ``suite`` for each d of ``dims``, in order.  Every input
-    is validated before any suite runs: no dimension, a bool or negative
-    seed, or a seed that is not an int raises, as the CLI does."""
+    is validated before any suite runs: no dimension, a string of them, a
+    bool or negative seed, or a seed that is not an int raises, as the CLI
+    does."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     validate_tolerance(tol)
+    if isinstance(dims, (str, bytes, bytearray)):
+        # its items are characters or bytes, not the dimension it spells
+        raise InvalidDimension(f"dims={dims!r} must be an iterable of dimensions, not a string")
     dims = list(dims)
     if not dims:
         raise ValueError("no dimension to verify")
@@ -577,7 +582,7 @@ def run_suites(
         raise ValueError(f"seed {seed} must be non-negative")
     rows: list[VerificationReport] = []
     for d in dims:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         # the lines are factored once, as setup outside every row, for both
         # the mub and the lines suite; only the lines suite reads the reports
         factored = (

@@ -200,6 +200,22 @@ def test_verify_writes_file(tmp_path, capsys):
     assert header[0] == "check" and rows
 
 
+def test_a_cold_verify_imports_no_numpy_random():
+    # the seeded rows draw from the stdlib generator, which numpy has already
+    # imported, so numpy.random and its hashlib/secrets chain stay unloaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from mesphase import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify', '--d', '3', '--d', '5', '--d', '7'])\n"
+        "print(status, sorted(m for m in ('numpy.random', 'secrets', 'hashlib') if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "0 []\n")
+    assert done.stderr == "177/177 checks passed (tol=1e-10)\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ def test_validate_dimension_refuses_two_composites_and_non_positives():
         with pytest.raises(InvalidDimension, match=f"d={bad} must be an odd prime"):
             validate_dimension(bad)
     assert validate_dimension(3) == 3
+
+
+@pytest.mark.parametrize("bad, shown", [("7", "'7'"), ("17", "'17'"), (7.0, "7.0"), (None, "None")])
+def test_a_dimension_that_is_not_an_integer_is_named_by_its_repr(bad, shown):
+    # the string '7' must not read as if the prime 7 had been refused
+    with pytest.raises(InvalidDimension, match=re.escape(f"d={shown} must be an odd prime")):
+        validate_dimension(bad)
+    with pytest.raises(InvalidDimension, match=re.escape(f"d={shown} must be a positive integer")):
+        omega_powers(bad)
 
 
 def test_validate_dimension_agrees_with_trial_division():

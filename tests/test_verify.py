@@ -1,6 +1,8 @@
 import gc
 import inspect
 import math
+import random
+import re
 import time
 import weakref
 from itertools import combinations
@@ -238,7 +240,9 @@ def suite_mes_oracle(d, tol, rng):
     stacks = [me.mes_stack(d, label, label) for label in sw.BasisLabel.all_labels(d)]
 
     def random_projection():
-        alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+        real = [[rng.gauss(0.0, 1.0) for _ in range(d)] for _ in range(200)]
+        imag = [[rng.gauss(0.0, 1.0) for _ in range(d)] for _ in range(200)]
+        alphas = np.array(real) + 1j * np.array(imag)
         alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
         for v in stacks:
             for rhos in states.reduced_operators(v.reshape(-1, d, d)):
@@ -249,7 +253,9 @@ def suite_mes_oracle(d, tol, rng):
     def negative_controls():
         accepted = 0
         for _ in range(20):
-            vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+            real = [rng.gauss(0.0, 1.0) for _ in range(d * d)]
+            imag = [rng.gauss(0.0, 1.0) for _ in range(d * d)]
+            vec = np.array(real) + 1j * np.array(imag)
             accepted += states.mes_deviation(states.Ket.normalized(vec)) < tol
         return [accepted / 20.0]
 
@@ -313,7 +319,7 @@ def test_stacked_eigenrelation_equals_the_per_state_oracle(d):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17])
 @pytest.mark.parametrize("seed", [0, 5, 12345])
 def test_streamed_mes_suite_equals_whole_list_oracle(d, seed):
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
     rows = verify.suite_mes(d, states.DEFAULT_TOL, rng)
     expected = suite_mes_oracle(d, states.DEFAULT_TOL, oracle_rng)
     # check, d, params and pass equal row by row
@@ -325,7 +331,7 @@ def test_streamed_mes_suite_equals_whole_list_oracle(d, seed):
         else:
             assert row.max_error == dense.max_error
     # the rows after the MES suite draw from the same stream
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.getstate() == oracle_rng.getstate()
     assert all(row.runtime_ms >= 0.0 for row in rows)
 
 
@@ -343,8 +349,8 @@ def test_nan_in_one_streamed_basis_fails_the_rows_the_oracle_fails(monkeypatch, 
 
     monkeypatch.setattr(me, "mes_stack", poisoned)
     with np.errstate(invalid="ignore"):
-        rows = verify.suite_mes(5, states.DEFAULT_TOL, np.random.default_rng(0))
-        expected = suite_mes_oracle(5, states.DEFAULT_TOL, np.random.default_rng(0))
+        rows = verify.suite_mes(5, states.DEFAULT_TOL, random.Random(0))
+        expected = suite_mes_oracle(5, states.DEFAULT_TOL, random.Random(0))
     assert _compared(rows) == _compared(expected)
     failing = {row.check for row in rows if not row.passed}
     assert failing == {
@@ -367,7 +373,7 @@ def test_suite_mes_takes_reduced_operators_once_for_the_negative_controls(monkey
 
     monkeypatch.setattr(states, "reduced_operators", counted)
     monkeypatch.setattr(verify, "reduced_operators", counted)
-    rows = verify.suite_mes(7, states.DEFAULT_TOL, np.random.default_rng(0))
+    rows = verify.suite_mes(7, states.DEFAULT_TOL, random.Random(0))
     assert all(row.passed for row in rows)
     # the 20 random states of mes.negative_controls, and no MES basis
     assert calls == [(20, 7, 7)]
@@ -389,8 +395,9 @@ def dense_mes_deviations(d, stack):
 
 def suite_states(d, seed=0):
     """The 200 states of mes.random_projection, drawn as suite_mes draws them."""
-    rng = np.random.default_rng(seed)
-    alphas = rng.normal(size=(200, d)) + 1j * rng.normal(size=(200, d))
+    rng = random.Random(seed)
+    draws = [[[rng.gauss(0.0, 1.0) for _ in range(d)] for _ in range(200)] for _ in range(2)]
+    alphas = np.array(draws[0]) + 1j * np.array(draws[1])
     return alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
 
 
@@ -559,8 +566,8 @@ def collective_rows_oracle(d, tol, rng):
     def local_action_random():
         for _ in range(50):
             word = verify._random_word(rng, co.SINGLE_GENERATORS, -d, d + 1, (1, 4))
-            state = cb_elements[rng.integers(0, d * d)]
-            moved = co.local_action(states.Ket(state), int(rng.integers(1, 3)), word)
+            state = cb_elements[rng.randrange(d * d)]
+            moved = co.local_action(states.Ket(state), rng.randrange(1, 3), word)
             yield states._reduced_deviation(moved.amplitudes)
 
     def dense_verdict(q, p, word):
@@ -582,7 +589,7 @@ def collective_rows_oracle(d, tol, rng):
     def hop_random():
         for _ in range(100):
             word = verify._random_word(rng, co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))
-            q, p = int(rng.integers(0, d)), int(rng.integers(0, d))
+            q, p = rng.randrange(d), rng.randrange(d)
             yield dense_verdict(q, p, word)
 
     return rows_oracle(
@@ -600,12 +607,12 @@ def collective_rows_oracle(d, tol, rng):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 23])
 @pytest.mark.parametrize("seed", [0, 5, 12345])
 def test_collective_array_passes_equal_the_per_point_oracle(d, seed):
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
     expected = collective_rows_oracle(d, states.DEFAULT_TOL, oracle_rng)
     checks = {row.check for row in expected}
     rows = [row for row in verify.suite_collective(d, states.DEFAULT_TOL, rng) if row.check in checks]
     assert _compared(rows) == _compared(expected)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
@@ -648,11 +655,11 @@ def _candidate_hops(d, hop):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_exact_hop_verdict_equals_the_dense_oracle_verdict(d):
     # two words at every point, then 200 seeded words each at a seeded point
-    rng = np.random.default_rng(300 + d)
+    rng = random.Random(300 + d)
     cases = [(word, row) for word in ("Xc^2 Xr^6", "Zc^3 Xc^-1 Zr^2 Xr^4") for row in range(d * d)]
     for _ in range(200):
         word = verify._random_word(rng, co.COLLECTIVE_GENERATORS, -2 * d, 2 * d + 1, (0, 6))
-        cases.append((word, int(rng.integers(0, d * d))))
+        cases.append((word, rng.randrange(d * d)))
     for word, row in cases:
         src, exponents = co._word_map(d, word)
         dense, fid = co.hop_dense(d, divmod(row, d), word)
@@ -718,26 +725,39 @@ def test_rows_time_each_call_and_keep_the_worst_error(monkeypatch):
 # -- random words ---------------------------------------------------------------------
 
 
-def _choice_word(rng, generators, low, high, lengths):
-    """The word the collective rows drew with ``rng.choice``."""
-    return [
-        (str(rng.choice(list(generators))), int(rng.integers(low, high)))
-        for _ in range(rng.integers(*lengths))
-    ]
+# the first three words of each family and the first four normal draws of
+# random.Random(seed), written down once: the stdlib generator, its seeding
+# from an int and its choice, randrange and gauss are the same on every
+# Python the package supports, so a report's seeded rows are too
+_PINNED_WORDS = {
+    (0, co.SINGLE_GENERATORS): [[("Z", -7), ("Z", 1)], [("Z", 7), ("Z", 0)], [("X", 1), ("X", -3)]],
+    (0, co.COLLECTIVE_GENERATORS): [[("Zr", -8), ("Xr", 7), ("Zr", 3)], [("Zr", 2), ("Zc", 7)], [("Xr", -5)]],
+    (12345, co.SINGLE_GENERATORS): [[("X", 6), ("Z", 6)], [("X", -3), ("Z", -5)], [("X", 6), ("Z", -3)]],
+    (12345, co.COLLECTIVE_GENERATORS): [
+        [("Xc", 0), ("Xr", -3), ("Xr", 9)],
+        [("Zc", 2), ("Xc", 4), ("Xr", 8)],
+        [("Zc", 2)],
+    ],
+}
+_PINNED_NORMALS = {
+    0: ["0x1.e22885827c580p-1", "-0x1.6586248600484p+0", "-0x1.5c03883a3b23fp-1", "0x1.7b6549852df0cp-2"],
+    12345: ["-0x1.fb168b045dd55p-4", "0x1.24f75c2f9bf44p-4", "0x1.8891ef1f8b55dp-2", "-0x1.7fff9d613608ap-1"],
+}
 
 
+@pytest.mark.parametrize("seed", [0, 12345])
 @pytest.mark.parametrize(
     "generators, low, high, lengths",
     [(co.SINGLE_GENERATORS, -7, 8, (1, 4)), (co.COLLECTIVE_GENERATORS, -9, 10, (0, 5))],
 )
-def test_integer_draws_give_the_choice_words(generators, low, high, lengths):
-    for seed in range(200):
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(30):
-            word = verify._random_word(rng, generators, low, high, lengths)
-            assert word == _choice_word(oracle, generators, low, high, lengths)
-            assert all(type(name) is str for name, _ in word)
-        assert rng.bit_generator.state == oracle.bit_generator.state
+def test_seeded_words_and_normal_draws_are_pinned(seed, generators, low, high, lengths):
+    rng = random.Random(seed)
+    words = [verify._random_word(rng, generators, low, high, lengths) for _ in range(3)]
+    assert words == _PINNED_WORDS[seed, generators]
+    assert all(type(name) is str and type(power) is int for word in words for name, power in word)
+    normals = verify._normal(random.Random(seed), 2, 2)
+    assert normals.dtype == np.float64 and normals.shape == (2, 2)
+    assert [float(x).hex() for x in normals.ravel()] == _PINNED_NORMALS[seed]
 
 
 def _shift_one_zc_exponent(src_table, exp_table):
@@ -808,6 +828,18 @@ def test_run_suites_refuses_its_inputs_before_any_suite_runs(monkeypatch, kwargs
     monkeypatch.setattr(li, "_factor_lines", lambda *args: calls.append("_factor_lines"))
     with pytest.raises(error):
         run_suites(**{"dims": [3], **kwargs})
+    assert calls == []
+
+
+@pytest.mark.parametrize("dims", ["17", "7", b"\x07", bytearray(b"\x05\x07")])
+def test_run_suites_refuses_a_string_of_dimensions_before_any_suite_runs(monkeypatch, dims):
+    # iterated, "17" would be checked as d='1' and d='7', and b"\x07" as d=7
+    calls = []
+    for name in ("suite_mub", "suite_mes", "suite_collective", "suite_lines"):
+        monkeypatch.setattr(verify, name, lambda *args, name=name: calls.append(name) or [])
+    monkeypatch.setattr(li, "_factor_lines", lambda *args: calls.append("_factor_lines"))
+    with pytest.raises(InvalidDimension, match=re.escape(f"dims={dims!r} must be an iterable of dimensions")):
+        run_suites(dims)
     assert calls == []
 
 
