@@ -84,5 +84,7 @@ gen-mes --d 17 --b 5 --b-prime cb --format csv
 verify --d 17 --suite collective --seed 5 --format json
 verify --d 31 --suite mes --format json
 gen-mes --d 13 --b cb --b-prime cb --format json
+hop --d 7 --q -1 --p 15 --word ""
+hop --d 11 --q 12 --p -3 --word "Xc^-1 Zr^12" --format csv
 COMMANDS
 exit $status

@@ -32,7 +32,6 @@ of the pair space and are mutually unbiased with overlap modulus 1/d.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .errors import WordParseError
 from .schwinger import _per_dimension, mub_stack, omega_powers, validate_dimension
-from .states import Ket, UnitaryOp, _omega_exponent, _split_dim
+from .states import Ket, UnitaryOp, _integer, _omega_exponent, _split_dim
 
 __all__ = [
     "PhasePoint",
@@ -79,28 +78,27 @@ class CollectiveIndex:
 
 
 def _point(point: "PhasePoint | tuple[int, int]", d: int) -> tuple[int, int]:
-    """The point's (q, p) reduced mod d, once d is validated.  Each label
-    goes through ``operator.index``: a numpy integer counts as an int, a
-    float or a string raises TypeError."""
+    """The point's (q, p) reduced mod d, once d is validated, each label
+    through :func:`_integer`."""
     validate_dimension(d)
     q, p = (point.q, point.p) if isinstance(point, PhasePoint) else point
-    return operator.index(q) % d, operator.index(p) % d
+    return _integer(q) % d, _integer(p) % d
 
 
 def particle_to_collective(d: int, n1: int, n2: int) -> CollectiveIndex:
     """(n1, n2) -> (nc, nr) = ((n1+n2)/2, (n1-n2)/2) mod d, the modular half
     taken as multiplication by h = (d + 1) / 2.  Labels go through
-    ``operator.index``, as in :func:`_point`."""
+    :func:`_integer`."""
     validate_dimension(d)
-    n1, n2, h = operator.index(n1), operator.index(n2), (d + 1) // 2
+    n1, n2, h = _integer(n1), _integer(n2), (d + 1) // 2
     return CollectiveIndex((n1 + n2) * h % d, (n1 - n2) * h % d)
 
 
 def collective_to_particle(d: int, nc: int, nr: int) -> tuple[int, int]:
     """(nc, nr) -> (n1, n2) = (nc + nr, nc - nr) mod d.  Labels go through
-    ``operator.index``, as in :func:`_point`."""
+    :func:`_integer`."""
     validate_dimension(d)
-    nc, nr = operator.index(nc), operator.index(nr)
+    nc, nr = _integer(nc), _integer(nr)
     return (nc + nr) % d, (nc - nr) % d
 
 
@@ -252,7 +250,7 @@ def format_word(factors: list[tuple[str, int]]) -> str:
 def _factors(word: "str | list[tuple[str, int]]", generators=COLLECTIVE_GENERATORS) -> list[tuple[str, int]]:
     """The (generator, power) factors of a word given as text or as a factor
     list; each listed factor is checked on its own as ``name^power`` text,
-    its power an integer by ``operator.index`` first, so both forms raise
+    its power an integer by :func:`_integer` first, so both forms raise
     WordParseError."""
     if isinstance(word, str):
         return parse_word(word, generators)
@@ -260,12 +258,10 @@ def _factors(word: "str | list[tuple[str, int]]", generators=COLLECTIVE_GENERATO
 
 
 def _listed_power(power) -> int:
-    """A listed factor's power: a numpy integer counts as an int; a bool, a
-    float or a digit string raises WordParseError."""
+    """A listed factor's power through :func:`_integer`, whose TypeError
+    becomes a WordParseError."""
     try:
-        if isinstance(power, bool):
-            raise TypeError("a bool is not a power")
-        return operator.index(power)
+        return _integer(power)
     except TypeError as exc:
         raise WordParseError(f"power {power!r} must be an integer") from exc
 
@@ -328,10 +324,9 @@ def _local_images(amplitudes: np.ndarray, particles, src: np.ndarray, exponents:
     """The images of the rows of an (n, d*d) stack of flat pair arrays, row
     i under the single-particle map (src[i], exponents[i]) on particle
     ``particles[i]``: both gathers over the stack, then one pick per row.
-    Each particle label goes through ``operator.index``, as in
-    :func:`_point`."""
+    Each particle label goes through :func:`_integer`."""
     d = _split_dim(amplitudes.shape[-1])
-    particles = [operator.index(particle) for particle in particles]
+    particles = [_integer(particle) for particle in particles]
     if not all(particle in (1, 2) for particle in particles):
         raise ValueError("particle must be 1 or 2")
     phases, amps = omega_powers(d)[exponents % d], amplitudes.reshape(-1, d, d)

@@ -25,14 +25,13 @@ d+1 unbiased-basis family.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .collective import PhasePoint, point_basis
-from .errors import FactorizationFailed, InvalidLabel
+from .errors import FactorizationFailed
 from .schwinger import (
     CB,
     BasisLabel,
@@ -47,6 +46,7 @@ from .states import (
     DEFAULT_TOL,
     Ket,
     _blocks,
+    _integer,
     _omega_exponent,
     _phase_canonical,
     _worst,
@@ -94,11 +94,11 @@ def line_points(d: int, line: Line) -> list[PhasePoint]:
     """The d grid points of a line.
 
     Vertical lines are {(m, p) : p}; orientation b gives {(q, b*q - m) : q}.
-    An orientation outside 0..d-1 or a non-integer m raises InvalidLabel; m
-    is reduced mod d.
+    An orientation outside 0..d-1 raises InvalidLabel; m goes through
+    :func:`_integer` and is reduced mod d.
     """
     d = validate_dimension(d)
-    m = _offset(line, d)
+    m = _integer(line.m) % d
     b = _label_index(line.b, d)
     if b is None:
         return [PhasePoint(m, p) for p in range(d)]
@@ -129,24 +129,13 @@ def _summed_basis(d: int, realization: str) -> np.ndarray:
     return point_basis(d, realization == "alt")
 
 
-def _offset(line: Line, d: int) -> int:
-    """The line's offset m reduced mod d.  A numpy integer counts as an int;
-    a bool, a float or any other non-integer raises InvalidLabel."""
-    if not isinstance(line.m, bool):
-        try:
-            return operator.index(line.m) % d
-        except TypeError:
-            pass
-    raise InvalidLabel(f"line offset {line.m!r} is not an integer")
-
-
 def _line_index(d: int, lines: list[Line]) -> np.ndarray:
     """Each line's position in :func:`all_lines`: (b + 1)*d + (m mod d) for
-    orientation b, m mod d for a vertical line, with m from :func:`_offset`
+    orientation b, m mod d for a vertical line, with m from :func:`_integer`
     and b from :func:`_label_index`."""
     d = validate_dimension(d)
     return np.array(
-        [(0 if (b := _label_index(line.b, d)) is None else b + 1) * d + _offset(line, d) for line in lines]
+        [(0 if (b := _label_index(line.b, d)) is None else b + 1) * d + _integer(line.m) % d for line in lines]
     )
 
 

@@ -13,14 +13,13 @@ Hilbert space indexed by the lattice (q, p).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotBijective, NotOrthonormal
 from .schwinger import BasisLabel, basis_rows, omega_powers
-from .states import DEFAULT_TOL, Ket, UnitaryOp, _blocks, _gram_deviation, validate_tolerance
+from .states import DEFAULT_TOL, Ket, UnitaryOp, _blocks, _gram_deviation, _integer, validate_tolerance
 
 __all__ = [
     "MesBasisElement",
@@ -76,7 +75,7 @@ def mes_state(
     """The (q, p) element of the MES basis built from bases b and b'."""
     label1, rows1 = basis_rows(d, b)
     label2, rows2 = basis_rows(d, b_prime)
-    q, p = operator.index(q) % d, operator.index(p) % d
+    q, p = _integer(q) % d, _integer(p) % d
     vec = _mes_amplitudes(d, rows1, rows2, np.array([q]), np.array([p]))[0, 0]
     return MesBasisElement(q, p, label1, label2, Ket(vec))
 
@@ -151,12 +150,12 @@ def _check_orthonormal(vectors: np.ndarray, tol: float) -> None:
 def build_relabeling(
     sources: list[Ket], targets: list[int], tol: float = DEFAULT_TOL
 ) -> RelabelingMap:
-    """Unitary relabeling source k -> |targets[k]>.  Targets go through
-    ``operator.index``, so a float or a string raises TypeError."""
+    """Unitary relabeling source k -> |targets[k]>, each target through
+    :func:`_integer`."""
     vecs = np.array([s.amplitudes for s in sources])
     _check_orthonormal(vecs, tol)
     d = vecs.shape[1]
-    targets_mod = [operator.index(t) % d for t in targets]
+    targets_mod = [_integer(t) % d for t in targets]
     if sorted(targets_mod) != list(range(d)):
         raise NotBijective(f"targets {targets} are not a bijection onto 0..{d - 1}")
     # row t of u is the conjugate of the source with target t

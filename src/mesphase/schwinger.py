@@ -18,14 +18,13 @@ unit circle, so the amplitudes sit exactly on the d-point circle.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
 
 from .errors import InvalidDimension, InvalidLabel
-from .states import Ket, UnitaryOp
+from .states import Ket, UnitaryOp, _integer
 
 __all__ = [
     "BasisLabel",
@@ -45,12 +44,12 @@ __all__ = [
 
 def validate_dimension(d: int) -> int:
     """Odd prime check, reported as an InvalidDimension for interface code;
-    d comes back as an int, so a numpy integer as the equal int.  A float
-    such as 7.0 is refused too, and so is 2: the line labels halve and
-    quarter exponents, so 2 and 4 must be invertible mod d.  A d that is not
-    an integer is named by its repr, so the string '7' reads d='7'."""
+    d comes back through :func:`_integer`, which refuses 7.0 and True, and
+    2 is refused too: the line labels halve and quarter exponents, so 2 and
+    4 must be invertible mod d.  A d that is not an integer is named by its
+    repr, so the string '7' reads d='7'."""
     try:
-        n = operator.index(d)
+        n = _integer(d)
     except TypeError as exc:
         raise InvalidDimension(f"d={d!r} must be an odd prime") from exc
     if n == 2 or not _is_prime(n):
@@ -94,10 +93,10 @@ def _is_prime(n: int) -> bool:
 def omega_powers(d: int) -> np.ndarray:
     """w^k for k = 0..d-1, computed once per int d >= 1, read-only.  Any
     such d is allowed, since a relabeling of d vectors needs the d-th roots
-    for that d; ``np.int64(7)`` finds the entry of 7, and a float such as
-    7.0 or a d below 1 raises InvalidDimension."""
+    for that d; ``np.int64(7)`` finds the entry of 7, and a d that
+    :func:`_integer` refuses or a d below 1 raises InvalidDimension."""
     try:
-        n = operator.index(d)
+        n = _integer(d)
     except TypeError as exc:
         raise InvalidDimension(f"d={d!r} must be a positive integer") from exc
     if n < 1:
@@ -151,12 +150,11 @@ CB = BasisLabel(None)
 
 def _label_index(b: "BasisLabel | int | None", d: int) -> int | None:
     """Normalize a label argument to None (cb) or an integer in 0..d-1.  An
-    integer label goes through ``operator.index``: a numpy integer counts as
-    an int, a float or a string raises TypeError."""
+    integer label goes through :func:`_integer`."""
     idx = b.index if isinstance(b, BasisLabel) else b
     if idx is None:
         return None
-    idx = operator.index(idx)
+    idx = _integer(idx)
     if not 0 <= idx < d:
         raise InvalidLabel(f"basis label {idx} out of range 0..{d - 1}")
     return idx
@@ -179,13 +177,7 @@ def clock_z(d: int) -> UnitaryOp:
 
 def shift_x(d: int) -> UnitaryOp:
     """Cyclic shift |n> -> |n+1>, with |d-1> wrapping to |0>."""
-    return UnitaryOp(_shift_matrix(d))
-
-
-@_per_dimension
-def _shift_matrix(d: int) -> np.ndarray:
-    """Read-only matrix of :func:`shift_x`."""
-    return np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)
+    return UnitaryOp(np.roll(np.eye(validate_dimension(d), dtype=np.complex128), 1, axis=0))
 
 
 @_per_dimension
@@ -213,7 +205,7 @@ def basis_rows(d: int, b: "BasisLabel | int | None") -> tuple[BasisLabel, np.nda
 def mub_state(d: int, b: "BasisLabel | int | None", m: int) -> MubState:
     """State m of basis b; the computational basis returns e_m."""
     label, rows = basis_rows(d, b)
-    m = operator.index(m) % d
+    m = _integer(m) % d
     return MubState(label, m, Ket(rows[m]))
 
 
@@ -229,17 +221,17 @@ def mub_family(d: int) -> list[list[MubState]]:
 def mub_eigen_residual(d: int, b: "BasisLabel | int", m: int) -> float:
     """Residual of the defining eigenrelation of basis b != cb.
 
-    Applies w^b X Z^(2b) to |m; b> and returns the largest amplitude
-    deviation from w^m |m; b|>.
+    Applies w^b X Z^(2b) to |m; b>, the shift X as a cyclic roll, and
+    returns the largest amplitude deviation from w^m |m; b|>.
     """
     label, rows = basis_rows(d, b)
     if label.is_cb:
         raise InvalidLabel("the computational basis has no shift-clock eigenrelation")
-    idx, m = label.index, operator.index(m) % d
+    idx, m = label.index, _integer(m) % d
     state = rows[m]
     pows = omega_powers(d)
     z2b = np.diag(pows[[(2 * idx * n) % d for n in range(d)]])
-    applied = pows[idx] * (_shift_matrix(d) @ (z2b @ state))
+    applied = pows[idx] * np.roll(z2b @ state, 1)
     return float(np.abs(applied - pows[m] * state).max())
 
 
@@ -250,5 +242,5 @@ def _eigen_residuals(d: int) -> np.ndarray:
     states = mub_stack(d)[1:, :, :, None]
     z2b = np.zeros((d, 1, d, d), dtype=np.complex128)
     z2b[:, 0, n, n] = pows[2 * n[:, None] * n % d]
-    applied = pows[:, None, None, None] * (_shift_matrix(d) @ (z2b @ states))
+    applied = pows[:, None, None, None] * np.roll(z2b @ states, 1, axis=-2)
     return np.abs(applied - pows[:, None, None] * states).max(axis=(2, 3)).ravel()

@@ -51,6 +51,17 @@ def _blocks(n: int, values_per_item: int, minimum: int = 1):
     return (slice(start, start + step) for start in range(0, n, step))
 
 
+def _integer(value) -> int:
+    """The one integer rule for every label, index, offset and seed: a numpy
+    integer counts as its int; a bool, a float or a string raises TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{value!r} is not an integer")
+
+
 def validate_tolerance(tol: float) -> float:
     """A tolerance must be finite with 0 < tol < 1: the 0/1 flag rows report
     1.0 on failure and would pass at any larger tol."""
@@ -101,12 +112,13 @@ class Ket:
 
     @classmethod
     def basis(cls, dim: int, n: int) -> "Ket":
-        """|n mod dim>; n goes through ``operator.index``, so a float or a
-        string raises TypeError.  A dim below 1 raises DimMismatch."""
+        """|n mod dim>, with dim and n through :func:`_integer`.  A dim below
+        1 raises DimMismatch."""
+        dim = _integer(dim)
         if dim < 1:
             raise DimMismatch(f"a basis ket needs dim >= 1, got {dim}")
         v = np.zeros(dim, dtype=np.complex128)
-        v[operator.index(n) % dim] = 1.0
+        v[_integer(n) % dim] = 1.0
         return cls(v)
 
     @classmethod
@@ -186,9 +198,9 @@ def reduced_operators(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def partial_trace(state: Ket, keep: int) -> DensityOp:
     """Reduced density operator of particle ``keep`` (1 or 2), which goes
-    through ``operator.index``: a float or a string raises TypeError."""
+    through :func:`_integer`."""
     d = _split_dim(state.dim)
-    keep = operator.index(keep)
+    keep = _integer(keep)
     if keep not in (1, 2):
         raise ValueError("keep must be 1 or 2")
     rho = reduced_operators(state.amplitudes.reshape(d, d))[keep - 1]

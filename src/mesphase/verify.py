@@ -12,7 +12,6 @@ generator; identical invocations produce identical reports.
 from __future__ import annotations
 
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .states import (
     Ket,
     _blocks,
     _gram_deviation,
+    _integer,
     _reduced_deviation,
     _worst,
     reduced_operators,
@@ -562,8 +562,8 @@ def run_suites(
 ) -> list[VerificationReport]:
     """The rows of ``suite`` for each d of ``dims``, in order.  Every input
     is validated before any suite runs: no dimension, a string of them, a
-    bool or negative seed, or a seed that is not an int raises, as the CLI
-    does."""
+    negative seed, or a seed that :func:`_integer` refuses raises, as the
+    CLI does."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     validate_tolerance(tol)
@@ -575,9 +575,7 @@ def run_suites(
         raise ValueError("no dimension to verify")
     for d in dims:
         sw.validate_dimension(d)
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, not {seed!r}")
-    seed = operator.index(seed)
+    seed = _integer(seed)
     if seed < 0:
         raise ValueError(f"seed {seed} must be non-negative")
     rows: list[VerificationReport] = []

@@ -80,7 +80,7 @@ def test_index_maps_take_integer_labels_only():
     assert particle_to_collective(7, np.int64(3), np.int32(2)) == particle_to_collective(7, 3, 2)
     assert particle_to_collective(7, -4, 9) == particle_to_collective(7, 3, 2)
     assert collective_to_particle(7, np.int64(1), np.uint8(5)) == (6, 3)
-    for bad in ((1.5, 0), (0, 2.0), ("1", 2)):
+    for bad in ((1.5, 0), (0, 2.0), ("1", 2), (True, 0), (0, False)):
         with pytest.raises(TypeError):
             particle_to_collective(7, *bad)
         with pytest.raises(TypeError):
@@ -92,7 +92,7 @@ def test_lattice_points_take_integer_labels_only():
     assert hop(7, PhasePoint(np.int64(8), 2), "Xc^1") == HopResult(PhasePoint(2, 2), 0)
     same = point_state_minus(7, (np.int64(9), 0)).amplitudes, point_state_minus(7, (2, 0)).amplitudes
     assert np.array_equal(*same)
-    for bad in ((1.5, 2), PhasePoint(1.5, 2), (2.9, 0), ("1", 2), PhasePoint(1, 2.0)):
+    for bad in ((1.5, 2), PhasePoint(1.5, 2), (2.9, 0), ("1", 2), PhasePoint(1, 2.0), (True, 2), PhasePoint(1, False)):
         for call in (
             lambda: hop(7, bad, "Xc^1"),
             lambda: hop_dense(7, bad, "Xc^1"),
@@ -341,7 +341,7 @@ def test_local_action_takes_the_particle_through_operator_index():
     for particle in (1, 2):
         expected = local_action(state, particle, "X^2").amplitudes
         assert np.array_equal(local_action(state, np.int64(particle), "X^2").amplitudes, expected)
-    for particle in (1.0, 2.0, 1.5, "1"):
+    for particle in (1.0, 2.0, 1.5, "1", True, False):
         with pytest.raises(TypeError, match="integer"):
             local_action(state, particle, "X^2")
     for particle in (0, 3):

@@ -268,7 +268,7 @@ def test_cached_stacks_equal_a_fresh_sum_for_every_pair_bytes(d, capsys):
         assert kept.tobytes() == fresh
 
 
-@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3"])
+@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3", True, False])
 def test_bad_labels_raise_before_the_cache_is_read(bad, capsys, monkeypatch):
     d = 5
     gen_mes(capsys, d, "1", "2")
@@ -278,7 +278,7 @@ def test_bad_labels_raise_before_the_cache_is_read(bad, capsys, monkeypatch):
         raise AssertionError("summed before the labels were checked")
 
     monkeypatch.setattr(me, "_mes_amplitudes", no_sum)
-    error = InvalidLabel if isinstance(bad, int) else TypeError
+    error = InvalidLabel if isinstance(bad, int) and not isinstance(bad, bool) else TypeError
     for call in (lambda: mes_stack(d, bad, 2), lambda: mes_stack(d, 1, bad)):
         with pytest.raises(error):
             call()
@@ -358,7 +358,7 @@ def test_relabeling_rejects_bad_input():
     with pytest.raises(NotBijective):
         build_relabeling([Ket.basis(3, n) for n in range(3)], [0, 0, 2])
     # a target that is not an integer fails closed instead of being truncated
-    for targets in ([0.9, 1.2, 2.7], [0, "1", 2], [0, 1, 2.0]):
+    for targets in ([0.9, 1.2, 2.7], [0, "1", 2], [0, 1, 2.0], [0, True, 2], [False, 1, 2]):
         with pytest.raises(TypeError):
             build_relabeling([Ket.basis(3, n) for n in range(3)], targets)
     rel = build_relabeling([Ket.basis(3, n) for n in range(3)], np.array([2, 0, -2]))
@@ -467,10 +467,10 @@ def test_worked_relabeling_equals_outer_product_loops_exactly():
     assert np.array_equal(f, diagonalizer_oracle(vecs, spectrum))
 
 
-@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3"])
+@pytest.mark.parametrize("bad", [-1, 5, 2.5, "3", True, False])
 def test_out_of_range_integer_labels_rejected(bad):
     d = 5
-    error = InvalidLabel if isinstance(bad, int) else TypeError
+    error = InvalidLabel if isinstance(bad, int) and not isinstance(bad, bool) else TypeError
     for call in (
         lambda: mes_state(d, bad, CB, 0, 0),
         lambda: mes_state(d, CB, bad, 0, 0),
@@ -485,7 +485,7 @@ def test_out_of_range_integer_labels_rejected(bad):
     assert (element.q, element.p) == (d - 1, 3)
     element = mes_state(d, np.int64(1), 2, np.int32(-1), np.int64(d + 3))
     assert (element.b, element.q, element.p) == (BasisLabel(1), d - 1, 3)
-    for q, p in ((1.5, 0), (0, 2.0), ("1", 0)):
+    for q, p in ((1.5, 0), (0, 2.0), ("1", 0), (True, 0), (0, False)):
         with pytest.raises(TypeError):
             mes_state(d, CB, CB, q, p)
 

@@ -10,6 +10,7 @@ from mesphase.errors import InvalidDimension, InvalidLabel
 from mesphase.schwinger import (
     CB,
     BasisLabel,
+    _eigen_residuals,
     clock_z,
     mub_eigen_residual,
     mub_basis,
@@ -114,6 +115,8 @@ def test_validate_dimension_refuses_every_non_int_once_an_int_is_remembered():
         for bad in (7.0, True, 9, 2, np.float64(7.0)):
             with pytest.raises(InvalidDimension):
                 validate_dimension(bad)
+        with pytest.raises(InvalidDimension, match=r"^d=True must be an odd prime$"):
+            validate_dimension(True)
         assert validate_dimension(7) == 7
     assert validate_dimension(np.int64(11)) == 11
 
@@ -125,7 +128,7 @@ def test_omega_powers_keys_by_the_int_and_refuses_what_is_no_dimension():
     assert omega_powers(np.int64(4)) is omega_powers(4)
     assert omega_powers(1).tolist() == [1]
     for _ in range(2):
-        for bad in (7.0, np.float64(7.0), "7", 0, -3):
+        for bad in (7.0, np.float64(7.0), "7", 0, -3, True, False):
             with pytest.raises(InvalidDimension):
                 omega_powers(bad)
 
@@ -142,11 +145,11 @@ def test_label_parse_and_count():
         BasisLabel.parse("xyz", 5)
 
 
-@pytest.mark.parametrize("bad", [-1, 7, 2.7, "3"])
+@pytest.mark.parametrize("bad", [-1, 7, 2.7, "3", True, False])
 def test_out_of_range_integer_labels_rejected(bad):
     d = 7
     # a label that is not an integer fails closed instead of being truncated
-    error = InvalidLabel if isinstance(bad, int) else TypeError
+    error = InvalidLabel if isinstance(bad, int) and not isinstance(bad, bool) else TypeError
     for call in (
         lambda: mub_state(d, bad, 0),
         lambda: mub_state(d, BasisLabel(bad), 0),
@@ -160,9 +163,10 @@ def test_out_of_range_integer_labels_rejected(bad):
     state = mub_state(d, np.int64(3), np.int32(-1))
     assert (state.b, state.m, type(state.m)) == (BasisLabel(3), d - 1, int)
     assert mub_eigen_residual(d, np.int64(2), np.int32(8)) == mub_eigen_residual(d, 2, 1)
-    for call in (lambda: mub_state(d, 2, 1.5), lambda: mub_eigen_residual(d, 2, 1.5)):
-        with pytest.raises(TypeError):
-            call()
+    for m in (1.5, True, False):
+        for call in (lambda: mub_state(d, 2, m), lambda: mub_eigen_residual(d, 2, m)):
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_mub_state_known_vectors():
@@ -197,6 +201,21 @@ def test_eigenrelation_all_labels(d):
         for m in range(d):
             assert mub_eigen_residual(d, b, m) < 1e-12
             assert mub_eigen_residual(d, b, m) < DEFAULT_TOL
+
+
+def dense_shift_residual(d, b, m):
+    """The eigenrelation residual of |m; b> with X as the dense matrix of
+    ``shift_x``, the product the rolls replace."""
+    pows, state = omega_powers(d), mub_stack(d)[b + 1, m]
+    z2b = np.diag(pows[[(2 * b * n) % d for n in range(d)]])
+    return float(np.abs(pows[b] * (shift_x(d).matrix @ (z2b @ state)) - pows[m] * state).max())
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_rolled_shift_equals_the_dense_product(d):
+    dense = np.array([dense_shift_residual(d, b, m) for b in range(d) for m in range(d)])
+    assert _eigen_residuals(d).tobytes() == dense.tobytes()
+    assert [mub_eigen_residual(d, b, m) for b in range(d) for m in range(d)] == dense.tolist()
 
 
 def test_eigenrelation_uniform_vector_shift_fixed_point():

@@ -24,7 +24,7 @@ from mesphase.collective import (
 )
 from mesphase.errors import InvalidDimension
 from mesphase.mes import mes_basis, mes_state
-from mesphase.schwinger import CB, _shift_matrix, mub_stack, mub_state, omega_powers
+from mesphase.schwinger import CB, mub_stack, mub_state, omega_powers
 from mesphase.states import Ket
 from test_generators import permutation_oracle
 
@@ -163,7 +163,6 @@ def test_cached_stacks_are_read_only():
 @pytest.mark.parametrize(
     "table, args",
     [
-        (_shift_matrix, ()),
         (mub_stack, ()),
         (co._collective_index, ()),
         (co._family_tables, (co.COLLECTIVE_GENERATORS,)),
@@ -172,7 +171,7 @@ def test_cached_stacks_are_read_only():
         (point_basis, (True,)),
         (li._line_tables, ()),
     ],
-    ids=["shift", "mub", "collective_index", "collective_family", "single_family", "minus", "plus", "lines"],
+    ids=["mub", "collective_index", "collective_family", "single_family", "minus", "plus", "lines"],
 )
 def test_per_d_tables_share_the_int_entry_and_refuse_floats_and_bools(table, args):
     first = table(np.int64(7), *args)

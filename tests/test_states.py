@@ -50,9 +50,11 @@ def test_ket_is_immutable():
 def test_ket_basis_takes_integer_labels_only():
     assert np.array_equal(Ket.basis(3, 4).amplitudes, [0, 1, 0])
     assert np.array_equal(Ket.basis(3, np.int64(-1)).amplitudes, [0, 0, 1])
-    for bad in (1.5, "1", 1.0):
+    for bad in (1.5, "1", 1.0, True, False):
         with pytest.raises(TypeError):
             Ket.basis(3, bad)
+        with pytest.raises(TypeError):
+            Ket.basis(bad, 0)
     for dim in (0, -3):
         with pytest.raises(DimMismatch):
             Ket.basis(dim, 0)
@@ -117,7 +119,7 @@ def test_partial_trace_rejects_non_square_dims():
 def test_partial_trace_takes_keep_through_operator_index():
     state = random_ket(9)
     assert np.array_equal(partial_trace(state, np.int64(2)).matrix, partial_trace(state, 2).matrix)
-    for keep in (1.0, 2.0, 1.5, "1"):
+    for keep in (1.0, 2.0, 1.5, "1", True, False):
         with pytest.raises(TypeError, match="integer"):
             partial_trace(state, keep)
     for keep in (0, 3, -1):

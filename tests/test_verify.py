@@ -1002,7 +1002,7 @@ def test_per_d_caching_rule_has_one_definition():
     for module in (co, li):
         assert not hasattr(module, "lru_cache")
     rule = sw._per_dimension(lambda d: None).__code__
-    tables = (sw._shift_matrix, sw.mub_stack, co._collective_index, co._family_tables, co.point_basis, li._line_tables)
+    tables = (sw.mub_stack, co._collective_index, co._family_tables, co.point_basis, li._line_tables)
     assert all(table.__code__ is rule for table in tables)
 
 
