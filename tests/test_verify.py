@@ -632,6 +632,62 @@ def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
     assert rows["collective.local_action_random"].max_error == math.inf
 
 
+# -- a fault for each collective row ----------------------------------------------
+
+
+def _off_by_one_collective_index(monkeypatch):
+    to_collective = co.particle_to_collective
+
+    def shifted(d, n1, n2):
+        index = to_collective(d, n1, n2)
+        return co.CollectiveIndex((index.nc + 1) % d, index.nr)
+
+    monkeypatch.setattr(co, "particle_to_collective", shifted)
+
+
+def _transposed_particle_index(monkeypatch):
+    particle_index = co._particle_index
+
+    def transposed(d):
+        index = particle_index(d).copy()
+        index[[0, 1]] = index[[1, 0]]
+        return index
+
+    monkeypatch.setattr(co, "_particle_index", transposed)
+
+
+def _off_support_minus_element(monkeypatch):
+    point_basis = co.point_basis
+
+    def poisoned(d, plus):
+        basis = point_basis(d, plus)
+        if plus:
+            return basis
+        basis = basis.copy()
+        # row 0 lies where nc = 0; particle-flat index 1, (n1, n2) = (0, 1), has nc = h
+        basis[0, 1] = 1 / np.sqrt(d)
+        return basis
+
+    monkeypatch.setattr(co, "point_basis", poisoned)
+
+
+@pytest.mark.parametrize(
+    "fault, checks",
+    [
+        (_off_by_one_collective_index, ["collective.index_maps"]),
+        (_transposed_particle_index, ["collective.permutation"]),
+        (_off_support_minus_element, ["collective.point_bases", "collective.conjugate_overlap"]),
+    ],
+)
+def test_a_collective_fault_fails_its_rows_and_the_other_suites_still_run(monkeypatch, fault, checks):
+    fault(monkeypatch)
+    rows = run_suites([3, 5])
+    for d in (3, 5):
+        by_check = {row.check: row for row in rows if row.d == d}
+        assert [by_check[check].passed for check in checks] == [False] * len(checks)
+        assert {check.split(".")[0] for check in by_check} == {"mub", "mes", "collective", "line"}
+
+
 # -- the exact hop rows ------------------------------------------------------------
 
 
