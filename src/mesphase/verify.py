@@ -83,9 +83,24 @@ def _random_word(rng: random.Random, generators, low: int, high: int, lengths):
 
 
 def _normal(rng: random.Random, *shape: int) -> np.ndarray:
-    """Standard normal draws of ``rng.gauss`` in C order, as an array of
-    ``shape``: scalar libm arithmetic, with no SIMD path chosen by the CPU."""
-    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+    """Standard normal draws of ``rng.gauss(0.0, 1.0)`` in C order, as an
+    array of ``shape``: scalar libm arithmetic, with no SIMD path chosen by
+    the CPU.
+
+    ``gauss`` makes its draws in Box-Muller pairs, two ``rng.random()`` calls
+    each, and keeps the second of a pair for its next call.  This takes the
+    pairs with the same operations, so the draws and the generator state are
+    those of ``gauss`` called ``count`` times, and refuses an odd count,
+    which would leave half a pair pending."""
+    count = math.prod(shape)
+    if count % 2:
+        raise ValueError(f"{count} normal draws are not a whole number of pairs")
+    draws = []
+    for _ in range(count // 2):
+        x2pi = rng.random() * math.tau
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        draws += (0.0 + math.cos(x2pi) * g2rad * 1.0, 0.0 + math.sin(x2pi) * g2rad * 1.0)
+    return np.array(draws).reshape(shape)
 
 
 # -- basis-family suite -------------------------------------------------------
@@ -152,7 +167,7 @@ def _gamma(n: int) -> float:
 def _unitarity_gap(m: np.ndarray, c: float) -> float:
     """||m m^+ - I||_2 of a square m, bounded by the Frobenius norm of the
     computed gap plus c ||m||_F^2, the rounding of a matmul whose entrywise
-    error is c |m| |m|^T; :func:`_mes_certificate` lifts it for the rest."""
+    error is c |m| |m|^T; its callers lift it for the rest."""
     size = float(np.linalg.norm(m))
     return float(np.linalg.norm(m @ m.conj().T - np.eye(len(m)))) + c * size * size
 
@@ -371,25 +386,90 @@ def _relabeling_errors():
 # -- collective-coordinates suite ----------------------------------------------
 
 
-def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops) -> np.ndarray:
+def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops, plus: bool = False) -> np.ndarray:
     """Per start row q*d + p of ``rows``, 0.0 iff the exact word map (src,
     exponents), one (n,) map for every row or one per row, sends the minus
-    lattice state of (q, p) to w^phase times the minus state of (q', p'),
-    with (q', p', phase) the row's symbolic hop in ``hops``; 1.0 otherwise.
+    (or, with ``plus``, the plus) lattice state of (q, p) to w^phase times
+    the state of (q', p'), with (q', p', phase) the row's symbolic hop in
+    ``hops``; 1.0 otherwise.
 
     The minus state of (q, p) is w^(-p nr) / sqrt d where nc = q and 0
-    elsewhere, and the map sends v to w^exponents v[src].  So the image is
-    the hopped state iff, exactly, nc[src] = q where nc = q' and nowhere
-    else, and there exponents - p nr[src] - phase + p' nr = 0 mod d: integers
-    only, no d^2 x d^2 matrix.
+    elsewhere, and the plus state swaps nc and nr; call the two labels
+    (fixed, fourier) in that order.  The map sends v to w^exponents v[src].
+    So the image is the hopped state iff, exactly, fixed[src] = q where
+    fixed = q' and nowhere else, and there exponents - p fourier[src] -
+    phase + p' fourier = 0 mod d: integers only, no d^2 x d^2 matrix.
     """
     nc, nr = co._collective_index(d)
+    fixed, fourier = (nr, nc) if plus else (nc, nr)
     q, p = np.divmod(np.asarray(rows)[:, None], d)
     q2, p2, phase = np.array([(h.point.q, h.point.p, h.phase_exponent) for h in hops]).T[:, :, None]
-    support = nc == q2
-    residues = (exponents - p * nr[src] - phase + p2 * nr) % d
-    exact = ((nc[src] == q) == support).all(axis=1) & ~(support & (residues != 0)).any(axis=1)
-    return np.where(exact, 0.0, 1.0)
+    landed = ((fixed[src] == q) == (fixed == q2)).all(axis=1)
+    # the d indices where fixed = q', so the phases are reduced there only;
+    # a q' off the lattice has no support, and ``landed`` fails it
+    on = np.argsort(fixed, kind="stable").reshape(d, d)[q2[:, 0] % d]
+    shape = (len(on), d * d)
+    src, exponents = (np.take_along_axis(np.broadcast_to(a, shape), on, axis=1) for a in (src, exponents))
+    residues = (exponents - p * fourier[src] - phase + p2 * fourier[on]) % d
+    return np.where(landed & (residues == 0).all(axis=1), 0.0, 1.0)
+
+
+def _point_basis_bounds(d: int) -> tuple[float, float]:
+    """Bounds (gram, modulus) on both point bases of d, once each is shown
+    to equal its closed form entry for entry, one q-block at a time;
+    (1.0, 1.0) if either does not.
+
+    ``gram`` bounds ||P P^+ - I||_2 of each basis P, and so every entry of
+    conj(P) P^T - I (collective.point_bases).  ``modulus`` bounds every
+    entry of either reduced operator of every point state minus I/d
+    (collective.point_mes), and every | |<minus|plus>| - 1/d | over a minus
+    and a plus state (collective.conjugate_overlap).  Both bound the exact
+    values of the float stacks, so no row can read below them.
+
+    The closed form.  With the float table t_k = w^k / sqrt d, w^k from
+    :func:`omega_powers`, row q*d + p of the minus basis is t[(-p nr) mod d]
+    where nc = q, and exactly 0 elsewhere; the plus basis swaps nc and nr.
+    Every bound below holds for those values only, so a stack that differs
+    from them anywhere, by a NaN, a phase or a row order, reports 1.0.
+
+    Gram.  Ordering the columns by (nc, nr) for the minus basis, or by
+    (nr, nc) for the plus basis, permutes them and turns P into the block
+    diagonal I (x) T, T[p, n] = t[(-p n) mod d].  So P P^+ = I (x) T T^+,
+    and for both bases ||P P^+ - I||_2 = ||T T^+ - I||_2 <= ||T T^+ - I||_F.
+
+    Modulus.  Where nc = q, n1 + n2 = 2q, and where nr = q, n1 - n2 = 2q, so
+    the d x d amplitude matrix M of a point state holds one t_k in each row
+    and each column, and both M M^+ and (M^+ M)^T are diag(|t_k|^2) over its
+    entries.  A minus state of
+    (q, p) and a plus state of (q', p') share the one point (nc, nr) =
+    (q, q'), so their overlap has modulus |t_a| |t_b|.  With
+    mu >= max_k |d |t_k|^2 - 1|, every |t_k|^2 and every |t_a| |t_b| lies
+    within mu / d of 1/d.
+
+    Rounding.  T T^+ is a matmul with inner dimension d, which errs
+    entrywise by at most c |T| |T|^T, c = sqrt(2) gamma_2d, as in
+    :func:`_mes_certificate`; :func:`_unitarity_gap` adds c ||T||_F^2 to the
+    computed ||T T^+ - I||_F.  mu is the largest computed |d |t_k|^2 - 1|
+    plus gamma_4 (1 + mu) for the rounding of d |t_k|^2.  Every other float
+    step (the subtractions, the norms, the division by d) scales a
+    nonnegative quantity by (1 + delta)^(+-1), at most N = 2 d^2 + 8 times
+    along any path, so each bound is divided by 1 - gamma_N.
+    """
+    table = sw.omega_powers(d) / np.sqrt(d)
+    nc, nr = co._collective_index(d)
+    k = np.arange(d)
+    for plus in (True, False):
+        fixed, fourier = (nr, nc) if plus else (nc, nr)
+        gathered = table[(-k[:, None] * fourier) % d]
+        blocks = co.point_basis(d, plus).reshape(d, d, d * d)
+        for q in range(d):
+            if not np.array_equal(blocks[q], np.where(fixed == q, gathered, 0)):
+                return 1.0, 1.0
+    gap = _unitarity_gap(table[np.outer(-k, k) % d], math.sqrt(2) * _gamma(2 * d))
+    spread = float(np.abs(d * (table.real**2 + table.imag**2) - 1).max())
+    mu = spread + _gamma(4) * (1 + spread)
+    lift = 1 / (1 - _gamma(2 * d * d + 8))
+    return gap * lift, mu / d * lift
 
 
 def suite_collective(d: int, tol: float, rng: random.Random) -> list[VerificationReport]:
@@ -397,8 +477,8 @@ def suite_collective(d: int, tol: float, rng: random.Random) -> list[Verificatio
     h = (d + 1) // 2
     nc, nr = co._collective_index(d)
     plus = co.point_basis(d, True)
-    minus = co.point_basis(d, False)
     cb_elements = me.mes_stack(d, CB, CB)
+    gram, modulus = _point_basis_bounds(d)
 
     def index_maps():
         for n1 in range(d):
@@ -449,18 +529,19 @@ def suite_collective(d: int, tol: float, rng: random.Random) -> list[Verificatio
                 yield abs(overlap - w[(-q * p) % d])
 
     def point_translation():
-        # the maps of Zc^(d-p) Xr^q and Xc^q Zr^(d-p), one stack per word form for a
-        # block of points k = q*d + p; the products and the vdots stay per point
-        for block in _blocks(d * d, d * d):
+        # Zc^(d-p) Xr^q takes the plus state of (0, 0) to that of (q, p), and
+        # Xc^q Zr^(d-p) the minus state, with phase 1; one stack of maps per
+        # word form for a block of points k = q*d + p.  Each int64 (points,
+        # d^2) array of a block holds under 2^14 values, 128 KiB: below
+        # glibc's default mmap threshold, so a cold run does not map fresh
+        # pages for every temporary
+        for block in _blocks(d * d, 2 * d * d):
             points = range(d * d)[block]
-            src, e = co._word_maps(d, [[("Zc", d - k % d), ("Xr", k // d)] for k in points])
-            phases_plus, gathered_plus = w[e % d], plus[0][src]
-            src, e = co._word_maps(d, [[("Xc", k // d), ("Zr", d - k % d)] for k in points])
-            phases_minus, gathered_minus = w[e % d], minus[0][src]
-            for i, k in enumerate(points):
-                # measured phases are exactly 1 for both generator routes
-                yield abs(np.vdot(plus[k], phases_plus[i] * gathered_plus[i]) - 1.0)
-                yield abs(np.vdot(minus[k], phases_minus[i] * gathered_minus[i]) - 1.0)
+            hops = [co.HopResult(co.PhasePoint(*divmod(k, d)), 0) for k in points]
+            words = [[("Zc", d - k % d), ("Xr", k // d)] for k in points]
+            yield from _hop_errors(d, *co._word_maps(d, words), [0] * len(points), hops, plus=True)
+            words = [[("Xc", k // d), ("Zr", d - k % d)] for k in points]
+            yield from _hop_errors(d, *co._word_maps(d, words), [0] * len(points), hops)
 
     def local_action_shift():
         # the array cores, so a non-finite state fails the row with inf
@@ -509,13 +590,9 @@ def suite_collective(d: int, tol: float, rng: random.Random) -> list[Verificatio
         ("collective.permutation", "", permutation),
         ("collective.operator_factorization", "", operator_factorization),
         ("collective.operator_algebra", "", operator_algebra),
-        ("collective.point_bases", "both grams", lambda: map(_gram_deviation, (plus, minus))),
-        ("collective.point_mes", "", lambda: map(_reduced_deviation, (plus, minus))),
-        (
-            "collective.conjugate_overlap",
-            "modulus 1/d",
-            lambda: [np.abs(np.abs(minus.conj() @ plus.T) - 1.0 / d).max()],
-        ),
+        ("collective.point_bases", "both grams", lambda: [gram]),
+        ("collective.point_mes", "", lambda: [modulus]),
+        ("collective.conjugate_overlap", "modulus 1/d", lambda: [modulus]),
         ("collective.cb_mes_factorization", "phase -qp", cb_mes_factorization),
         ("collective.point_translation", "", point_translation),
         ("collective.local_action_shift", "doubled shift", local_action_shift),

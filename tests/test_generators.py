@@ -6,8 +6,9 @@ kept here as reference oracles.
 reduced operators are compared exactly (``np.array_equal`` or ``==``); word
 matrices, the gathered ``local_action``, values-only singular values and the
 projection probabilities round differently from their oracles, so they are
-compared within a rounding bound.  The per-basis MES rows report certified
-bounds, which must not fall below their dense oracles.
+compared within a rounding bound.  The per-basis MES rows and the
+point-basis rows report certified bounds, which must not fall below their
+dense oracles.
 """
 
 from functools import lru_cache
@@ -17,6 +18,7 @@ import pytest
 
 from mesphase import collective as co
 from mesphase import mes as me
+from mesphase import verify
 from mesphase.collective import (
     COLLECTIVE_GENERATORS,
     SINGLE_GENERATORS,
@@ -148,16 +150,20 @@ def mes_rows_oracle(d, seed=0):
 
 
 def collective_rows_oracle(d):
-    """collective.point_mes, cb_mes_factorization and point_translation as
-    the per-point loops computed them, with d^2 mes_state calls and dense
-    matrix powers of the generators."""
+    """collective.point_bases, point_mes, conjugate_overlap,
+    cb_mes_factorization and point_translation as the dense and per-point
+    loops computed them: both (d^2, d^2) Grams, the reduced operators of each
+    point state, the moduli of conj(minus) plus^T, d^2 mes_state calls and
+    dense matrix powers of the generators."""
     plus, minus = point_basis(d, True), point_basis(d, False)
     ops = collective_ops_oracle(d)
     powm = np.linalg.matrix_power
     w = omega_powers(d)
+    grams = _worst(*(np.abs(b.conj() @ b.T - np.eye(d * d)).max() for b in (plus, minus)))
     point_mes = _worst(
         *(mes_deviation_oracle(v, d) for v in np.concatenate([plus, minus]))
     )
+    overlaps = np.abs(np.abs(minus.conj() @ plus.T) - 1.0 / d).max()
     cb_factorization = 0.0
     translation = 0.0
     for q in range(d):
@@ -172,7 +178,7 @@ def collective_rows_oracle(d):
                 abs(np.vdot(plus[q * d + p], gen_plus) - 1.0),
                 abs(np.vdot(minus[q * d + p], gen_minus) - 1.0),
             )
-    return point_mes, cb_factorization, translation
+    return grams, point_mes, overlaps, cb_factorization, translation
 
 
 # -- generator maps ---------------------------------------------------------------
@@ -335,9 +341,17 @@ def test_mes_rows_match_per_element_oracle(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_collective_rows_match_dense_oracle(d):
     rows = {r.check: r.max_error for r in run_suites([d], "collective")}
-    point_mes, cb_factorization, translation = collective_rows_oracle(d)
-    assert rows["collective.point_mes"] == point_mes
+    grams, point_mes, overlaps, cb_factorization, translation = collective_rows_oracle(d)
+    # the point-basis rows report bounds on the dense values; an entry of a
+    # reduced operator and an overlap are each one complex product of two
+    # table values, a modulus and a rounded 1/d, so their oracle rounds by at
+    # most gamma_6 / d
+    slack = verify._gamma(6) / d
+    assert grams <= rows["collective.point_bases"] < 1e-12
+    assert point_mes - slack <= rows["collective.point_mes"] < 1e-12
+    assert overlaps - slack <= rows["collective.conjugate_overlap"] < 1e-12
     assert rows["collective.cb_mes_factorization"] == cb_factorization
-    assert rows["collective.point_translation"] < 1e-14
+    # point_translation checks exact integer maps
     assert translation < 1e-14
+    assert rows["collective.point_translation"] == 0.0
 

@@ -611,6 +611,11 @@ def test_collective_array_passes_equal_the_per_point_oracle(d, seed):
     expected = collective_rows_oracle(d, states.DEFAULT_TOL, oracle_rng)
     checks = {row.check for row in expected}
     rows = [row for row in verify.suite_collective(d, states.DEFAULT_TOL, rng) if row.check in checks]
+    # point_translation checks exact integer maps, where the oracle's vdots round
+    translation, oracle_translation = rows.pop(0), expected.pop(0)
+    assert translation.check == oracle_translation.check == "collective.point_translation"
+    assert oracle_translation.max_error < 1e-14
+    assert (translation.max_error, translation.passed) == (0.0, True)
     assert _compared(rows) == _compared(expected)
     assert rng.getstate() == oracle_rng.getstate()
 
@@ -693,12 +698,54 @@ def test_a_collective_fault_fails_its_rows_and_the_other_suites_still_run(monkey
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_minus_point_basis_is_the_exact_form_the_hop_rows_assume(d):
-    # row q*d + p is w^(-p nr) / sqrt d where nc = q, and exactly 0 elsewhere
+    # minus row q*d + p is w^(-p nr) / sqrt d where nc = q, and exactly 0
+    # elsewhere; the plus basis swaps nc and nr
     nc, nr = co._collective_index(d)
     q, p = (k[:, None] for k in np.divmod(np.arange(d * d), d))
-    closed = np.where(nc == q, sw.omega_powers(d)[(-p * nr) % d] / np.sqrt(d), 0)
-    assert closed.dtype == np.complex128
-    assert closed.tobytes() == co.point_basis(d, False).tobytes()
+    for plus, (fixed, fourier) in [(False, (nc, nr)), (True, (nr, nc))]:
+        closed = np.where(fixed == q, sw.omega_powers(d)[(-p * fourier) % d] / np.sqrt(d), 0)
+        assert closed.dtype == np.complex128
+        assert closed.tobytes() == co.point_basis(d, plus).tobytes()
+    # so the bounds of the point-basis rows hold, and stay far below the tolerance
+    assert 0.0 < max(verify._point_basis_bounds(d)) < 1e-12
+
+
+def _off_support_element(basis, d):
+    # particle-flat index 1, (n1, n2) = (0, 1), has nc = h and nr = -h, so it
+    # lies off the support of row 0 in both bases
+    basis[0, 1] = 1 / np.sqrt(d)
+
+
+def _nan_on_the_support(basis, d):
+    basis[0, 0] = np.nan
+
+
+def _one_wrong_phase(basis, d):
+    basis[1, 0] *= sw.omega_powers(d)[1]
+
+
+def _two_rows_swapped(basis, d):
+    basis[[0, 1]] = basis[[1, 0]]
+
+
+@pytest.mark.parametrize("plus", [False, True])
+@pytest.mark.parametrize("fault", [_off_support_element, _nan_on_the_support, _one_wrong_phase, _two_rows_swapped])
+def test_a_faulty_point_basis_fails_every_point_basis_row(monkeypatch, fault, plus):
+    point_basis = co.point_basis
+
+    def poisoned(d, faulty):
+        basis = point_basis(d, faulty)
+        if faulty != plus:
+            return basis
+        basis = basis.copy()
+        fault(basis, d)
+        return basis
+
+    monkeypatch.setattr(co, "point_basis", poisoned)
+    for d in (3, 5):
+        rows = {row.check: row for row in run_suites([d], "collective")}
+        for check in ("collective.point_bases", "collective.point_mes", "collective.conjugate_overlap"):
+            assert (rows[check].max_error, rows[check].passed) == (1.0, False)
 
 
 def _candidate_hops(d, hop):
@@ -816,6 +863,36 @@ def test_seeded_words_and_normal_draws_are_pinned(seed, generators, low, high, l
     assert [float(x).hex() for x in normals.ravel()] == _PINNED_NORMALS[seed]
 
 
+class _ZeroUniform(random.Random):
+    """A generator whose every uniform draw is 0.0, so that gauss's radius
+    sqrt(-2 log(1 - 0.0)) is -0.0 and each draw is a signed zero."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_paired_normal_draws_are_gauss_draws(d):
+    # the shapes suite_mes draws, for the alphas and the negative controls
+    shapes = [(2, 200, d), (20, 2, d * d)]
+    for rng, oracle in [(random.Random(seed), random.Random(seed)) for seed in range(50)] + [
+        (_ZeroUniform(0), _ZeroUniform(0))
+    ]:
+        for shape in shapes:
+            draws = verify._normal(rng, *shape)
+            expected = np.array([oracle.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+            assert draws.shape == shape and draws.tobytes() == expected.tobytes()
+            assert rng.getstate() == oracle.getstate()
+
+
+def test_an_odd_count_of_normal_draws_is_refused_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        verify._normal(rng, 3, 5)
+    assert rng.getstate() == state
+
+
 def _shift_one_zc_exponent(src_table, exp_table):
     g = co.COLLECTIVE_GENERATORS.index("Zc")
     exponents = exp_table[g, 1].copy()
@@ -845,7 +922,9 @@ def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corr
     rows = {row.check: row for row in run_suites([5], "collective")}
     # the word of hop_example, Xc^2 Xr^6, reads no Zc table
     hop_rows = ("collective.hop_random",) + (("collective.hop_example",) if family[g] == "Xr" else ())
-    for check in ("collective.operator_algebra", "collective.operator_factorization") + hop_rows:
+    # the words of point_translation, Zc^(d-p) Xr^q and Xc^q Zr^(d-p), read both
+    exact_rows = ("collective.operator_algebra", "collective.operator_factorization", "collective.point_translation")
+    for check in exact_rows + hop_rows:
         assert not rows[check].passed
         assert rows[check].max_error == 1.0
 
