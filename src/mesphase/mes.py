@@ -88,6 +88,31 @@ def mes_stack(d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int |
     return stack
 
 
+def _mes_table(
+    d: int, b: "BasisLabel | int | None", b_prime: "BasisLabel | int | None"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables (order, fixed, base, slope) of the exact MES basis of
+    (b, b'), both cb or neither, over the particle-flat index n1*d + n2:
+    row order[s, x] of :func:`mes_stack` is w^(base + x slope) / sqrt d where
+    fixed = s, and 0 elsewhere.  Each support is the graph of a bijection
+    n1 <-> n2.  Summing the definition over m,
+
+        (cb, cb):  u(q, p) = w^(-n1 p) / sqrt d where n1 - n2 = q,
+        (b, b'):   u(q, p) = w^(b n1^2 + b' n2^2 + n2 q) / sqrt d where
+                   n1 + n2 = -p, from the rows w^(b n^2 - n m) / sqrt d,
+
+    so s = q, x = p for (cb, cb) and s = p, x = q for (b, b').  A pair with
+    one cb has full support, and raises ValueError."""
+    (label1, _), (label2, _) = basis_rows(d, b), basis_rows(d, b_prime)
+    if label1.is_cb != label2.is_cb:
+        raise ValueError(f"the MES basis of ({label1}, {label2}) has no support on a graph")
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    order = np.arange(d * d).reshape(d, d)
+    if label1.is_cb:
+        return order, (n1 - n2) % d, 0 * n1, -n1
+    return order.T, -(n1 + n2) % d, label1.index * n1 * n1 + label2.index * n2 * n2, n2
+
+
 def mes_basis(
     d: int,
     b: "BasisLabel | int | None",

@@ -164,113 +164,98 @@ def _gamma(n: int) -> float:
     return n * _U / (1 - n * _U)
 
 
-def _unitarity_gap(m: np.ndarray, c: float) -> float:
-    """||m m^+ - I||_2 of a square m, bounded by the Frobenius norm of the
-    computed gap plus c ||m||_F^2, the rounding of a matmul whose entrywise
-    error is c |m| |m|^T; its callers lift it for the rest."""
-    size = float(np.linalg.norm(m))
-    return float(np.linalg.norm(m @ m.conj().T - np.eye(len(m)))) + c * size * size
+def _unitarity_gap(m: np.ndarray, c: float) -> np.ndarray:
+    """||m m^+ - I||_2 of each square matrix of the stack m, bounded by the
+    Frobenius norm of the computed gap plus c ||m||_F^2, the rounding of a
+    matmul whose entrywise error is c |m| |m|^T; its callers lift it for the
+    rest."""
+    size = np.linalg.norm(m, axis=(-2, -1))
+    return np.linalg.norm(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1]), axis=(-2, -1)) + c * size * size
 
 
-def _mes_certificate(d: int, rows1: np.ndarray, rows2: np.ndarray, stack: np.ndarray) -> tuple[float, float]:
-    """Bounds (gram, schmidt) on the MES basis ``stack`` of the row sets
-    ``rows1`` and ``rows2``, proved through the DFT identity of its q-blocks
-    in O(d^5) instead of O(d^6); (inf, inf) if anything is not finite.
+def _omega_table(d: int) -> tuple[np.ndarray, float]:
+    """The float table t_k = w^k / sqrt d, w^k from :func:`omega_powers`, and
+    mu >= max_k |d |t_k|^2 - 1|: the computed spread plus gamma_4 (1 + spread)
+    for the rounding of d |t_k|^2."""
+    table = sw.omega_powers(d) / np.sqrt(d)
+    spread = float(np.abs(d * (table.real**2 + table.imag**2) - 1).max())
+    return table, spread + _gamma(4) * (1 + spread)
+
+
+def _closed_form_bounds(
+    d: int, stack: np.ndarray, order: np.ndarray, fixed: np.ndarray, base: np.ndarray, slope: np.ndarray
+) -> tuple[float, float, bool]:
+    """Bounds (gram, schmidt) on the (d^2, d^2) ``stack`` V from its closed
+    form V^, and whether V equals V^ exactly; a bound that is not finite
+    reads inf.
 
     ``gram`` bounds ||V V^+ - I||_2 and so every entry of conj(V) V^T - I
-    (mes.gram) and of V^T conj(V) - I (mes.completeness); ``schmidt`` bounds
-    the distance of every singular value of every d x d amplitude matrix
-    from 1/sqrt d (mes.schmidt).  Both bound the exact values of the float
-    stack.  They are sufficient, not necessary: an orthonormal stack whose
-    rows are mislabeled fails them.  For the diagonal bases at d <= 31 they
-    read at most 4.4e-12 and 7.3e-13: a margin of 23x under the default
-    tolerance 1e-10.
+    (mes.gram, collective.point_bases) and, V being square, of
+    V^T conj(V) - I (mes.completeness); ``schmidt`` bounds the distance of
+    every singular value of every d x d amplitude matrix from 1/sqrt d
+    (mes.schmidt).  Both bound the exact values of the float stack.  They
+    are sufficient, not necessary: an orthonormal stack whose rows are
+    mislabeled fails them.
 
-    The identity.  V holds u(q, p) of (R, R') = (rows1, rows2) in row
-    q*d + p, and V_q is its (d, d^2) block of one q.  With the unitary DFT
-    F[m, p] = w^(m p) / sqrt d, the definition of u(q, p) reads F V_q = P_q,
-    whose row m is R[m] (x) R'[m - q]: the abstract's product state as a
-    d-terms sum of MES.  F^ is F in floats, from :func:`omega_powers`.  The
-    certificate takes the residuals E_q = F^ V_q - P_q a block of q at a
-    time, and measures
-        rho_q >= ||E_q||_F, rho >= ||E||_F over all q,
-        eps, eps' >= ||R R^+ - I||_2, ||R' R'^+ - I||_2,
-        eta >= ||F^ F^+ - I||_2, mu >= max |sqrt(d) |F^[m, p]| - 1|.
+    The closed form.  With t from :func:`_omega_table`, row order[s, x] of
+    V^ is t[(base + x slope) mod d] where fixed = s, and exactly 0
+    elsewhere, the tables over the particle-flat index n1*d + n2
+    (:func:`mes._mes_table`, or :func:`collective._collective_index` for
+    the point bases).  For each s the support, d columns, is the graph of a
+    bijection n1 <-> n2.  Delta = V - V^ is taken one :func:`_blocks` block
+    of s at a time, d^3 values per s.
 
-    Gram.  With G = diag(F^, ..., F^), one block per q, W = G V = P + E.
-    (q, m) -> (m, m - q) is a bijection, so the rows of P are those of
-    R (x) R' permuted, P^+ P = R^+ R (x) R'^+ R' and ||P||_2 <= s =
-    sqrt((1 + eps)(1 + eps')).  So ||W^+ W - I||_2 <= beta = e2 + 2 s rho
-    + rho^2, with e2 = eps + eps' + eps eps'.  G G^+ = diag(F^ F^+), so
-    (G G^+)^-1 = I + Y with ||Y||_2 <= eta / (1 - eta), and
-    V^+ V - I = W^+ W - I + W^+ Y W gives
-        ||V^+ V - I||_2 <= beta + (1 + beta) eta / (1 - eta)
-                         = (beta + eta) / (1 - eta) = gram.
-    V is square, so ||V V^+ - I||_2 is the same number.
+    Gram.  Rows of different s have disjoint supports, so V^ V^+ is block
+    diagonal with the d x d blocks T_s T_s^+, T_s[x, k] the entry of row
+    (s, x) at the k-th support column, and ||V^ V^+ - I||_2 <= g =
+    max_s ||T_s T_s^+ - I||_2.  Then ||V^||_2 <= sqrt(1 + g), and
+    V V^+ - I = V^ V^+ - I + V^ Delta^+ + Delta V^+ + Delta Delta^+ gives
+        ||V V^+ - I||_2 <= g + 2 sqrt(1 + g) ||Delta||_F + ||Delta||_F^2 = gram.
 
-    Schmidt.  V_q = F^-1 (P_q + E_q), F^-1 = F^+ (I + Y), and the entries
-    of F^+ Y are at most kappa = sqrt(1 + eta) eta / (1 - eta), so
-    sqrt(d) |F^-1[p, m]| lies within 1 +- nu, nu = mu + sqrt(d) kappa.  The
-    d x d amplitude matrix of u(q, p) is R^T D S R' + N, with
-    D = diag(F^-1[p, m]) over m, S a permutation and N row p of F^-1 E_q;
-    by Parseval over p, ||N||_2 <= ||F^-1 E_q||_F <= rho_q / sqrt(1 - eta).
-    The singular values of R and R' lie within 1 +- eps and 1 +- eps', so
-    those of R^T D S R' times sqrt d lie within (1 +- e2)(1 +- nu), and by
-    Weyl every Schmidt coefficient is within
-        max_q rho_q / sqrt(1 - eta) + (e2 + nu + e2 nu) / sqrt d = schmidt
+    Schmidt.  The amplitude matrix of a row of V^ holds one t_k in each row
+    and each column, so its singular values are those |t_k|, each within
+    mu / sqrt d of 1/sqrt d since sqrt(1 +- mu) lies within 1 +- mu.  By
+    Weyl's inequality the singular values of the row of V lie within
+    ||Delta_row||_2 <= ||Delta_row||_F of them, so every Schmidt
+    coefficient is within
+        mu / sqrt d + max over rows ||Delta_row||_F = schmidt
     of 1/sqrt d.
 
-    Rounding.  A complex matmul with inner dimension n, in any order of
-    real multiply-adds, FMA or not, errs entrywise by at most c |A| |B|,
-    c = sqrt(2) gamma_2n (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., secs. 3.1 and 3.6), so in Frobenius norm by at most
-    c ||A||_F ||B||_F; one complex product errs by sqrt(2) gamma_2 of its
-    modulus.  So rho_q adds c ||F^||_F ||V_q||_F for F^ V_q and
-    sqrt(2) gamma_2 ||R||_F ||R'||_F for P_q to the computed ||E_q||_F, and
-    eps, eps' and eta add theirs (:func:`_unitarity_gap`).  eta is measured
-    because numpy documents no accuracy for ``exp``; it reads 2.6e-15 at
-    d=31 before its rounding term.  mu is the largest |d |F^|^2 - 1| plus
-    gamma_4 (1 + mu) for the rounding of d |F^|^2; it bounds
-    |sqrt(d) |F^| - 1| since sqrt(1 +- x) lies within 1 +- x.  Every other
-    float step (the subtractions, the norms) scales a nonnegative quantity
-    by (1 + delta)^(+-1), at most N = 2 d^4 + 8 times along any path, so
-    each measured input is divided by 1 - gamma_N, and each bound is too,
-    for the few steps that assemble it from those inputs.
+    Rounding.  V^ is gathered from t with no arithmetic.  T_s T_s^+ is a
+    complex matmul with inner dimension d, which in any order of real
+    multiply-adds, FMA or not, errs entrywise by at most c |T| |T|^T,
+    c = sqrt(2) gamma_2d (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., secs. 3.1 and 3.6); :func:`_unitarity_gap` adds
+    c ||T_s||_F^2 to the computed ||T_s T_s^+ - I||_F.  Every other float
+    step (the subtractions that give Delta, the norms, the sums) scales a
+    nonnegative quantity by (1 + delta)^(+-1), at most N = 2 d^4 + 8 times
+    along any path, so each bound is divided by 1 - gamma_N.
     """
-    k = np.arange(d)
-    f = sw.omega_powers(d)[np.outer(k, k) % d] / np.sqrt(d)
+    table, mu = _omega_table(d)
     c = math.sqrt(2) * _gamma(2 * d)
-    eta, eps1, eps2 = (_unitarity_gap(m, c) for m in (f, rows1, rows2))
-    spread = float(np.abs(d * (f.real**2 + f.imag**2) - 1).max())
-    mu = spread + _gamma(4) * (1 + spread)
-    blocks = stack.reshape(d, d, d * d)
-    residuals, sizes = np.empty(d), np.empty(d)
+    # support[s]: the d columns where fixed = s
+    support = np.argsort(fixed, kind="stable").reshape(d, d)
+    x = np.arange(d)[:, None]
+    closed, squares, exact = np.empty((d, d, d), dtype=np.complex128), np.empty((d, d)), True
     for block in _blocks(d, d**3):
-        # pairs[i, m] = kron(rows1[m], rows2[(m - q_i) % d])
-        q = k[block, None]
-        pairs = (rows1[:, :, None] * rows2[(k - q) % d][:, :, None, :]).reshape(-1, d, d * d)
-        e = f @ blocks[block]
-        e -= pairs
-        residuals[block] = np.linalg.norm(e, axis=(1, 2))
-        sizes[block] = np.linalg.norm(blocks[block], axis=(1, 2))
-    scale = c * float(np.linalg.norm(f))
-    pair_rounding = math.sqrt(2) * _gamma(2) * float(np.linalg.norm(rows1)) * float(np.linalg.norm(rows2))
-    rho = float(np.linalg.norm(residuals)) + scale * float(np.linalg.norm(sizes)) + pair_rounding
-    rho_q = float((residuals + scale * sizes).max()) + pair_rounding
+        cols = support[block][:, None, :]
+        closed[block] = table[(base[cols] + x * slope[cols]) % d]
+        delta = stack[order[block]]
+        delta[np.arange(len(cols))[:, None, None], x, cols] -= closed[block]
+        # ||Delta_row||_F^2 of each row, over its real and imaginary parts
+        parts = delta.view(np.float64)
+        squares[block] = np.einsum("sxk,sxk->sx", parts, parts)
+        exact = exact and not parts.any()
+    g, frobenius = float(_unitarity_gap(closed, c).max()), math.sqrt(squares.sum())
+    gram = g + 2 * math.sqrt(1 + g) * frobenius + frobenius * frobenius
+    schmidt = mu / math.sqrt(d) + math.sqrt(squares.max())
     lift = 1 / (1 - _gamma(2 * d**4 + 8))
-    eta, eps1, eps2, mu, rho, rho_q = (x * lift for x in (eta, eps1, eps2, mu, rho, rho_q))
-    if not eta < 1:  # G is not shown invertible, or eta is NaN
-        return math.inf, math.inf
-    e2 = eps1 + eps2 + eps1 * eps2
-    gram = (e2 + 2 * math.sqrt((1 + eps1) * (1 + eps2)) * rho + rho * rho + eta) / (1 - eta)
-    nu = mu + math.sqrt(d) * math.sqrt(1 + eta) * eta / (1 - eta)
-    schmidt = rho_q / math.sqrt(1 - eta) + (e2 + nu + e2 * nu) / math.sqrt(d)
-    return tuple(b * lift if math.isfinite(b) else math.inf for b in (gram, schmidt))
+    return *(b * lift if math.isfinite(b) else math.inf for b in (gram, schmidt)), exact
 
 
 def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, float]:
     """Bounds (reduced, projection) derived from the bound ``schmidt`` = s
-    of :func:`_mes_certificate` on one MES basis, the projections being
+    of :func:`_closed_form_bounds` on one MES basis, the projections being
     those onto the states a, the rows of ``alphas``; (inf, inf) if s is not
     finite.
 
@@ -288,7 +273,8 @@ def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, 
     nu/d of 1/d (mes.random_projection).
 
     Rounding.  The few float steps that assemble nu, r and the projection
-    bound are covered by the certificate's 1/(1 - gamma_N), N = 2 d^4 + 8.
+    bound are covered by the 1/(1 - gamma_N), N = 2 d^4 + 8, of
+    :func:`_closed_form_bounds`.
     """
     squares = (alphas.real**2 + alphas.imag**2).sum(axis=1)
     nu = float(np.abs(squares - 1).max()) + _gamma(2 * d) * float(squares.max())
@@ -298,12 +284,12 @@ def _reduced_bounds(d: int, schmidt: float, alphas: np.ndarray) -> tuple[float, 
 
 
 def suite_mes(d: int, tol: float, rng: random.Random) -> list[VerificationReport]:
-    """Every per-basis row reports a bound proved by :func:`_mes_certificate`
-    (gram, completeness, schmidt) or derived from it by
-    :func:`_reduced_bounds` (reduced, random_projection), each row the
-    column of its check in the bounds of the d+1 bases u(q, p) of (b, b).
-    Those are setup: each (d^2, d^2) stack is built once for its
-    certificate, and dropped before the next one is built."""
+    """Every per-basis row reports a bound proved by
+    :func:`_closed_form_bounds` (gram, completeness, schmidt) or derived
+    from it by :func:`_reduced_bounds` (reduced, random_projection), each
+    row the column of its check in the bounds of the d+1 bases u(q, p) of
+    (b, b).  Those are setup: each (d^2, d^2) stack is built once for its
+    bounds, and dropped before the next one is built."""
     # the first draws of the stream: 200 real parts, then 200 imaginary parts
     draws = _normal(rng, 2, 200, d)
     alphas = draws[0] + 1j * draws[1]
@@ -312,8 +298,8 @@ def suite_mes(d: int, tol: float, rng: random.Random) -> list[VerificationReport
     def bounds(label):
         """The bounds of the basis of (label, label), one per row of
         ``checks``, in its order."""
-        rows = sw.basis_rows(d, label)[1]
-        gram, schmidt = _mes_certificate(d, rows, rows, me.mes_stack(d, label, label))
+        stack = me.mes_stack(d, label, label)
+        gram, schmidt, _ = _closed_form_bounds(d, stack, *me._mes_table(d, label, label))
         reduced, projection = _reduced_bounds(d, schmidt, alphas)
         return gram, reduced, schmidt, gram, projection
 
@@ -416,7 +402,7 @@ def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops, plus
 
 def _point_basis_bounds(d: int) -> tuple[float, float]:
     """Bounds (gram, modulus) on both point bases of d, once each is shown
-    to equal its closed form entry for entry, one q-block at a time;
+    to equal its closed form entry for entry by :func:`_closed_form_bounds`;
     (1.0, 1.0) if either does not.
 
     ``gram`` bounds ||P P^+ - I||_2 of each basis P, and so every entry of
@@ -426,50 +412,30 @@ def _point_basis_bounds(d: int) -> tuple[float, float]:
     and a plus state (collective.conjugate_overlap).  Both bound the exact
     values of the float stacks, so no row can read below them.
 
-    The closed form.  With the float table t_k = w^k / sqrt d, w^k from
-    :func:`omega_powers`, row q*d + p of the minus basis is t[(-p nr) mod d]
+    The closed form.  Row q*d + p of the minus basis is t[(-p nr) mod d]
     where nc = q, and exactly 0 elsewhere; the plus basis swaps nc and nr.
-    Every bound below holds for those values only, so a stack that differs
-    from them anywhere, by a NaN, a phase or a row order, reports 1.0.
-
-    Gram.  Ordering the columns by (nc, nr) for the minus basis, or by
-    (nr, nc) for the plus basis, permutes them and turns P into the block
-    diagonal I (x) T, T[p, n] = t[(-p n) mod d].  So P P^+ = I (x) T T^+,
-    and for both bases ||P P^+ - I||_2 = ||T T^+ - I||_2 <= ||T T^+ - I||_F.
+    The bounds hold for those values only, so a stack that differs from
+    them anywhere, by a NaN, a phase or a row order, reports 1.0.
 
     Modulus.  Where nc = q, n1 + n2 = 2q, and where nr = q, n1 - n2 = 2q, so
     the d x d amplitude matrix M of a point state holds one t_k in each row
     and each column, and both M M^+ and (M^+ M)^T are diag(|t_k|^2) over its
-    entries.  A minus state of
-    (q, p) and a plus state of (q', p') share the one point (nc, nr) =
-    (q, q'), so their overlap has modulus |t_a| |t_b|.  With
-    mu >= max_k |d |t_k|^2 - 1|, every |t_k|^2 and every |t_a| |t_b| lies
-    within mu / d of 1/d.
-
-    Rounding.  T T^+ is a matmul with inner dimension d, which errs
-    entrywise by at most c |T| |T|^T, c = sqrt(2) gamma_2d, as in
-    :func:`_mes_certificate`; :func:`_unitarity_gap` adds c ||T||_F^2 to the
-    computed ||T T^+ - I||_F.  mu is the largest computed |d |t_k|^2 - 1|
-    plus gamma_4 (1 + mu) for the rounding of d |t_k|^2.  Every other float
-    step (the subtractions, the norms, the division by d) scales a
-    nonnegative quantity by (1 + delta)^(+-1), at most N = 2 d^2 + 8 times
-    along any path, so each bound is divided by 1 - gamma_N.
+    entries.  A minus state of (q, p) and a plus state of (q', p') share the
+    one point (nc, nr) = (q, q'), so their overlap has modulus |t_a| |t_b|.
+    With mu of :func:`_omega_table`, every |t_k|^2 and every |t_a| |t_b|
+    lies within mu / d of 1/d.  The few float steps from mu, the division
+    by d among them, are covered by 1/(1 - gamma_N), N = 2 d^2 + 8.
     """
-    table = sw.omega_powers(d) / np.sqrt(d)
     nc, nr = co._collective_index(d)
-    k = np.arange(d)
-    for plus in (True, False):
-        fixed, fourier = (nr, nc) if plus else (nc, nr)
-        gathered = table[(-k[:, None] * fourier) % d]
-        blocks = co.point_basis(d, plus).reshape(d, d, d * d)
-        for q in range(d):
-            if not np.array_equal(blocks[q], np.where(fixed == q, gathered, 0)):
-                return 1.0, 1.0
-    gap = _unitarity_gap(table[np.outer(-k, k) % d], math.sqrt(2) * _gamma(2 * d))
-    spread = float(np.abs(d * (table.real**2 + table.imag**2) - 1).max())
-    mu = spread + _gamma(4) * (1 + spread)
+    order = np.arange(d * d).reshape(d, d)
+    gram = 0.0
+    for plus, fixed, fourier in ((True, nr, nc), (False, nc, nr)):
+        bound, _, exact = _closed_form_bounds(d, co.point_basis(d, plus), order, fixed, 0 * fixed, -fourier)
+        if not exact:
+            return 1.0, 1.0
+        gram = max(gram, bound)
     lift = 1 / (1 - _gamma(2 * d * d + 8))
-    return gap * lift, mu / d * lift
+    return gram, _omega_table(d)[1] / d * lift
 
 
 def suite_collective(d: int, tol: float, rng: random.Random) -> list[VerificationReport]:

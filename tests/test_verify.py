@@ -6,6 +6,7 @@ import re
 import time
 import weakref
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,8 +304,8 @@ def _compared(rows):
     return [(r.check, r.d, r.params, r.max_error, r.passed) for r in rows]
 
 
-# the rows that report verify._mes_certificate's bounds or those derived from
-# them by verify._reduced_bounds, not dense values
+# the rows that report the bounds of verify._closed_form_bounds or those
+# derived from them by verify._reduced_bounds, not dense values
 CERTIFIED_ROWS = {"mes.gram", "mes.reduced", "mes.schmidt", "mes.completeness", "mes.random_projection"}
 
 
@@ -384,12 +385,19 @@ def test_suite_mes_takes_reduced_operators_once_for_the_negative_controls(monkey
 
 def dense_mes_deviations(d, stack):
     """The dense forms of mes.gram, mes.completeness and mes.schmidt: the
-    Gram deviation, |V^T conj(V) - I| and the values-only SVD of every
-    amplitude block."""
+    Gram deviation, |V^T conj(V) - I| and the Schmidt coefficients of every
+    amplitude block, the square roots of its reduced operator's eigenvalues.
+
+    Not the values-only SVD: on the exact (cb, cb) stacks it errs by up to
+    7.8e-16 at d <= 31, above the closed-form bound.  At d=17 it reads
+    1.7e-16, 6 ulps of 1/sqrt 17, where 200-bit arithmetic puts every
+    coefficient within 2.3e-17 of 1/sqrt 17 and these eigenvalues read
+    2.8e-17."""
+    rhos = states.reduced_operators(stack.reshape(-1, d, d))[0]
     return (
         states._gram_deviation(stack),
         np.abs(stack.T @ stack.conj() - np.eye(d * d)).max(),
-        np.abs(np.linalg.svd(stack.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max(),
+        np.abs(np.sqrt(np.linalg.eigvalsh(rhos)) - 1 / np.sqrt(d)).max(),
     )
 
 
@@ -416,10 +424,9 @@ def certified(d, b, b_prime, stack=None, alphas=None):
     (b, b'), or of ``stack`` in its place, projected onto ``alphas`` or the
     suite's states, after asserting that each dominates its dense value and
     so fails each row that the dense value fails."""
-    rows1, rows2 = sw.basis_rows(d, b)[1], sw.basis_rows(d, b_prime)[1]
     stack = me.mes_stack(d, b, b_prime) if stack is None else stack
     alphas = suite_states(d) if alphas is None else alphas
-    gram, schmidt = verify._mes_certificate(d, rows1, rows2, stack)
+    gram, schmidt, _ = verify._closed_form_bounds(d, stack, *me._mes_table(d, b, b_prime))
     reduced, projection = verify._reduced_bounds(d, schmidt, alphas)
     dense = dense_mes_deviations(d, stack) + dense_reduced_deviations(d, stack, alphas)
     for value, bound in zip(dense, (gram, gram, schmidt, reduced, projection)):
@@ -433,8 +440,44 @@ def test_certificate_dominates_the_dense_rows_for_every_pair(d):
     for b in labels:
         for b_prime in labels:
             stack = me.mes_stack(d, b, b_prime)
-            assert max(certified(d, b, b_prime, stack)) < 1e-12
+            # a pair with one cb has full support: it has no closed form on a
+            # graph, and verify certifies no such basis
+            if b.is_cb == b_prime.is_cb:
+                assert max(certified(d, b, b_prime, stack)) < 1e-12
+            else:
+                with pytest.raises(ValueError):
+                    me._mes_table(d, b, b_prime)
             assert max(dense_reduced_deviations(d, stack, suite_states(d))) < 1e-14
+
+
+def closed_form_oracle(d, order, fixed, base, slope):
+    """The dense stack of the integer tables: row order[s, x] is
+    w^(base + x slope) / sqrt d where fixed = s and 0 elsewhere, built one
+    row at a time."""
+    table = sw.omega_powers(d) / np.sqrt(d)
+    stack = np.full((d * d, d * d), np.nan, dtype=complex)
+    for s in range(d):
+        for x in range(d):
+            stack[order[s, x]] = np.where(fixed == s, table[(base + x * slope) % d], 0)
+    return stack
+
+
+def _covered_pairs(d):
+    labels = sw.BasisLabel.all_labels(d)
+    return [(b, b_prime) for b in labels for b_prime in labels if b.is_cb == b_prime.is_cb]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_closed_form_equals_the_mes_sum(d):
+    # every covered pair up to d=7, every diagonal pair beyond
+    pairs = _covered_pairs(d) if d <= 7 else [(b, b) for b in sw.BasisLabel.all_labels(d)]
+    for b, b_prime in pairs:
+        tables = me._mes_table(d, b, b_prime)
+        closed = closed_form_oracle(d, *tables)
+        assert np.abs(closed - me.mes_stack(d, b, b_prime)).max() <= 1e-15
+        # the closed form is exactly the stack whose bounds carry no Delta term
+        gram, schmidt, exact = verify._closed_form_bounds(d, closed, *tables)
+        assert exact and 0.0 < schmidt < 1e-15 and 0.0 < gram < 1e-12
 
 
 @pytest.mark.parametrize("d", [7, 11, 13, 17])
@@ -506,7 +549,8 @@ def test_projection_bound_covers_states_off_unit_norm(label, delta):
 @pytest.mark.parametrize("rows", [(9, 12), (9, 30)])
 def test_certificate_fails_an_orthonormal_but_mislabeled_stack(rows):
     # sufficient, not necessary: two swapped rows leave every dense row
-    # passing, within one q-block or across two, and fail all three bounds
+    # passing, in one q-block (9, 12) or in one support block, one p (9, 30),
+    # and fail all three bounds
     label = sw.BasisLabel(2)
     stack = me.mes_stack(7, label, label).copy()
     stack[list(rows)] = stack[list(rows[::-1])]
@@ -518,25 +562,73 @@ def test_certificate_fails_an_orthonormal_but_mislabeled_stack(rows):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_a_non_finite_element_gives_inf(bad):
     label = sw.BasisLabel(1)
-    rows = sw.basis_rows(5, label)[1]
     stack = me.mes_stack(5, label, label).copy()
     stack[13, 7] = bad
     with np.errstate(invalid="ignore"):
-        gram, schmidt = verify._mes_certificate(5, rows, rows, stack)
+        gram, schmidt, exact = verify._closed_form_bounds(5, stack, *me._mes_table(5, label, label))
+    assert not exact
     assert (gram, schmidt) == (math.inf, math.inf)
     assert verify._reduced_bounds(5, schmidt, suite_states(5)) == (math.inf, math.inf)
 
 
+def _wrong_phase_at_the_origin(stack, d, cb):
+    stack[0, 0] *= sw.omega_powers(d)[1]
+
+
+def _swapped_in_a_support_block(stack, d, cb):
+    # the rows of one q share a support in (cb, cb), those of one p in (b, b)
+    rows = [0, 1] if cb else [0, d]
+    stack[rows] = stack[rows[::-1]]
+
+
+def _swapped_across_support_blocks(stack, d, cb):
+    stack[[0, d + 1]] = stack[[d + 1, 0]]
+
+
+MES_FAULTS = {
+    # row 0 is u(0, 0): its support n1 - n2 = 0, or n1 + n2 = 0, holds
+    # particle-flat index 0, (n1, n2) = (0, 0), and not index 1, (0, 1)
+    "off_support": lambda stack, d, cb: _off_support_element(stack, d),
+    "nan_on_the_support": lambda stack, d, cb: _nan_on_the_support(stack, d),
+    "wrong_phase": _wrong_phase_at_the_origin,
+    "swapped_in_a_block": _swapped_in_a_support_block,
+    "swapped_across_blocks": _swapped_across_support_blocks,
+}
+
+
+@pytest.mark.parametrize("label", [sw.CB, sw.BasisLabel(2)])
+@pytest.mark.parametrize("fault", sorted(MES_FAULTS))
+def test_a_faulty_mes_stack_fails_every_certified_row(monkeypatch, fault, label):
+    mes_stack = me.mes_stack
+
+    def poisoned(d, b, b_prime):
+        stack = mes_stack(d, b, b_prime)
+        if b != label:
+            return stack
+        stack = stack.copy()
+        MES_FAULTS[fault](stack, d, label.is_cb)
+        return stack
+
+    monkeypatch.setattr(me, "mes_stack", poisoned)
+    for d in (3, 5, 7):
+        with np.errstate(invalid="ignore"):
+            rows = {row.check: row for row in run_suites([d], "mes")}
+        failing = {check for check, row in rows.items() if not row.passed}
+        assert failing == CERTIFIED_ROWS
+        if fault == "nan_on_the_support":
+            assert all(rows[check].max_error == math.inf for check in failing)
+
+
 @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-2])
 def test_an_inaccurate_dft_is_covered_through_its_measured_unitarity(monkeypatch, delta):
-    # a stack built with the DFT w^(m p) (1 + delta) / sqrt d: its residual
-    # against that same DFT is rounding only, so eta alone carries the fault
+    # a stack built from the table w^k (1 + delta) / sqrt d: its Delta against
+    # the closed form of that same table is rounding only, so the measured
+    # gap of the table's blocks and mu alone carry the fault
     d, label = 7, sw.BasisLabel(3)
-    rows = sw.basis_rows(d, label)[1]
-    stack = me.mes_stack(d, label, label) / (1 + delta)
+    stack = me.mes_stack(d, label, label) * (1 + delta)
     omega_powers = sw.omega_powers
     monkeypatch.setattr(sw, "omega_powers", lambda n: omega_powers(n) * (1 + delta))
-    gram, schmidt = verify._mes_certificate(d, rows, rows, stack)
+    gram, schmidt, _ = verify._closed_form_bounds(d, stack, *me._mes_table(d, label, label))
     dense = dense_mes_deviations(d, stack)
     assert max(dense[:2]) <= gram and dense[2] <= schmidt
     assert dense[0] > delta
@@ -686,11 +778,68 @@ def _off_support_minus_element(monkeypatch):
 )
 def test_a_collective_fault_fails_its_rows_and_the_other_suites_still_run(monkeypatch, fault, checks):
     fault(monkeypatch)
+    _failing_rows_of_all_suites(checks)
+
+
+def _failing_rows_of_all_suites(checks):
+    """The rows of ``checks`` in ``run_suites([3, 5])``, after asserting that
+    each fails at both d while every suite still runs."""
     rows = run_suites([3, 5])
     for d in (3, 5):
         by_check = {row.check: row for row in rows if row.d == d}
         assert [by_check[check].passed for check in checks] == [False] * len(checks)
-        assert {check.split(".")[0] for check in by_check} == {"mub", "mes", "collective", "line"}
+        assert {name.split(".")[0] for name in by_check} == {"mub", "mes", "collective", "line"}
+    return [row for row in rows if row.check in checks]
+
+
+def _one_basis_dropped(monkeypatch):
+    # verify alone reads the short family, so the MES bases still find every basis
+    family = {**vars(sw), "mub_stack": lambda d: sw.mub_stack(d)[:-1]}
+    monkeypatch.setattr(verify, "sw", SimpleNamespace(**family))
+
+
+def _clock_with_one_wrong_power(monkeypatch):
+    def clock(d):
+        # Z|1> = w^2 |1>: still unitary, but ZX != w XZ
+        powers = sw.omega_powers(d)[np.r_[0, 2, 2:d]]
+        return states.UnitaryOp(np.diag(powers))
+
+    monkeypatch.setattr(sw, "clock_z", clock)
+
+
+def _two_rebuilt_rows_swapped(monkeypatch):
+    rebuild = li._mub_stack_from_lines
+
+    def swapped(d, factored):
+        stack = rebuild(d, factored).copy()
+        stack[1, [0, 1]] = stack[1, [1, 0]]
+        return stack
+
+    monkeypatch.setattr(li, "_mub_stack_from_lines", swapped)
+
+
+def _maximally_mixed_reduced_operators(monkeypatch):
+    def mixed(amplitudes):
+        d = amplitudes.shape[-1]
+        rhos = np.broadcast_to(np.eye(d) / d, amplitudes.shape)
+        return rhos, rhos
+
+    monkeypatch.setattr(verify, "reduced_operators", mixed)
+
+
+@pytest.mark.parametrize(
+    "fault, check",
+    [
+        (_one_basis_dropped, "mub.count"),
+        (_clock_with_one_wrong_power, "mub.clock_shift_algebra"),
+        (_two_rebuilt_rows_swapped, "mub.lines_family_match"),
+        (_maximally_mixed_reduced_operators, "mes.negative_controls"),
+    ],
+)
+def test_a_mub_or_mes_fault_fails_its_row_and_the_other_suites_still_run(monkeypatch, fault, check):
+    fault(monkeypatch)
+    # a finite fault: the row reads a number, not the inf of a NaN
+    assert all(math.isfinite(row.max_error) for row in _failing_rows_of_all_suites([check]))
 
 
 # -- the exact hop rows ------------------------------------------------------------
@@ -1112,7 +1261,7 @@ def _tolerance_callers():
 
 
 @pytest.mark.parametrize("name", sorted(_tolerance_callers()))
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, 1.0, "1e-10", None, 1e-10 + 0j])
 def test_library_tolerances_fail_closed(name, tol):
     call = _tolerance_callers()[name]
     call(states.DEFAULT_TOL)
