@@ -235,9 +235,41 @@ def rows_oracle(d, tol, entries):
     return rows
 
 
+def dense_schmidt(d, stack):
+    """(deviation, rounding): the largest distance of a computed Schmidt
+    coefficient of any row of ``stack`` from 1/sqrt d, and a bound on how
+    far the exact distance lies from it.  A float SVD cannot resolve the
+    certified bound on an exact stack, about 1e-16, so a bound is checked
+    against deviation - rounding.
+
+    Each d x d amplitude matrix M has the float SVD U diag(s) V^+.  The exact
+    singular values of U diag(s) V^+ lie within s_i (eta_U + eta_V) of s_i,
+    eta_X = ||X X^+ - I||_2, since sigma_i(X Y) lies between
+    sigma_min(X) sigma_i(Y) and ||X||_2 sigma_i(Y); by Weyl's inequality
+    those of M lie within ||R||_2 of them, R = M - U diag(s) V^+.  R and
+    each X X^+ - I are complex matmuls of inner dimension d, computed within
+    c |X| |Y| entrywise, c = sqrt(2) gamma_(2d+2) as in
+    verify._closed_form_bounds, one more for the scaling by s.  1/sqrt d,
+    each |s_i - 1/sqrt d| and a difference deviation - rounding are
+    computed within gamma_4 (1/sqrt d + |s_i - 1/sqrt d|) of their exact
+    values, and every other step, the norms among them, scales a
+    nonnegative quantity by at most 1 + gamma_N, N = 4 d^2 + 8."""
+    m = stack.reshape(-1, d, d)
+    u, s, vh = np.linalg.svd(m)
+    c = math.sqrt(2) * verify._gamma(2 * d + 2)
+    frobenius = lambda a: np.linalg.norm(a, axis=(-2, -1))
+    residual = frobenius(m - u @ (s[..., None] * vh)) + c * frobenius(np.abs(u) @ (s[..., None] * np.abs(vh)))
+    eta = sum(frobenius(x @ x.conj().swapaxes(-1, -2) - np.eye(d)) + c * frobenius(x) ** 2 for x in (u, vh))
+    deviations = np.abs(s - 1 / np.sqrt(d))
+    rounding = residual[:, None] + s * eta[:, None] + verify._gamma(4) * (1 / math.sqrt(d) + deviations)
+    return float(deviations.max()), float(rounding.max()) / (1 - verify._gamma(4 * d * d + 8))
+
+
 def suite_mes_oracle(d, tol, rng):
     """The MES suite with all d+1 basis stacks held at once, each row a pass
-    over the whole list, the reduced operators taken once per row."""
+    over the whole list, the reduced operators taken once per row; its
+    mes.schmidt row reads the least exact distance :func:`dense_schmidt`
+    allows."""
     stacks = [me.mes_stack(d, label, label) for label in sw.BasisLabel.all_labels(d)]
 
     def random_projection():
@@ -274,10 +306,7 @@ def suite_mes_oracle(d, tol, rng):
         (
             "mes.schmidt",
             "all coefficients 1/sqrt(d)",
-            lambda: (
-                np.abs(np.linalg.svd(v.reshape(-1, d, d), compute_uv=False) - 1 / np.sqrt(d)).max()
-                for v in stacks
-            ),
+            lambda: (deviation - rounding for deviation, rounding in (dense_schmidt(d, v) for v in stacks)),
         ),
         (
             "mes.completeness",
@@ -384,20 +413,13 @@ def test_suite_mes_takes_reduced_operators_once_for_the_negative_controls(monkey
 
 
 def dense_mes_deviations(d, stack):
-    """The dense forms of mes.gram, mes.completeness and mes.schmidt: the
-    Gram deviation, |V^T conj(V) - I| and the Schmidt coefficients of every
-    amplitude block, the square roots of its reduced operator's eigenvalues.
-
-    Not the values-only SVD: on the exact (cb, cb) stacks it errs by up to
-    7.8e-16 at d <= 31, above the closed-form bound.  At d=17 it reads
-    1.7e-16, 6 ulps of 1/sqrt 17, where 200-bit arithmetic puts every
-    coefficient within 2.3e-17 of 1/sqrt 17 and these eigenvalues read
-    2.8e-17."""
-    rhos = states.reduced_operators(stack.reshape(-1, d, d))[0]
+    """The dense forms of mes.gram, mes.completeness and mes.schmidt, and
+    the rounding of the last: the Gram deviation, |V^T conj(V) - I| and the
+    (deviation, rounding) of :func:`dense_schmidt`."""
     return (
         states._gram_deviation(stack),
         np.abs(stack.T @ stack.conj() - np.eye(d * d)).max(),
-        np.abs(np.sqrt(np.linalg.eigvalsh(rhos)) - 1 / np.sqrt(d)).max(),
+        *dense_schmidt(d, stack),
     )
 
 
@@ -428,7 +450,9 @@ def certified(d, b, b_prime, stack=None, alphas=None):
     alphas = suite_states(d) if alphas is None else alphas
     gram, schmidt, _ = verify._closed_form_bounds(d, stack, *me._mes_table(d, b, b_prime))
     reduced, projection = verify._reduced_bounds(d, schmidt, alphas)
-    dense = dense_mes_deviations(d, stack) + dense_reduced_deviations(d, stack, alphas)
+    gram_deviation, completeness, schmidt_deviation, rounding = dense_mes_deviations(d, stack)
+    dense = (gram_deviation, completeness, schmidt_deviation - rounding)
+    dense += dense_reduced_deviations(d, stack, alphas)
     for value, bound in zip(dense, (gram, gram, schmidt, reduced, projection)):
         assert value <= bound
     return gram, schmidt, reduced, projection
@@ -441,12 +465,15 @@ def test_certificate_dominates_the_dense_rows_for_every_pair(d):
         for b_prime in labels:
             stack = me.mes_stack(d, b, b_prime)
             # a pair with one cb has full support: it has no closed form on a
-            # graph, and verify certifies no such basis
+            # graph, and verify certifies no such basis, so only its dense
+            # values are checked
             if b.is_cb == b_prime.is_cb:
                 assert max(certified(d, b, b_prime, stack)) < 1e-12
             else:
                 with pytest.raises(ValueError):
                     me._mes_table(d, b, b_prime)
+                gram, completeness, schmidt, rounding = dense_mes_deviations(d, stack)
+                assert max(gram, completeness, schmidt + rounding) < 1e-12
             assert max(dense_reduced_deviations(d, stack, suite_states(d))) < 1e-14
 
 
@@ -555,7 +582,7 @@ def test_certificate_fails_an_orthonormal_but_mislabeled_stack(rows):
     stack = me.mes_stack(7, label, label).copy()
     stack[list(rows)] = stack[list(rows[::-1])]
     bounds = certified(7, label, label, stack)
-    assert max(dense_mes_deviations(7, stack)) < 1e-14
+    assert max(dense_mes_deviations(7, stack)[:3]) < 1e-14
     assert min(bounds) > states.DEFAULT_TOL
 
 
@@ -629,9 +656,9 @@ def test_an_inaccurate_dft_is_covered_through_its_measured_unitarity(monkeypatch
     omega_powers = sw.omega_powers
     monkeypatch.setattr(sw, "omega_powers", lambda n: omega_powers(n) * (1 + delta))
     gram, schmidt, _ = verify._closed_form_bounds(d, stack, *me._mes_table(d, label, label))
-    dense = dense_mes_deviations(d, stack)
-    assert max(dense[:2]) <= gram and dense[2] <= schmidt
-    assert dense[0] > delta
+    gram_deviation, completeness, schmidt_deviation, rounding = dense_mes_deviations(d, stack)
+    assert max(gram_deviation, completeness) <= gram and schmidt_deviation - rounding <= schmidt
+    assert gram_deviation > delta
 
 
 # -- the collective suite's array passes against the per-point loops --------------
