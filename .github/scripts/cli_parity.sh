@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Compare the CLI of this checkout against a base checkout: for every command
-# below, stdout, stderr and the exit code must be byte-identical.
+# below, stdout, stderr, the exit code and the file written through
+# `--out "$out"` (if any) must be byte-identical.
 #
 # Usage, from the repository root:  .github/scripts/cli_parity.sh BASE_DIR
 # where BASE_DIR is a checkout of the base commit (e.g. a git worktree).
@@ -8,13 +9,20 @@ set -u
 base=$1
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+out=$tmp/out  # the --out file of a command; both trees write the same path
 status=0
 
-run() {  # run TREE NAME ARGS...: stdout, stderr and exit code to $tmp/NAME.{out,err,code}
+run() {  # run TREE NAME ARGS...: stdout, stderr, exit code and --out file to $tmp/NAME.{out,err,code,file}
   local tree=$1 name=$2 code=0
   shift 2
+  rm -f "$out" "$tmp/$name.file"
   PYTHONPATH="$tree/src" python -m mesphase.cli "$@" > "$tmp/$name.out" 2> "$tmp/$name.err" || code=$?
   echo "$code" > "$tmp/$name.code"
+  if [ -e "$out" ]; then mv "$out" "$tmp/$name.file"; fi
+}
+
+same_file() {  # same_file A B: both missing, or both present with the same bytes
+  if [ -e "$1" ] || [ -e "$2" ]; then cmp -s "$1" "$2"; fi
 }
 
 while IFS= read -r command; do
@@ -22,7 +30,7 @@ while IFS= read -r command; do
   run "$base" base "$@"
   run . head "$@"
   if cmp -s "$tmp/base.out" "$tmp/head.out" && cmp -s "$tmp/base.err" "$tmp/head.err" \
-    && cmp -s "$tmp/base.code" "$tmp/head.code"; then
+    && cmp -s "$tmp/base.code" "$tmp/head.code" && same_file "$tmp/base.file" "$tmp/head.file"; then
     echo "same:    mesphase $command"
   else
     echo "DIFFERS: mesphase $command (exit $(cat "$tmp/base.code") -> $(cat "$tmp/head.code"))"
@@ -86,5 +94,10 @@ verify --d 31 --suite mes --format json
 gen-mes --d 13 --b cb --b-prime cb --format json
 hop --d 7 --q -1 --p 15 --word ""
 hop --d 11 --q 12 --p -3 --word "Xc^-1 Zr^12" --format csv
+gen-mes --d 23 --b 3 --b-prime 5 --out "$out"
+gen-mes --d 23 --b 3 --b-prime 5 --format csv --out "$out"
+gen-mub --d 23 --out "$out"
+verify --d 5 --suite mub --format json --out "$out"
+lines --d 13 --format csv --out "$out"
 COMMANDS
 exit $status

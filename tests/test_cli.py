@@ -226,10 +226,12 @@ def test_a_cold_verify_imports_no_numpy_random():
         ["lines", "--d", "3"],
     ],
 )
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "empty"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
-    # exit 1 means "checks failed" for verify, so a bad --out must not read as it
-    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    # exit 1 means "checks failed" for verify, so a bad --out must not read as
+    # it; an empty --out names no file, and does not mean stdout
+    targets = {"directory": tmp_path, "missing parent": tmp_path / "missing" / "report.txt", "empty": ""}
+    target = targets[where]
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2
     assert out == ""
@@ -298,20 +300,25 @@ def test_repeated_gen_calls_in_one_process_match_cold_calls(capsys):
 
 def test_two_formats_of_one_basis_index_its_floats_once(capsys, monkeypatch):
     clear_caches()
-    calls, builds = [], []
-    distinct_codes, build = cli._distinct_codes, cli.mes_stack
+    calls, builds, checks = [], [], []
+    distinct_codes, build, check = cli._distinct_codes, cli.mes_stack, cli._check_unit_rows
     monkeypatch.setattr(cli, "_distinct_codes", lambda bits: calls.append(bits.size) or distinct_codes(bits))
     monkeypatch.setattr(cli, "mes_stack", lambda *key: builds.append(key) or build(*key))
+    monkeypatch.setattr(cli, "_check_unit_rows", lambda amps: checks.append(amps.shape) or check(amps))
     for fmt in ("json", "csv", "json"):
         assert run(capsys, "gen-mes", "--d", "7", "--b", "2", "--b-prime", "5", "--format", fmt)[0] == 0
     assert calls == [2 * 7**4]
     assert builds == [(7, BasisLabel(2), BasisLabel(5))]
-    # another basis is built and indexed afresh, and gen-mub indexed afresh
+    # the unit-norm check runs once per built basis, not once per format
+    assert checks == [(49, 49)]
+    # another basis is built, checked and indexed afresh, and gen-mub checked
+    # and indexed afresh on each call
     assert run(capsys, "gen-mes", "--d", "7", "--b", "5", "--b-prime", "2", "--format", "csv")[0] == 0
     assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
     assert run(capsys, "gen-mub", "--d", "7", "--format", "csv")[0] == 0
     assert calls == [2 * 7**4] * 2 + [2 * 8 * 7 * 7] * 2
     assert builds == [(7, BasisLabel(2), BasisLabel(5)), (7, BasisLabel(5), BasisLabel(2))]
+    assert checks == [(49, 49)] * 2 + [(8 * 7, 7)] * 2
 
 
 def test_another_basis_clears_the_entry_before_its_build(capsys, monkeypatch):
@@ -363,6 +370,8 @@ def test_failed_generation_after_a_cached_success(tmp_path, capsys, monkeypatch,
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "not normalized" in err
     assert target.read_bytes() == b"earlier output\n"
+    # a refused basis is not kept
+    assert cli._last_basis == {}
     monkeypatch.undo()
     # and only a new build drops the patched stack
     clear_caches()

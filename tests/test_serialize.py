@@ -13,7 +13,16 @@ import json
 import numpy as np
 import pytest
 
-from mesphase.cli import _GOLDEN, _distinct_codes, _float_index, _float_texts, _json_float, _fmt, main
+from mesphase.cli import (
+    _GOLDEN,
+    _OUT_BUFFER,
+    _distinct_codes,
+    _float_index,
+    _float_texts,
+    _fmt,
+    _json_float,
+    main,
+)
 from mesphase.mes import mes_basis
 from mesphase.schwinger import BasisLabel, mub_family
 from mesphase.states import Ket
@@ -131,10 +140,30 @@ def test_gen_mub_matches_oracle(capsys, d, fmt):
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
-    target = tmp_path / "mes.csv"
-    argv = ["gen-mes", "--d", "5", "--b", "1", "--b-prime", "cb", "--format", "csv"]
-    assert cli_text(capsys, *argv, "--out", str(target)) == ""
-    assert target.read_text(encoding="utf-8") == oracle_gen_mes(5, "1", "cb", "csv")
+    # documents from a few KB to several times the --out buffer
+    requests = [
+        (5, "1", "cb", "csv"),
+        (13, "4", "9", "json"),
+        (13, "cb", "2", "csv"),
+        (23, "json"),
+        (17, "0", "cb", "json"),
+    ]
+    sizes = []
+    for k, request in enumerate(requests):
+        if len(request) == 2:
+            d, fmt = request
+            argv, oracle = ["gen-mub", "--d", str(d)], oracle_gen_mub(d, fmt)
+        else:
+            d, b, b_prime, fmt = request
+            argv = ["gen-mes", "--d", str(d), "--b", b, "--b-prime", b_prime]
+            oracle = oracle_gen_mes(d, b, b_prime, fmt)
+        argv += ["--format", fmt]
+        target = tmp_path / f"doc{k}"
+        assert cli_text(capsys, *argv, "--out", str(target)) == ""
+        written = target.read_bytes()
+        assert written == cli_text(capsys, *argv).encode("utf-8") == oracle.encode("utf-8")
+        sizes.append(len(written))
+    assert max(sizes) > 2 * _OUT_BUFFER
 
 
 # -- the formatting helper -----------------------------------------------------
