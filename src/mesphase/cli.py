@@ -270,9 +270,8 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 # -- subcommands ---------------------------------------------------------------
 
 
-# the last gen-mes basis that passed its unit-norm check,
-# {(d, label, label'): (stack, float index)}: one entry, since a d has
-# (d+1)^2 bases of d^4 * 16 B each
+# the float index of the last gen-mes basis that passed its unit-norm check,
+# {(d, label, label'): float index}: one entry, since a d has (d+1)^2 bases
 _last_basis: dict = {}
 
 
@@ -309,14 +308,14 @@ def _cmd_gen_mes(args: argparse.Namespace) -> int:
     b_prime = BasisLabel.parse(args.b_prime, d)
     key = (d, b, b_prime)
     if key not in _last_basis:
-        # drop the kept basis before building another, so one stack is alive
+        # drop the kept index before building another basis; the stack
+        # itself is freed once it is indexed
         _last_basis.clear()
-        stack = mes_stack(d, b, b_prime)
-        index = _checked_index(stack)
+        index = _checked_index(mes_stack(d, b, b_prime))
         if index is None:
             return 1
-        _last_basis[key] = stack, index
-    _, index = _last_basis[key]
+        _last_basis[key] = index
+    index = _last_basis[key]
     grid = [divmod(k, d) for k in range(d * d)]
     if args.format == "json":
         doc = {"d": d, "b": str(b), "b_prime": str(b_prime), "states": [_SLOT]}

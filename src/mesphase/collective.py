@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WordParseError
-from .schwinger import _per_dimension, mub_stack, omega_powers, validate_dimension
+from .schwinger import _per_dimension, omega_powers, validate_dimension
 from .states import Ket, UnitaryOp, _integer, _omega_exponent, _split_dim
 
 __all__ = [
@@ -191,16 +191,26 @@ def collective_ops(d: int) -> CollectiveOps:
     return CollectiveOps(*map(UnitaryOp, _dense(d, *_word_maps(d, words))))
 
 
-@_per_dimension
-def point_basis(d: int, plus: bool) -> np.ndarray:
-    """Read-only (d^2, d^2) stack of :func:`point_state_plus` (or, with
-    ``plus=False``, :func:`point_state_minus`) amplitudes, row q*d + p for
-    point (q, p); scattered from the Fourier rows of the MUB stack."""
+def _point_table(d: int, plus: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables (order, fixed, base, slope) of :func:`point_basis`, in
+    the form of :func:`mes._mes_table`: row order[q, p] = q*d + p is
+    w^(base + p slope) / sqrt d where fixed = q, and 0 elsewhere."""
     nc, nr = _collective_index(d)
     fixed, fourier = (nr, nc) if plus else (nc, nr)
-    basis = np.zeros((d, d, d * d), dtype=np.complex128)
-    basis[fixed, :, np.arange(d * d)] = mub_stack(d)[1][:, fourier].T
-    return basis.reshape(d * d, d * d)
+    return np.arange(d * d).reshape(d, d), fixed, 0 * fixed, -fourier
+
+
+@_per_dimension
+def point_basis(d: int, plus: bool) -> np.ndarray:
+    """Read-only (d^2, d^2) stack of :func:`point_state_minus` (or, with
+    ``plus``, :func:`point_state_plus`) amplitudes: row q*d + p is
+    w^(-p nr) / sqrt d where nc = q, and exactly 0 elsewhere; the plus
+    basis swaps nc and nr.  Gathered from :func:`_point_table`."""
+    order, fixed, base, slope = _point_table(d, plus)
+    basis = np.zeros((d * d, d * d), dtype=np.complex128)
+    exponents = (base[:, None] + np.arange(d) * slope[:, None]) % d
+    basis[order[fixed], np.arange(d * d)[:, None]] = (omega_powers(d) / np.sqrt(d))[exponents]
+    return basis
 
 
 def point_state_plus(d: int, point: "PhasePoint | tuple[int, int]") -> Ket:

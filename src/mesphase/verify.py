@@ -200,10 +200,9 @@ def _closed_form_bounds(
     The closed form.  With t from :func:`_omega_table`, row order[s, x] of
     V^ is t[(base + x slope) mod d] where fixed = s, and exactly 0
     elsewhere, the tables over the particle-flat index n1*d + n2
-    (:func:`mes._mes_table`, or :func:`collective._collective_index` for
-    the point bases).  For each s the support, d columns, is the graph of a
-    bijection n1 <-> n2.  Delta = V - V^ is taken one :func:`_blocks` block
-    of s at a time, d^3 values per s.
+    (:func:`mes._mes_table` or :func:`collective._point_table`).  For each
+    s the support, d columns, is the graph of a bijection n1 <-> n2.  V^ is
+    gathered once; Delta = V - V^ is taken per :func:`_blocks` block of s.
 
     Gram.  Rows of different s have disjoint supports, so V^ V^+ is block
     diagonal with the d x d blocks T_s T_s^+, T_s[x, k] the entry of row
@@ -235,13 +234,11 @@ def _closed_form_bounds(
     c = math.sqrt(2) * _gamma(2 * d)
     # support[s]: the d columns where fixed = s
     support = np.argsort(fixed, kind="stable").reshape(d, d)
-    x = np.arange(d)[:, None]
-    closed, squares, exact = np.empty((d, d, d), dtype=np.complex128), np.empty((d, d)), True
+    x, cols = np.arange(d)[:, None], support[:, None, :]
+    closed, squares, exact = table[(base[cols] + x * slope[cols]) % d], np.empty((d, d)), True
     for block in _blocks(d, d**3):
-        cols = support[block][:, None, :]
-        closed[block] = table[(base[cols] + x * slope[cols]) % d]
         delta = stack[order[block]]
-        delta[np.arange(len(cols))[:, None, None], x, cols] -= closed[block]
+        delta[np.arange(len(delta))[:, None, None], x, cols[block]] -= closed[block]
         # ||Delta_row||_F^2 of each row, over its real and imaginary parts
         parts = delta.view(np.float64)
         squares[block] = np.einsum("sxk,sxk->sx", parts, parts)
@@ -379,15 +376,13 @@ def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops, plus
     the state of (q', p'), with (q', p', phase) the row's symbolic hop in
     ``hops``; 1.0 otherwise.
 
-    The minus state of (q, p) is w^(-p nr) / sqrt d where nc = q and 0
-    elsewhere, and the plus state swaps nc and nr; call the two labels
-    (fixed, fourier) in that order.  The map sends v to w^exponents v[src].
-    So the image is the hopped state iff, exactly, fixed[src] = q where
-    fixed = q' and nowhere else, and there exponents - p fourier[src] -
-    phase + p' fourier = 0 mod d: integers only, no d^2 x d^2 matrix.
+    By :func:`collective._point_table`, whose base is 0, the state of (q, p)
+    is w^(p slope) / sqrt d where fixed = q.  Its image w^exponents v[src]
+    is the hopped state iff, exactly, fixed[src] = q where fixed = q' and
+    nowhere else, and there exponents + p slope[src] - phase - p' slope = 0
+    mod d: integers only, no d^2 x d^2 matrix.
     """
-    nc, nr = co._collective_index(d)
-    fixed, fourier = (nr, nc) if plus else (nc, nr)
+    _, fixed, _, slope = co._point_table(d, plus)
     q, p = np.divmod(np.asarray(rows)[:, None], d)
     q2, p2, phase = np.array([(h.point.q, h.point.p, h.phase_exponent) for h in hops]).T[:, :, None]
     landed = ((fixed[src] == q) == (fixed == q2)).all(axis=1)
@@ -396,14 +391,15 @@ def _hop_errors(d: int, src: np.ndarray, exponents: np.ndarray, rows, hops, plus
     on = np.argsort(fixed, kind="stable").reshape(d, d)[q2[:, 0] % d]
     shape = (len(on), d * d)
     src, exponents = (np.take_along_axis(np.broadcast_to(a, shape), on, axis=1) for a in (src, exponents))
-    residues = (exponents - p * fourier[src] - phase + p2 * fourier[on]) % d
+    residues = (exponents + p * slope[src] - phase - p2 * slope[on]) % d
     return np.where(landed & (residues == 0).all(axis=1), 0.0, 1.0)
 
 
 def _point_basis_bounds(d: int) -> tuple[float, float]:
     """Bounds (gram, modulus) on both point bases of d, once each is shown
-    to equal its closed form entry for entry by :func:`_closed_form_bounds`;
-    (1.0, 1.0) if either does not.
+    to equal its closed form of :func:`collective._point_table` entry for
+    entry by :func:`_closed_form_bounds`; (1.0, 1.0) if either differs from
+    it anywhere, by a NaN, a phase or a row order.
 
     ``gram`` bounds ||P P^+ - I||_2 of each basis P, and so every entry of
     conj(P) P^T - I (collective.point_bases).  ``modulus`` bounds every
@@ -412,25 +408,18 @@ def _point_basis_bounds(d: int) -> tuple[float, float]:
     and a plus state (collective.conjugate_overlap).  Both bound the exact
     values of the float stacks, so no row can read below them.
 
-    The closed form.  Row q*d + p of the minus basis is t[(-p nr) mod d]
-    where nc = q, and exactly 0 elsewhere; the plus basis swaps nc and nr.
-    The bounds hold for those values only, so a stack that differs from
-    them anywhere, by a NaN, a phase or a row order, reports 1.0.
-
-    Modulus.  Where nc = q, n1 + n2 = 2q, and where nr = q, n1 - n2 = 2q, so
-    the d x d amplitude matrix M of a point state holds one t_k in each row
-    and each column, and both M M^+ and (M^+ M)^T are diag(|t_k|^2) over its
-    entries.  A minus state of (q, p) and a plus state of (q', p') share the
-    one point (nc, nr) = (q, q'), so their overlap has modulus |t_a| |t_b|.
+    Modulus.  Each support is the graph of a bijection n1 <-> n2, so the
+    d x d amplitude matrix M of a point state holds one t_k in each row and
+    each column, and both M M^+ and (M^+ M)^T are diag(|t_k|^2) over its
+    entries.  A minus and a plus support, nc = q and nr = q', meet in one
+    point, so the overlap of their states has modulus |t_a| |t_b|.
     With mu of :func:`_omega_table`, every |t_k|^2 and every |t_a| |t_b|
     lies within mu / d of 1/d.  The few float steps from mu, the division
     by d among them, are covered by 1/(1 - gamma_N), N = 2 d^2 + 8.
     """
-    nc, nr = co._collective_index(d)
-    order = np.arange(d * d).reshape(d, d)
     gram = 0.0
-    for plus, fixed, fourier in ((True, nr, nc), (False, nc, nr)):
-        bound, _, exact = _closed_form_bounds(d, co.point_basis(d, plus), order, fixed, 0 * fixed, -fourier)
+    for plus in (True, False):
+        bound, _, exact = _closed_form_bounds(d, co.point_basis(d, plus), *co._point_table(d, plus))
         if not exact:
             return 1.0, 1.0
         gram = max(gram, bound)

@@ -336,16 +336,28 @@ def test_another_basis_clears_the_entry_before_its_build(capsys, monkeypatch):
     assert list(cli._last_basis) == [(5, BasisLabel(2), BasisLabel(1))]
 
 
-def test_float_index_lives_only_as_long_as_its_stack(capsys):
+def test_gen_mes_keeps_only_the_float_index(capsys, monkeypatch):
     clear_caches()
+    built, build = [], cli.mes_stack
+
+    def spy(*key):
+        stack = build(*key)
+        built.append(weakref.ref(stack))
+        return stack
+
+    monkeypatch.setattr(cli, "mes_stack", spy)
     assert run(capsys, "gen-mes", "--d", "5", "--b", "1", "--b-prime", "2")[0] == 0
-    ((stack, (keys, codes)),) = cli._last_basis.values()
-    refs = [weakref.ref(array) for array in (stack, keys, codes)]
-    del stack, keys, codes
-    # writing another pair frees the stack, and its index with it
+    # the stack is freed once it is indexed, and the entry is its index alone
+    gc.collect()
+    assert [ref() for ref in built] == [None]
+    ((keys, codes),) = cli._last_basis.values()
+    assert (keys.dtype, codes.shape) == (np.float64, (25, 2, 25))
+    refs = [weakref.ref(array) for array in (keys, codes)]
+    del keys, codes
+    # writing another pair frees the index
     assert run(capsys, "gen-mes", "--d", "5", "--b", "2", "--b-prime", "1")[0] == 0
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 3
+    assert [ref() for ref in built + refs] == [None] * 4
 
 
 @pytest.mark.parametrize("command", ["gen-mub", "gen-mes"])

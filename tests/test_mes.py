@@ -231,23 +231,29 @@ def test_a_new_pair_evicts_the_cached_stack(capsys, monkeypatch):
     assert len(builds) == 4
 
 
+def kept_stack():
+    """The stack that the CLI's one kept float index encodes, rebuilt bit
+    for bit from its keys and its (d^2, 2, d^2) re-then-im codes."""
+    ((keys, codes),) = cli._last_basis.values()
+    return np.ascontiguousarray(np.moveaxis(keys[codes], -2, -1)).view(np.complex128)[..., 0]
+
+
 def test_cached_stack_stays_read_only(capsys):
     stack = mes_stack(5, 0, 4)
+    assert not stack.flags.writeable
     with pytest.raises(ValueError):
         stack[0, 0] = 1.0
-    # the CLI keeps such a read-only array
+    with pytest.raises(ValueError):
+        stack.reshape(-1)[0] = 1.0
+    # a caller's copy is its own
+    copy = stack.copy()
+    copy[:] = 0
+    fresh = _mes_amplitudes(5, basis_rows(5, 0)[1], basis_rows(5, 4)[1], np.arange(5), np.arange(5))
+    assert stack.tobytes() == fresh.tobytes()
+    # the CLI keeps the float index of such a stack, which encodes its bytes
     cli._last_basis.clear()
     text = gen_mes(capsys, 5, "0", "4")
-    ((kept, _),) = cli._last_basis.values()
-    assert not kept.flags.writeable
-    with pytest.raises(ValueError):
-        kept.reshape(-1)[0] = 1.0
-    # a caller's copy is its own
-    copy = kept.copy()
-    copy[:] = 0
-    assert kept.tobytes() == _mes_amplitudes(
-        5, basis_rows(5, 0)[1], basis_rows(5, 4)[1], np.arange(5), np.arange(5)
-    ).tobytes()
+    assert kept_stack().tobytes() == fresh.tobytes()
     assert gen_mes(capsys, 5, "0", "4") == text
 
 
@@ -262,10 +268,9 @@ def test_cached_stacks_equal_a_fresh_sum_for_every_pair_bytes(d, capsys):
         # a repeat is built afresh, with the same bytes
         again = mes_stack(d, b.index, b_prime.index)
         assert again is not built and again.tobytes() == fresh
-        # and so is the basis the CLI keeps
+        # and so is the basis whose float index the CLI keeps
         gen_mes(capsys, d, str(b), str(b_prime), "csv")
-        ((kept, _),) = cli._last_basis.values()
-        assert kept.tobytes() == fresh
+        assert kept_stack().tobytes() == fresh
 
 
 @pytest.mark.parametrize("bad", [-1, 5, 2.5, "3", True, False])

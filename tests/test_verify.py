@@ -886,6 +886,59 @@ def test_minus_point_basis_is_the_exact_form_the_hop_rows_assume(d):
     assert 0.0 < max(verify._point_basis_bounds(d)) < 1e-12
 
 
+def table_rows(d, order, fixed, base, slope):
+    """Per row order[s, x] of a closed form: its support, fixed = s, and its
+    exponents (base + x slope) mod d there, -1 off the support."""
+    s, x = np.empty(d * d, dtype=np.int64), np.empty(d * d, dtype=np.int64)
+    s[order.ravel()], x[order.ravel()] = np.divmod(np.arange(d * d), d)
+    on = fixed == s[:, None]
+    return on, np.where(on, (base + x[:, None] * slope) % d, -1)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_point_and_mes_tables_agree_exactly(d):
+    # plus(q, p) = w^(pq) u(2q, p) of (cb, cb), in integers: the same
+    # support, and exponents that differ by exactly p q mod d
+    on, exponents = table_rows(d, *co._point_table(d, True))
+    mes_on, mes_exponents = table_rows(d, *me._mes_table(d, sw.CB, sw.CB))
+    q, p = np.divmod(np.arange(d * d), d)
+    rows = (2 * q) % d * d + p
+    assert np.array_equal(on, mes_on[rows])
+    differences = (exponents - mes_exponents[rows]) % d
+    assert np.array_equal(differences[on], np.broadcast_to((p * q % d)[:, None], on.shape)[on])
+
+
+def test_a_conjugated_point_table_fails_every_row_built_without_it(monkeypatch):
+    # the negated slope gives the conjugate point bases; the point rows
+    # compare the basis with that same table, the other rows with stacks and
+    # word maps built without it
+    point_table, build = co._point_table, co.point_basis.__wrapped__
+    # built before the fault, since the cached point_basis reads the table
+    exact = [co.point_basis(5, plus) for plus in (False, True)]
+
+    def conjugated(d, plus):
+        order, fixed, base, slope = point_table(d, plus)
+        return order, fixed, base, -slope
+
+    monkeypatch.setattr(co, "_point_table", conjugated)
+    monkeypatch.setattr(co, "point_basis", build)
+    monkeypatch.setattr(li, "point_basis", build)
+    for plus in (False, True):
+        assert np.abs(build(5, plus) - exact[plus].conj()).max() < 1e-15
+    rows = run_suites([5])
+    assert {row.check for row in rows if not row.passed} == {
+        "collective.cb_mes_factorization",
+        "collective.point_translation",
+        "collective.hop_example",
+        "collective.hop_random",
+        "line.factorization",
+        "mub.lines_family_match",
+    }
+    point_checks = ("collective.point_bases", "collective.point_mes", "collective.conjugate_overlap")
+    point_rows = [row for row in rows if row.check in point_checks]
+    assert len(point_rows) == 3 and all(row.passed for row in point_rows)
+
+
 def _off_support_element(basis, d):
     # particle-flat index 1, (n1, n2) = (0, 1), has nc = h and nr = -h, so it
     # lies off the support of row 0 in both bases
