@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -39,8 +38,8 @@ TOL_ENV_VAR = "MESPHASE_TOL"
 DEFAULT_DIMS = [3, 5, 7]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+# a bound method, so that map over it needs no Python frame per float
+_fmt = "{:.15g}".format
 
 
 class _CannotWrite(Exception):
@@ -95,11 +94,6 @@ def _write(args: argparse.Namespace, payload: dict, header: list[str], rows: lis
 # few thousand distinct ones (sums of d-th roots of unity over sqrt d), so the
 # text of each distinct value is made once and gathered.  Each writer returns
 # its document as a list of text chunks for :func:`_emit`.
-
-
-def _json_float(x: float) -> str:
-    """json's text for one float: its repr when finite, else NaN/Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 # Fibonacci hashing: the top bits of bits * 2^64/phi (mod 2^64) pick the slot
@@ -161,22 +155,10 @@ def _float_index(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _float_texts(index: tuple[np.ndarray, np.ndarray], fmt) -> tuple[np.ndarray, np.ndarray]:
     """The texts ``fmt(x)`` of the keys of a :func:`_float_index` as an
     object array, and its codes, so that ``texts[codes]`` holds the text of
-    every float.  The two writers' formats run as ``map`` over C-level
-    formatters: :func:`_json_float` as ``float.__repr__`` (its NaN/Infinity
-    texts put back after), :func:`_fmt` as ``format(x, ".15g")``.  Any other
-    ``fmt`` is called once per distinct bit pattern (not per distinct value:
-    -0.0 == 0.0, but their text differs)."""
+    every float.  ``fmt`` is called once per distinct bit pattern (not per
+    distinct value: -0.0 == 0.0, but their text differs)."""
     keys, codes = index
-    values = keys.tolist()
-    if fmt is _json_float:
-        texts = list(map(float.__repr__, values))
-        for k in np.flatnonzero(~np.isfinite(keys)).tolist():
-            texts[k] = _json_float(values[k])
-    elif fmt is _fmt:
-        texts = list(map(format, values, [".15g"] * len(values)))
-    else:
-        texts = list(map(fmt, values))
-    return np.array(texts, dtype=object), codes
+    return np.array(list(map(fmt, keys.tolist())), dtype=object), codes
 
 
 # the placeholder string of the JSON templates, which json prints as '"@"'
@@ -195,8 +177,9 @@ def _json_with_kets(
 
     json prints ``doc`` and one placeholder state; each state's text is
     that state's, moved to the depth of its list, with the labels and float
-    lists filled in."""
-    texts, codes = _float_texts(index, _json_float)
+    lists filled in.  The floats are ``float.__repr__`` texts, json's for a
+    finite float; :func:`_checked_index` lets no non-finite state through."""
+    texts, codes = _float_texts(index, float.__repr__)
     outer = (json.dumps(doc, indent=2) + "\n").split(f'"{_SLOT}"')
     # json starts each nested line with the indent of its depth, and puts
     # "," and a new line at that indent between the items of a list

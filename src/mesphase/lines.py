@@ -113,13 +113,8 @@ def line_state(d: int, line: Line, realization: str = "standard") -> LineState:
     (Fourier label on the center-of-mass mode) instead; the result is still a
     rank-1 product but with the factor roles of the two particles exchanged.
     """
-    return LineState(line, Ket(_line_amplitudes(d, line, realization)))
-
-
-def _line_amplitudes(d: int, line: Line, realization: str = "standard") -> np.ndarray:
-    """The amplitude array of :func:`line_state`."""
-    basis = _summed_basis(d, realization)
-    return _line_sums(basis, _line_tables(d)[0][_line_index(d, [line])])[0]
+    amplitudes = _line_sums(_summed_basis(d, realization), _line_tables(d)[0][_line_index(d, [line])])[0]
+    return LineState(line, Ket(amplitudes))
 
 
 def _summed_basis(d: int, realization: str) -> np.ndarray:
@@ -171,11 +166,6 @@ def _line_sums(basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
         basis.take(rows[block], axis=0).sum(axis=1, out=sums[block])
     sums /= np.sqrt(d)
     return sums
-
-
-def _canonical_factor(factor: np.ndarray) -> np.ndarray:
-    """A factor normalized and made phase-canonical."""
-    return _phase_canonical(factor / np.linalg.norm(factor))
 
 
 def _rank_one(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -275,7 +265,7 @@ def _factor_lines(
             if ok:
                 block2[i] = _phase_canonical(vstar[i])
                 if with_reports:
-                    factor1[i] = _canonical_factor(u[i])
+                    factor1[i] = _phase_canonical(u[i] / np.linalg.norm(u[i]))
         # |<conj(s)|f1>| = |s . f1| and |<s|f2>| = |s . conj(f2)|; a zero factor
         # matches row 0, the label (cb, 0)
         found[block] = np.abs(block2.conj() @ stack.T).argmax(axis=1)
@@ -323,7 +313,7 @@ def schmidt_inversion_check(
     exact exponent of w when it lies on the d-point circle.  A non-finite
     line state fails: fidelities 0 and an infinite ``max_error``.
     """
-    validate_tolerance(tol)
+    tol = validate_tolerance(tol)
     return _factor_lines(d, [line], tol, realization).reports[0]
 
 
@@ -351,7 +341,7 @@ def mub_from_lines(d: int, tol: float = DEFAULT_TOL) -> list[list]:
     up to a phase.
     """
     lines = all_lines(d)
-    validate_tolerance(tol)
+    tol = validate_tolerance(tol)
     stack = _mub_stack_from_lines(d, _factor_lines(d, lines, tol, "standard", False), tol)
     return [
         [MubState(label, m, Ket(stack[i, m])) for m in range(d)]
@@ -385,7 +375,7 @@ def line_factor_table(
     order matches the CSV the command-line tool emits.
     """
     lines = all_lines(d)
-    validate_tolerance(tol)
+    tol = validate_tolerance(tol)
     return [
         {
             "d": rep.d,

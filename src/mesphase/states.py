@@ -65,14 +65,16 @@ def _integer(value) -> int:
 def validate_tolerance(tol: float) -> float:
     """A tolerance must be a finite real number with 0 < tol < 1: the 0/1
     flag rows report 1.0 on failure and would pass at any larger tol.  A tol
-    that is not a real number, such as '1e-10' or None, is named by its repr."""
+    that is not a real number, such as '1e-10' or None, is named by its repr.
+    It is returned as a Python float, so that a numpy tol such as
+    ``np.float64(1e-10)`` compares to Python bools, not ``numpy.bool``."""
     try:
         valid = math.isfinite(tol) and 0.0 < tol < 1.0
     except TypeError:
         valid = False
     if not valid:
         raise InvalidTolerance(f"tolerance {tol!r} must be finite with 0 < tol < 1")
-    return tol
+    return float(tol)
 
 
 def _as_readonly_complex(values, ndim: int) -> np.ndarray:

@@ -598,7 +598,7 @@ def run_suites(
     CLI does."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    validate_tolerance(tol)
+    tol = validate_tolerance(tol)
     if isinstance(dims, (str, bytes, bytearray)):
         # its items are characters or bytes, not the dimension it spells
         raise InvalidDimension(f"dims={dims!r} must be an iterable of dimensions, not a string")

@@ -14,7 +14,6 @@ from mesphase.lines import (
     Line,
     LineFactorReport,
     _factor_lines,
-    _line_amplitudes,
     _line_index,
     _line_tables,
     _mub_stack_from_lines,
@@ -202,7 +201,7 @@ def schmidt_inversion_check_oracle(d, line, tol=DEFAULT_TOL, realization="standa
 def max_error_oracle(d, line, realization):
     """``schmidt_inversion_check(...).max_error`` with the phase target w^k
     from a scalar ``np.exp`` and the errors reduced by builtin ``max``."""
-    state = _line_amplitudes(d, line, realization)
+    state = line_state(d, line, realization).vector.amplitudes
     second, factor1, factor2 = _rank_one_step(d, state)
     fid1 = _identify_label(d, factor1, conjugate=True)[2]
     fid2 = _identify_label(d, factor2, conjugate=False)[2]
@@ -216,7 +215,6 @@ def test_line_state_equals_row_by_row_sum_bytes(d):
     for realization in ("standard", "alt"):
         for line in all_lines(d):
             expected = row_sum_oracle(d, line, realization).tobytes()
-            assert _line_amplitudes(d, line, realization).tobytes() == expected
             assert line_state(d, line, realization).vector.amplitudes.tobytes() == expected
 
 
@@ -232,7 +230,7 @@ def mub_stack_from_lines_oracle(d):
     """``_mub_stack_from_lines`` with one ``_rank_one_step`` per line."""
     stack = np.zeros((d + 1, d, d), dtype=np.complex128)
     for line in all_lines(d):
-        second, _, factor2 = _rank_one_step(d, _line_amplitudes(d, line))
+        second, _, factor2 = _rank_one_step(d, line_state(d, line).vector.amplitudes)
         assert second <= 1e-10
         label, m = expected_factor2_label_oracle(d, line)
         stack[0 if label.is_cb else label.index + 1, m] = factor2
@@ -267,7 +265,7 @@ def test_stacked_core_equals_the_per_line_oracle(d):
             assert factored.reports[i] == oracle
             assert schmidt_inversion_check(d, line, realization=realization) == oracle
             state = row_sum_oracle(d, line, realization)
-            assert _line_amplitudes(d, line, realization).tobytes() == state.tobytes()
+            assert line_state(d, line, realization).vector.amplitudes.tobytes() == state.tobytes()
             second, _, factor2 = _rank_one_step(d, state)
             assert factored.reports[i].second_singular_value == second
             assert factored.factor2[i].tobytes() == factor2.tobytes()

@@ -1,15 +1,20 @@
 """The public surface resolves: every exported name, and every function the
 ``perfbench`` tracer wraps, so that a deletion cannot break
-``perfbench/run.py --trace 1`` without a failing test."""
+``perfbench/run.py --trace 1`` without a failing test.  And the README's
+Python examples run as written."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import pkgutil
+import re
 from pathlib import Path
 
 import mesphase
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -68,3 +73,16 @@ def test_package_names_are_their_home_module_objects():
     for name in mesphase.__all__:
         if name != "__version__":
             assert getattr(mesphase, name) is getattr(homes[name], name), name
+
+
+def test_readme_python_blocks_run_and_print_what_they_state():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    printed = []
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed.append(out.getvalue())
+    # the quickstart's line state: factor labels quarter(3)=6, half(5)=6
+    assert printed[0] == "6 6\n"

@@ -20,7 +20,6 @@ from mesphase.cli import (
     _float_index,
     _float_texts,
     _fmt,
-    _json_float,
     main,
 )
 from mesphase.mes import mes_basis
@@ -189,10 +188,12 @@ TRICKY = np.vstack([FINITE, [np.nan, np.inf, -np.inf, 1e16, 123456789012345.67]]
 @pytest.mark.parametrize(
     "fmt,reference,values",
     [
-        (_json_float, json.dumps, TRICKY),
-        (_json_float, float.__repr__, FINITE),
+        # the JSON writer's formatter is json's text for a finite float
+        (float.__repr__, json.dumps, TRICKY[np.isfinite(TRICKY)].reshape(1, -1)),
+        (float.__repr__, float.__repr__, FINITE),
         (_fmt, _fmt, TRICKY),
     ],
+    ids=["__repr__-dumps-values0", "__repr__-__repr__-values1", "_fmt-_fmt-values2"],
 )
 def test_format_floats_elementwise(fmt, reference, values):
     texts = _format_floats(values, fmt)
@@ -201,8 +202,13 @@ def test_format_floats_elementwise(fmt, reference, values):
         assert row_text == [reference(float(x)) for x in row]
 
 
+@pytest.mark.parametrize("x", TRICKY.reshape(-1).tolist())
+def test_fmt_is_percent_15g(x):
+    assert _fmt(x) == _fmt(np.float64(x)) == "%.15g" % x
+
+
 def test_format_floats_keeps_negative_zero_apart():
-    json_texts = _format_floats(np.array([0.0, -0.0, -0.0, 0.0]), _json_float)
+    json_texts = _format_floats(np.array([0.0, -0.0, -0.0, 0.0]), float.__repr__)
     csv_texts = _format_floats(np.array([0.0, -0.0, -0.0, 0.0]), _fmt)
     assert json_texts == ["0.0", "-0.0", "-0.0", "0.0"]
     assert csv_texts == ["0", "-0", "-0", "0"]

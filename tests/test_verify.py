@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import inspect
+import json
 import math
 import random
 import re
@@ -756,7 +758,7 @@ def test_nan_local_action_image_fails_the_stacked_row(monkeypatch):
     assert rows["collective.local_action_random"].max_error == math.inf
 
 
-# -- a fault for each collective row ----------------------------------------------
+# -- faults of the rows, each listed in FAULTS below ------------------------------
 
 
 def _off_by_one_collective_index(monkeypatch):
@@ -795,34 +797,46 @@ def _off_support_minus_element(monkeypatch):
     monkeypatch.setattr(co, "point_basis", poisoned)
 
 
-@pytest.mark.parametrize(
-    "fault, checks",
-    [
-        (_off_by_one_collective_index, ["collective.index_maps"]),
-        (_transposed_particle_index, ["collective.permutation"]),
-        (_off_support_minus_element, ["collective.point_bases", "collective.conjugate_overlap"]),
-    ],
-)
-def test_a_collective_fault_fails_its_rows_and_the_other_suites_still_run(monkeypatch, fault, checks):
-    fault(monkeypatch)
-    _failing_rows_of_all_suites(checks)
-
-
-def _failing_rows_of_all_suites(checks):
-    """The rows of ``checks`` in ``run_suites([3, 5])``, after asserting that
-    each fails at both d while every suite still runs."""
-    rows = run_suites([3, 5])
-    for d in (3, 5):
-        by_check = {row.check: row for row in rows if row.d == d}
-        assert [by_check[check].passed for check in checks] == [False] * len(checks)
-        assert {name.split(".")[0] for name in by_check} == {"mub", "mes", "collective", "line"}
-    return [row for row in rows if row.check in checks]
+def _mub_stack_read_by_verify(monkeypatch, change):
+    """verify alone reads ``change`` of a copy of each MUB stack, so the MES
+    bases and the lines still find every basis."""
+    family = {**vars(sw), "mub_stack": lambda d: change(sw.mub_stack(d).copy())}
+    monkeypatch.setattr(verify, "sw", SimpleNamespace(**family))
 
 
 def _one_basis_dropped(monkeypatch):
-    # verify alone reads the short family, so the MES bases still find every basis
-    family = {**vars(sw), "mub_stack": lambda d: sw.mub_stack(d)[:-1]}
-    monkeypatch.setattr(verify, "sw", SimpleNamespace(**family))
+    _mub_stack_read_by_verify(monkeypatch, lambda stack: stack[:-1])
+
+
+def _one_state_repeated(monkeypatch):
+    # still unbiased to every other basis, but no longer orthonormal
+    def repeated(stack):
+        stack[1, 1] = stack[1, 0]
+        return stack
+
+    _mub_stack_read_by_verify(monkeypatch, repeated)
+
+
+def _one_basis_replaced_by_another_reversed(monkeypatch):
+    # still orthonormal, but not unbiased to the basis it copies
+    def replaced(stack):
+        stack[2] = stack[1, ::-1]
+        return stack
+
+    _mub_stack_read_by_verify(monkeypatch, replaced)
+
+
+def _two_states_of_a_basis_swapped(monkeypatch):
+    # orthonormal and unbiased, but |0; b> and |1; b> sit at each other's
+    # label; every reader of sw.mub_stack sees it, the eigenrelation included
+    mub_stack = sw.mub_stack
+
+    def swapped(d):
+        stack = mub_stack(d).copy()
+        stack[1, [0, 1]] = stack[1, [1, 0]]
+        return stack
+
+    monkeypatch.setattr(sw, "mub_stack", swapped)
 
 
 def _clock_with_one_wrong_power(monkeypatch):
@@ -852,21 +866,6 @@ def _maximally_mixed_reduced_operators(monkeypatch):
         return rhos, rhos
 
     monkeypatch.setattr(verify, "reduced_operators", mixed)
-
-
-@pytest.mark.parametrize(
-    "fault, check",
-    [
-        (_one_basis_dropped, "mub.count"),
-        (_clock_with_one_wrong_power, "mub.clock_shift_algebra"),
-        (_two_rebuilt_rows_swapped, "mub.lines_family_match"),
-        (_maximally_mixed_reduced_operators, "mes.negative_controls"),
-    ],
-)
-def test_a_mub_or_mes_fault_fails_its_row_and_the_other_suites_still_run(monkeypatch, fault, check):
-    fault(monkeypatch)
-    # a finite fault: the row reads a number, not the inf of a NaN
-    assert all(math.isfinite(row.max_error) for row in _failing_rows_of_all_suites([check]))
 
 
 # -- the exact hop rows ------------------------------------------------------------
@@ -1001,11 +1000,16 @@ def test_exact_hop_verdict_equals_the_dense_oracle_verdict(d):
         assert verdicts == [0.0, 1.0, 1.0, 1.0]
 
 
+def _hops_dropping(monkeypatch, dropped):
+    """The symbolic hops skip every factor of the generator ``dropped``."""
+    hop = co._hop
+    monkeypatch.setattr(co, "_hop", lambda d, q, p, factors: hop(d, q, p, [f for f in factors if f[0] != dropped]))
+
+
 @pytest.mark.parametrize("dropped", ["Zc", "Xr"])
 def test_a_hop_that_drops_a_phase_fails_the_hop_rows(monkeypatch, dropped):
     # Zc and Xr only add to the phase, so a hop that skips them drops just that
-    hop = co._hop
-    monkeypatch.setattr(co, "_hop", lambda d, q, p, factors: hop(d, q, p, [f for f in factors if f[0] != dropped]))
+    _hops_dropping(monkeypatch, dropped)
     rows = {row.check: row for row in run_suites([5], "collective")}
     # the word of hop_example, Xc^2 Xr^6, has no Zc factor
     failing = {"collective.hop_random"} | ({"collective.hop_example"} if dropped == "Xr" else set())
@@ -1136,18 +1140,30 @@ def _swap_two_xr_sources(src_table, exp_table):
     return g, src, exp_table[g, 1]
 
 
+def _corrupted_generator_tables(monkeypatch, corrupt):
+    """Every d's collective generator tables with ``corrupt``'s generator
+    row, its powers rebuilt from it one step at a time."""
+    family, tables = co.COLLECTIVE_GENERATORS, co._family_tables
+
+    def corrupted(d, f):
+        if f != family:
+            return tables(d, f)
+        src_table, exp_table = (table.copy() for table in tables(d, f))
+        g, src, exponents = corrupt(src_table, exp_table)
+        for k in range(1, d):
+            exp_table[g, k] = exp_table[g, k - 1] + exponents[src_table[g, k - 1]]
+            src_table[g, k] = src[src_table[g, k - 1]]
+        return src_table, exp_table
+
+    monkeypatch.setattr(co, "_family_tables", corrupted)
+
+
 @pytest.mark.parametrize("corrupt", [_shift_one_zc_exponent, _swap_two_xr_sources])
 def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corrupt):
-    family, tables = co.COLLECTIVE_GENERATORS, co._family_tables
-    src_table, exp_table = (table.copy() for table in tables(5, family))
-    g, src, exponents = corrupt(src_table, exp_table)
-    # the corrupted generator row, with its powers rebuilt from it one step at a time
-    for k in range(1, 5):
-        exp_table[g, k] = exp_table[g, k - 1] + exponents[src_table[g, k - 1]]
-        src_table[g, k] = src[src_table[g, k - 1]]
-    monkeypatch.setattr(
-        co, "_family_tables", lambda d, f: (src_table, exp_table) if f == family else tables(d, f)
-    )
+    family = co.COLLECTIVE_GENERATORS
+    # the generator whose row ``corrupt`` changes
+    g = corrupt(*co._family_tables(5, family))[0]
+    _corrupted_generator_tables(monkeypatch, corrupt)
     rows = {row.check: row for row in run_suites([5], "collective")}
     # the word of hop_example, Xc^2 Xr^6, reads no Zc table
     hop_rows = ("collective.hop_random",) + (("collective.hop_example",) if family[g] == "Xr" else ())
@@ -1156,6 +1172,114 @@ def test_corrupted_generator_map_fails_the_exact_operator_rows(monkeypatch, corr
     for check in exact_rows + hop_rows:
         assert not rows[check].passed
         assert rows[check].max_error == 1.0
+
+
+# -- the fault registry: every check name with a fault that fails its rows -------
+
+
+def _wrong_phase_in_the_cb_mes_stack(monkeypatch):
+    mes_stack = me.mes_stack
+
+    def wrong(d, b, b_prime):
+        stack = mes_stack(d, b, b_prime)
+        if b != sw.CB:
+            return stack
+        stack = stack.copy()
+        _wrong_phase_at_the_origin(stack, d, True)
+        return stack
+
+    monkeypatch.setattr(me, "mes_stack", wrong)
+
+
+def _one_cb_universal_amplitude_negated(monkeypatch):
+    # amplitude 0, of |0>|0>, is 1/sqrt d: still maximally entangled, but
+    # its overlap with the universal state of every other basis drops
+    universal = me._universal_amplitudes
+
+    def negated(d, b):
+        amplitudes = universal(d, b)
+        if b != sw.CB:
+            return amplitudes
+        amplitudes = amplitudes.copy()
+        amplitudes[0] *= -1
+        return amplitudes
+
+    monkeypatch.setattr(me, "_universal_amplitudes", negated)
+
+
+def _conjugated_diagonalizer(monkeypatch):
+    diagonalizer = me.diagonalizer_for
+    monkeypatch.setattr(me, "diagonalizer_for", lambda *args: states.UnitaryOp(diagonalizer(*args).matrix.conj()))
+
+
+def _one_random_local_image_doubled(monkeypatch):
+    local_images = co._local_images
+
+    def doubled(amplitudes, particles, src, exponents):
+        images = local_images(amplitudes, particles, src, exponents)
+        # local_action_random's 50 images; local_action_shift's 2 stay as they are
+        if len(images) > 2:
+            images[16] *= 2
+        return images
+
+    monkeypatch.setattr(co, "_local_images", doubled)
+
+
+def _line_states_off_unit_norm(monkeypatch):
+    # each line state is 1 + 1e-6 times itself: still the product of the
+    # predicted factors, 1e-6 away from its phase w^k
+    point_basis = co.point_basis
+    monkeypatch.setattr(li, "point_basis", lambda d, plus: point_basis(d, plus) * (1 + 1e-6))
+
+
+FAULTS = {
+    "mub.count": _one_basis_dropped,
+    "mub.orthonormal": _one_state_repeated,
+    "mub.unbiased": _one_basis_replaced_by_another_reversed,
+    "mub.eigenrelation": _two_states_of_a_basis_swapped,
+    "mub.clock_shift_algebra": _clock_with_one_wrong_power,
+    "mub.lines_family_match": _two_rebuilt_rows_swapped,
+    **dict.fromkeys(CERTIFIED_ROWS, _wrong_phase_in_the_cb_mes_stack),
+    "mes.negative_controls": _maximally_mixed_reduced_operators,
+    "mes.universal": _one_cb_universal_amplitude_negated,
+    "mes.relabeling": _conjugated_diagonalizer,
+    "collective.index_maps": _off_by_one_collective_index,
+    "collective.permutation": _transposed_particle_index,
+    **dict.fromkeys(
+        ("collective.operator_factorization", "collective.operator_algebra", "collective.point_translation"),
+        lambda monkeypatch: _corrupted_generator_tables(monkeypatch, _shift_one_zc_exponent),
+    ),
+    **dict.fromkeys(
+        ("collective.point_bases", "collective.point_mes", "collective.conjugate_overlap"),
+        _off_support_minus_element,
+    ),
+    "collective.cb_mes_factorization": _wrong_phase_in_the_cb_mes_stack,
+    "collective.local_action_shift": _one_cb_universal_amplitude_negated,
+    "collective.local_action_random": _one_random_local_image_doubled,
+    # at d=3 the Xr^6 of hop_example is the identity, so its fault moves the point
+    **dict.fromkeys(
+        ("collective.hop_example", "collective.hop_random"),
+        lambda monkeypatch: _hops_dropping(monkeypatch, "Xc"),
+    ),
+    "line.factorization": _line_states_off_unit_norm,
+}
+
+
+def test_every_emitted_check_has_a_fault():
+    assert set(FAULTS) == {row.check for row in run_suites([3, 5])}
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+def test_a_fault_fails_every_row_of_its_check(monkeypatch, check):
+    FAULTS[check](monkeypatch)
+    rows = run_suites([3, 5])
+    # every suite still emits its rows at both d
+    for d in (3, 5):
+        assert {row.check.split(".")[0] for row in rows if row.d == d} == {"mub", "mes", "collective", "line"}
+    faulted = [row for row in rows if row.check == check]
+    assert {row.d for row in faulted} == ({3} if check == "mes.relabeling" else {3, 5})
+    # every fault is finite: the rows read a number, not the inf of a NaN
+    assert all(not row.passed and math.isfinite(row.max_error) for row in faulted)
 
 
 def test_every_dimension_is_validated_before_any_suite_runs(monkeypatch):
@@ -1352,6 +1476,19 @@ def test_library_tolerances_fail_closed(name, tol):
 def test_validate_tolerance_has_one_definition():
     assert verify.validate_tolerance is states.validate_tolerance
     assert cli.validate_tolerance is states.validate_tolerance
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-10), np.float32(1e-10)], ids=["float64", "float32"])
+def test_a_numpy_tolerance_gives_python_bools_and_json_rows(tol):
+    rows = run_suites([3], tol=tol)
+    assert rows and all(type(row.passed) is bool for row in rows)
+    json.dumps([dataclasses.asdict(row) for row in rows])
+    report = li.schmidt_inversion_check(3, li.Line(sw.BasisLabel(1), 2), tol)
+    assert type(report.schmidt_rank_ok) is bool
+    table = li.line_factor_table(5, tol)
+    assert all(type(row["schmidt_rank_ok"]) is bool for row in table)
+    json.dumps(table)
+    assert len(li.mub_from_lines(3, tol)) == 4
 
 
 def test_block_rule_has_one_definition():
